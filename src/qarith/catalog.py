@@ -23,6 +23,7 @@ from .sim import (
 DEFAULT_SEED = 12345
 RANDOM_CASE_LIMIT = 4096  # above this many exhaustive cases, sample 1000
 RANDOM_SAMPLES = 1000
+STATEVECTOR_N_MAX = 5  # statevector-verified sizes stop here
 
 OP_CLASSES = (
     "inplace_adder",
@@ -252,13 +253,19 @@ def verify(op_class: str, algorithm: str, n: int,
     return VerifyReport(op_class, algorithm, n, len(combos), True, None, exhaustive)
 
 
+def verify_n_max(op_class: str, algorithm: str, n_max: int) -> int:
+    """The largest size verify_range checks: statevector checks stop at
+    STATEVECTOR_N_MAX."""
+    if _uses_statevector(op_class, algorithm):
+        return min(n_max, STATEVECTOR_N_MAX)
+    return n_max
+
+
 def verify_range(op_class: str, algorithm: str, n_max: int,
                  seed: int = DEFAULT_SEED) -> list[VerifyReport]:
-    """Verify every size from the class minimum up to n_max."""
+    """Verify every size from the class minimum up to verify_n_max."""
     n_min = 2 if op_class in ("modexp", "modmul_const") else 1
-    if _uses_statevector(op_class, algorithm):
-        n_min = max(n_min, 1)
-        n_max = min(n_max, 5)
+    n_max = verify_n_max(op_class, algorithm, n_max)
     return [
         verify(op_class, algorithm, n, seed) for n in range(n_min, n_max + 1)
     ]

@@ -256,6 +256,14 @@ def main(argv=None) -> int:
                 print(f"{op}/{algo}  [params: {slots}]")
             return 0
         if args.command == "verify":
+            capped = catalog.verify_n_max(args.op_class, args.algo, args.n_max)
+            if capped < args.n_max:
+                print(
+                    f"note: skipped {args.op_class}/{args.algo} n={capped + 1}.."
+                    f"{args.n_max}: statevector verification is limited to "
+                    f"n <= {catalog.STATEVECTOR_N_MAX}",
+                    file=sys.stderr,
+                )
             failures = 0
             for report in catalog.verify_range(
                 args.op_class, args.algo, args.n_max, args.seed

@@ -23,7 +23,7 @@ from .adders import (
     emit_copy,
     emit_copy_ctrl,
 )
-from .circuit import Builder, CircuitError, new_builder
+from .circuit import CCX, CNOT, X, Builder, CircuitError, new_builder
 
 MODEXP_ALGOS = ("LYY", "LYYWindowed", "LYYWindowedOpt")
 
@@ -68,7 +68,19 @@ def emit_lookup(bld: Builder, addr, target, entries, ancs) -> None:
 
     Unary iteration over the address MSB-first; needs len(addr)-1 clean
     ancillas.  XOR semantics make the same emission its own inverse.
+
+    Counting builders tally the tree in closed form (Babbush et al. 2018):
+    an a-bit address has 2^a - 2 controlled internal nodes of 2 X, 2 CCX and
+    1 CNOT each, the uncontrolled top level adds 2 X, and every leaf is a
+    CNOT load of its entry.
     """
+    if bld.counting and addr:
+        nodes = (1 << len(addr)) - 2
+        mask = (1 << len(target)) - 1
+        bld.bulk(X, 2 * nodes + 2)
+        bld.bulk(CCX, 2 * nodes)
+        bld.bulk(CNOT, nodes + sum((e & mask).bit_count() for e in entries))
+        return
 
     def write(ctrl, entry):
         if ctrl is None:
@@ -416,6 +428,14 @@ def build_modmul_const(c: int, N: int, n: int, counting: bool = False):
     return bld.summary() if counting else bld.finalize()
 
 
+def _powers(c: int, N: int, count: int) -> tuple[int, ...]:
+    """(c^0, c^1, ..., c^(count-1)) mod N by repeated multiplication."""
+    out = [1]
+    for _ in range(count - 1):
+        out.append(out[-1] * c % N)
+    return tuple(out)
+
+
 def build_modexp(algo: str, a: int, N: int, n: int, counting: bool = False):
     """|x>|0> -> |x>|a^x mod N> on two n-qubit registers."""
     if n < 1:
@@ -450,8 +470,8 @@ def build_modexp(algo: str, a: int, N: int, n: int, counting: bool = False):
             wj = min(w, n - off)
             c = pow(a, 1 << off, N)
             cinv = pow(c, -1, N)
-            entries = tuple(pow(c, v, N) for v in range(1 << wj))
-            entries_inv = tuple(pow(cinv, v, N) for v in range(1 << wj))
+            entries = _powers(c, N, 1 << wj)
+            entries_inv = _powers(cinv, N, 1 << wj)
             _emit_modmul_table(
                 bld, out.qubits, x.qubits[off:off + wj], entries, entries_inv, N, sc
             )

@@ -47,6 +47,19 @@ def test_verify_divider_and_modexp(capsys):
     assert code == 0
 
 
+def test_verify_reports_skipped_statevector_sizes(capsys):
+    code, out, err = run_cli(
+        ["verify", "--op-class", "inplace_adder", "--algo", "QFT", "--n-max", "7"],
+        capsys,
+    )
+    assert code == 0
+    assert out.count("PASS") == 5
+    assert err.splitlines() == [
+        "note: skipped inplace_adder/QFT n=6..7: statevector verification "
+        "is limited to n <= 5"
+    ]
+
+
 def test_verify_unknown_algorithm_exits_2(capsys):
     code, _, err = run_cli(
         ["verify", "--op-class", "inplace_adder", "--algo", "Nope", "--n-max", "3"],

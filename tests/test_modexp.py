@@ -1,14 +1,24 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qarith.circuit import CircuitError, clear_block_cache, encode_register, register_value
+from qarith.circuit import (
+    CircuitError,
+    clear_block_cache,
+    encode_register,
+    new_builder,
+    register_value,
+)
 from qarith.modexp import (
     LookupTable,
     build_modexp,
     build_modmul_const,
     build_table_lookup,
+    emit_lookup,
     optimal_window,
     parse_modexp,
 )
@@ -178,7 +188,7 @@ def test_counting_matches_recording_modexp():
         ("LYYWindowed(2)", 5, 7, 3),
         ("LYYWindowed(3)", 7, 31, 5),  # two full windows, one ragged
         ("LYYWindowedOpt", 11, 31, 5),
-    ]
+    ] + [(f"LYYWindowed({w})", 5, 63, 6) for w in range(1, 7)]  # ragged, w = n
     for algo, a, N, n in cases:
         rec = build_modexp(algo, a, N, n)
         cnt = build_modexp(algo, a, N, n, counting=True)
@@ -199,3 +209,31 @@ def test_counting_matches_recording_modmul():
     assert cnt.kinds.get("CCX", 0) == raw.toffoli_count
     assert cnt.kinds.get("CNOT", 0) + cnt.kinds.get("SWAP", 0) == raw.cnot_count
     assert cnt.num_qubits == rec.num_qubits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lookup_tally_matches_recording(data):
+    """The counting lookup's closed form equals the recorded walk's tallies,
+    including entries wider than the target (only the low bits load)."""
+    a = data.draw(st.integers(1, 8), label="address bits")
+    m = data.draw(st.integers(1, 8), label="target bits")
+    entries = data.draw(
+        st.lists(st.integers(0, (1 << (m + 3)) - 1),
+                 min_size=1 << a, max_size=1 << a),
+        label="entries",
+    )
+    kinds = []
+    for counting in (True, False):
+        bld = new_builder(counting)
+        addr = bld.alloc_register(a, "addr").qubits
+        target = bld.alloc_register(m, "y").qubits
+        ancs = bld.alloc_ancilla(a - 1, "lk").qubits if a > 1 else ()
+        emit_lookup(bld, addr, target, entries, ancs)
+        if counting:
+            kinds.append(bld.summary().kinds)
+        else:
+            kinds.append(Counter(g.kind for g in bld.finalize().gates))
+    cnt, rec = kinds
+    for kind in ("X", "CCX", "CNOT"):
+        assert cnt.get(kind, 0) == rec[kind], kind
