@@ -30,20 +30,6 @@ def _check_n(n: int) -> None:
 
 # -- generic emission helpers ------------------------------------------------
 
-def emit_adjoint(bld: Builder, emit) -> None:
-    """Emit the adjoint of whatever `emit` produces.
-
-    Counting builders emit forward: a reversed/adjointed sequence has
-    identical tallies.
-    """
-    if bld.counting:
-        emit()
-        return
-    m = bld.mark()
-    emit()
-    bld.adjoint_since(m)
-
-
 def emit_const_load(bld: Builder, reg, constant: int) -> None:
     """X-load a classical constant's set bits onto `reg` (self-inverse)."""
     mask = constant & ((1 << len(reg)) - 1)
@@ -148,7 +134,7 @@ def emit_accumulate_add(bld: Builder, x, y, carries) -> None:
 
 def emit_accumulate_sub(bld: Builder, x, y, carries) -> None:
     """y -= x mod 2^len(y); exact adjoint of emit_accumulate_add."""
-    emit_adjoint(bld, lambda: emit_accumulate_add(bld, x, y, carries))
+    bld.adjoint(lambda: emit_accumulate_add(bld, x, y, carries))
 
 
 # -- TTK ripple adder (no ancilla) --------------------------------------------
@@ -271,7 +257,7 @@ def emit_dkrs_inplace(bld: Builder, a, b, carry, bp) -> None:
         bld.x(b[i])
     for i in range(1, n - 1):
         bld.cnot(a[i], b[i])
-    emit_adjoint(bld, lambda: _emit_cla_tree(bld, b[: n - 1], carry, bp))
+    bld.adjoint(lambda: _emit_cla_tree(bld, b[: n - 1], carry, bp))
     for i in range(1, n - 1):
         bld.cnot(a[i], b[i])
     for i in range(n - 1):
@@ -297,7 +283,7 @@ def emit_dkrs_outofplace(bld: Builder, a, b, s, carry, bp) -> None:
     for i in range(1, n):
         bld.cnot(b[i], s[i])
         bld.cnot(carry[i - 1], s[i])
-    emit_adjoint(bld, lambda: _emit_cla_tree(bld, b[: n - 1], carry, bp))
+    bld.adjoint(lambda: _emit_cla_tree(bld, b[: n - 1], carry, bp))
     for i in range(1, n):
         bld.cnot(a[i], b[i])
     for i in range(n - 1):
@@ -316,7 +302,7 @@ def emit_qft(bld: Builder, reg) -> None:
 
 
 def emit_inverse_qft(bld: Builder, reg) -> None:
-    emit_adjoint(bld, lambda: emit_qft(bld, reg))
+    bld.adjoint(lambda: emit_qft(bld, reg))
 
 
 def emit_qft_inplace_add(bld: Builder, a, b) -> None:

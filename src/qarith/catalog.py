@@ -6,6 +6,7 @@ stable across runs).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ DEFAULT_SEED = 12345
 RANDOM_CASE_LIMIT = 4096  # above this many exhaustive cases, sample 1000
 RANDOM_SAMPLES = 1000
 STATEVECTOR_N_MAX = 5  # statevector-verified sizes stop here
+PHASE_TOL = 1e-9  # statevector outputs must share one phase to this tolerance
 
 OP_CLASSES = (
     "inplace_adder",
@@ -211,7 +213,9 @@ def verify(op_class: str, algorithm: str, n: int,
 
     Exhaustive over all basis inputs when the case count permits, otherwise
     a seeded random sample.  Ancillas are required to end clean on every
-    case; the first counterexample is reported.
+    case; statevector-checked circuits must also give every case's output
+    amplitude the first case's phase (a global phase is ignored, a relative
+    one is a failure).  The first counterexample is reported.
     """
     circuit = build(op_class, algorithm, n, seed=seed)
     inputs, oracle = _input_space(op_class, n, seed)
@@ -226,13 +230,18 @@ def verify(op_class: str, algorithm: str, n: int,
         sum(encode_register(v, regs[name]) for name, v in zip(names, combo))
         for combo in combos
     ]
+    phases = []
     if statevector:
-        outs = [extract_basis(simulate_statevector(circuit, s)) for s in states]
+        outs = []
+        for s in states:
+            v = simulate_statevector(circuit, s)
+            outs.append(extract_basis(v))
+            phases.append(v[outs[-1]] / abs(v[outs[-1]]))
     else:
         dtype = np.uint64 if circuit.num_qubits <= 63 else object
         outs = simulate_permutation_batch(circuit, np.array(states, dtype=dtype))
 
-    for combo, raw in zip(combos, outs):
+    for i, (combo, raw) in enumerate(zip(combos, outs)):
         vals = dict(zip(names, combo))
         state = int(raw)
         if state & anc_mask:
@@ -250,6 +259,12 @@ def verify(op_class: str, algorithm: str, n: int,
                     f"register {rname} = {got}, want {want} for input {vals}",
                     exhaustive,
                 )
+        if phases and abs(phases[i] - phases[0]) > PHASE_TOL:
+            return VerifyReport(
+                op_class, algorithm, n, len(combos), False,
+                f"relative phase {cmath.phase(phases[i] / phases[0]):.6g} rad "
+                f"for input {vals}", exhaustive,
+            )
     return VerifyReport(op_class, algorithm, n, len(combos), True, None, exhaustive)
 
 

@@ -157,6 +157,12 @@ class Builder:
     Circuit.  In counting mode only tallies are kept; ``cached`` blocks are
     memoised by key so that repeated structures cost O(1) after the first
     emission, which keeps sweep-scale builds (n ~ 2^13) tractable.
+
+    Uncomputation has two primitives, named after Q#'s ``Adjoint`` and
+    ``within ... apply``: ``adjoint(emit)`` emits the adjoint of a block, and
+    ``within(compute, apply)`` emits compute, apply and compute's adjoint on
+    the qubits compute allocated.  Counting builders emit neither adjoint:
+    they tally the block forward, or add its tallies a second time.
     """
 
     def __init__(self, counting: bool = False, name: str = "circuit"):
@@ -266,35 +272,47 @@ class Builder:
 
     # -- structure helpers ---------------------------------------------------
 
-    def mark(self) -> int:
-        return len(self.gates)
+    def adjoint(self, emit):
+        """Emit the adjoint of whatever `emit` produces; returns its result.
 
-    def adjoint_since(self, mark: int) -> None:
-        """Replace everything emitted after `mark` with its adjoint.
-
-        In counting mode this is a no-op: the adjoint of a gate sequence has
-        the same tallies (T and T-dagger are pooled in the T tally).
+        Recording builders reverse and dagger the slice `emit` just appended.
+        Counting builders emit forward: the adjoint has the same tallies
+        (T and T-dagger are pooled in the T tally).
         """
         if self.counting:
-            return
-        tail = self.gates[mark:]
-        self.gates[mark:] = [g.adjoint() for g in reversed(tail)]
+            return emit()
+        start = len(self.gates)
+        result = emit()
+        self.gates[start:] = [g.adjoint() for g in reversed(self.gates[start:])]
+        return result
 
-    def replay_adjoint(self, start_mark: int, emit_again, end_mark: int | None = None) -> None:
-        """Append the adjoint of the gates recorded in [start_mark, end_mark).
+    def within(self, compute, apply) -> None:
+        """Emit `compute`, then `apply(compute's result)`, then compute's adjoint.
 
-        Recording builders reverse the recorded slice, reusing the registers
-        it already allocated.  Counting builders re-run `emit_again` (same
-        tallies as the adjoint) with the qubit counter rolled back, since an
-        adjoint block allocates nothing new.
+        The adjoint reuses the qubits `compute` allocated.  Recording builders
+        append the reversed, daggered slice `compute` recorded; counting
+        builders add compute's tally delta a second time without re-running it.
         """
         if self.counting:
-            before = self.num_qubits
-            emit_again()
-            self.num_qubits = before
+            delta, _, result = self._tally(compute)
+            apply(result)
+            self._summary.merge(delta)
             return
-        tail = self.gates[start_mark:end_mark]
-        self.gates.extend(g.adjoint() for g in reversed(tail))
+        start = len(self.gates)
+        result = compute()
+        end = len(self.gates)
+        apply(result)
+        self.gates.extend(g.adjoint() for g in reversed(self.gates[start:end]))
+
+    def _tally(self, emit):
+        """Run `emit` on a counting builder; return (tally delta, qubits
+        allocated, emit's result)."""
+        outer, self._summary = self._summary, CountSummary()
+        qubits = self.num_qubits
+        result = emit()
+        delta, self._summary = self._summary, outer
+        outer.merge(delta)
+        return delta, self.num_qubits - qubits, result
 
     def cached(self, key: tuple, emit) -> None:
         """Emit a block, memoising its tallies by `key` in counting mode.
@@ -312,22 +330,7 @@ class Builder:
             self._summary.merge(delta)
             self.num_qubits += alloc
             return
-        before = CountSummary(
-            kinds=dict(self._summary.kinds),
-            mcx_controls=dict(self._summary.mcx_controls),
-        )
-        qubits_before = self.num_qubits
-        emit()
-        delta = CountSummary()
-        for k, v in self._summary.kinds.items():
-            d = v - before.kinds.get(k, 0)
-            if d:
-                delta.kinds[k] = d
-        for k, v in self._summary.mcx_controls.items():
-            d = v - before.mcx_controls.get(k, 0)
-            if d:
-                delta.mcx_controls[k] = d
-        _BLOCK_CACHE[key] = (delta, self.num_qubits - qubits_before)
+        _BLOCK_CACHE[key] = self._tally(emit)[:2]
 
     # -- finalization --------------------------------------------------------
 

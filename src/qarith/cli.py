@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import catalog
 from .analysis import (
@@ -27,12 +27,6 @@ from .circuit import CircuitError
 from .modexp import parse_modexp
 from .physical import EstimationError, PhysicalParams, estimate, pareto_frontier
 from .resources import SynthesisParams
-
-CSV_HEADER = (
-    "op_class,algorithm,n,logical_qubits,t_count,toffoli_count,cnot_count,"
-    "rotation_count,depth,t_depth,code_distance,physical_qubits,"
-    "runtime_seconds,num_factories"
-)
 
 # Recorded circuits give exact greedy depth; above these sizes the streaming
 # counting path (serial depth composition) takes over to bound memory.
@@ -62,34 +56,14 @@ class SweepRecord:
     num_factories: int
 
     def csv_row(self) -> str:
-        return ",".join(
-            str(v)
-            for v in (
-                self.op_class, self.algorithm, self.n, self.logical_qubits,
-                self.t_count, self.toffoli_count, self.cnot_count,
-                self.rotation_count, self.depth, self.t_depth,
-                self.code_distance, self.physical_qubits,
-                repr(self.runtime_seconds), self.num_factories,
-            )
-        )
+        # str(float) == repr(float), so floats print round-trip exact.
+        return ",".join(str(getattr(self, f.name)) for f in fields(self))
 
     def as_dict(self) -> dict:
-        return {
-            "op_class": self.op_class,
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "logical_qubits": self.logical_qubits,
-            "t_count": self.t_count,
-            "toffoli_count": self.toffoli_count,
-            "cnot_count": self.cnot_count,
-            "rotation_count": self.rotation_count,
-            "depth": self.depth,
-            "t_depth": self.t_depth,
-            "code_distance": self.code_distance,
-            "physical_qubits": self.physical_qubits,
-            "runtime_seconds": self.runtime_seconds,
-            "num_factories": self.num_factories,
-        }
+        return asdict(self)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
 def _record(op_class, algorithm, n, counts, est) -> SweepRecord:

@@ -169,6 +169,16 @@ def _cached_acc(bld: Builder, x, y, carries) -> None:
     )
 
 
+def _emit_not_into(bld: Builder, carry: int, out: int, ctrl) -> None:
+    """out ^= NOT carry [AND ctrl]."""
+    if ctrl is None:
+        bld.cnot(carry, out)
+        bld.x(out)
+    else:
+        bld.ccx(ctrl, carry, out)
+        bld.cnot(ctrl, out)
+
+
 def _emit_ge_const(bld: Builder, t, k, out: int, chain, ctrl=None) -> None:
     """out ^= (t >= k) [AND ctrl], for a classical constant 1 <= k < 2^n.
 
@@ -191,17 +201,9 @@ def _emit_ge_const(bld: Builder, t, k, out: int, chain, ctrl=None) -> None:
                 bld.x(t[j])
             else:
                 bld.ccx(t[j], chain[j - 1], chain[j])
+        return chain[n - 1]
 
-    m1 = bld.mark()
-    fwd()
-    m2 = bld.mark()
-    if ctrl is None:
-        bld.cnot(chain[n - 1], out)
-        bld.x(out)
-    else:
-        bld.ccx(ctrl, chain[n - 1], out)
-        bld.cnot(ctrl, out)
-    bld.replay_adjoint(m1, fwd, end_mark=m2)
+    bld.within(fwd, lambda carry: _emit_not_into(bld, carry, out, ctrl))
     emit_complement(bld, t)
 
 
@@ -217,17 +219,9 @@ def _emit_ge_quantum(bld: Builder, t, u, out: int, chain, ctrl=None) -> None:
             bld.cnot(u[j], t[j])
             bld.ccx(t[j], chain[j - 1], chain[j])
             bld.cnot(u[j], t[j])
+        return chain[n - 1]
 
-    m1 = bld.mark()
-    fwd()
-    m2 = bld.mark()
-    if ctrl is None:
-        bld.cnot(chain[n - 1], out)
-        bld.x(out)
-    else:
-        bld.ccx(ctrl, chain[n - 1], out)
-        bld.cnot(ctrl, out)
-    bld.replay_adjoint(m1, fwd, end_mark=m2)
+    bld.within(fwd, lambda carry: _emit_not_into(bld, carry, out, ctrl))
     emit_complement(bld, t)
 
 
@@ -367,12 +361,7 @@ def _emit_modmul_const(bld: Builder, x, c: int, N: int, sc: _Scratch,
             bld.cnot(sc.t[i], x[i])
             bld.ccx(ctrl, x[i], sc.t[i])
             bld.cnot(sc.t[i], x[i])
-    if bld.counting:
-        acc(cinv)
-    else:
-        m = bld.mark()
-        acc(cinv)
-        bld.adjoint_since(m)
+    bld.adjoint(lambda: acc(cinv))
 
 
 def _emit_modmul_table(bld: Builder, out, addr, entries, entries_inv, N: int,
@@ -390,23 +379,13 @@ def _emit_modmul_table(bld: Builder, out, addr, entries, entries_inv, N: int,
             for _ in range(n):
                 _emit_mod_double(bld, sc.a_reg, sc.hi, N, sc)
 
-        if bld.counting:
-            doublings()
-        else:
-            m = bld.mark()
-            doublings()
-            bld.adjoint_since(m)
+        bld.adjoint(doublings)
         emit_lookup(bld, addr, sc.a_reg, tab, sc.lk)
 
     acc(entries)
     for i in range(n):
         bld.swap(out[i], sc.t[i])
-    if bld.counting:
-        acc(entries_inv)
-    else:
-        m = bld.mark()
-        acc(entries_inv)
-        bld.adjoint_since(m)
+    bld.adjoint(lambda: acc(entries_inv))
 
 
 # -- public builders -----------------------------------------------------------------

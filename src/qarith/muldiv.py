@@ -84,7 +84,8 @@ def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, carries):
     """Compute a*b into a fresh clean register; returns (qubits, max value).
 
     Inputs are restored; every temporary stays allocated (and dirty) until
-    the caller replays the adjoint of this emission.
+    the caller uncomputes this emission as the compute block of
+    ``Builder.within``.
     """
     a = _trunc(a, amax)
     b = _trunc(b, bmax)
@@ -143,22 +144,12 @@ def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, carries):
 
 def emit_karatsuba_multiply(bld: Builder, a, b, prod, piece, temp, carries) -> None:
     """prod += a*b with the recursion tree computed, used and uncomputed."""
-    n = len(a)
-    amax = (1 << n) - 1
-    mark = bld.mark()
-    state: dict = {}
-
-    def tree():
-        state["w"], state["wmax"] = _tree_product(
-            bld, a, amax, b, amax, piece, temp, carries
-        )
-
-    tree()
-    tree_end = bld.mark()
-    w = state["w"][: len(prod)]
-    emit_accumulate_add(bld, w, prod, carries)
-    # Bennett uncompute of the whole product tree.
-    bld.replay_adjoint(mark, tree, end_mark=tree_end)
+    amax = (1 << len(a)) - 1
+    # Bennett: compute the product tree, add it into prod, uncompute the tree.
+    bld.within(
+        lambda: _tree_product(bld, a, amax, b, amax, piece, temp, carries)[0],
+        lambda w: emit_accumulate_add(bld, w[: len(prod)], prod, carries),
+    )
 
 
 def build_multiplier(algo: str, n: int, counting: bool = False):

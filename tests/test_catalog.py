@@ -1,7 +1,10 @@
+import dataclasses
+import math
+
 import pytest
 
 from qarith import catalog
-from qarith.circuit import Circuit, CircuitError
+from qarith.circuit import CPHASE, X, Circuit, CircuitError, Gate
 from qarith.resources import LogicalCounts
 
 
@@ -43,3 +46,30 @@ def test_verify_random_sampling_for_large_spaces():
     assert report.ok
     assert not report.exhaustive
     assert report.cases == catalog.RANDOM_SAMPLES
+
+
+def _mutant(op, algo, n, gate_for):
+    """catalog.build(op, algo, n) with one gate appended; gate_for maps the
+    register dict {name: Register} to that gate."""
+    c = catalog.build(op, algo, n)
+    regs = {r.name: r for r in c.data_registers + c.ancilla_registers}
+    return dataclasses.replace(c, gates=c.gates + (gate_for(regs),))
+
+
+@pytest.mark.parametrize("op,algo,gate_for,failure", [
+    # A relative phase leaves every basis label right.
+    ("inplace_adder", "QFT",
+     lambda r: Gate(CPHASE, (r["a"][0], r["a"][1]), math.pi / 2),
+     "relative phase"),
+    ("inplace_adder", "Gidney",
+     lambda r: Gate(X, (r["cg_carry"][0],)), "dirty ancillas"),
+    ("inplace_adder", "Gidney",
+     lambda r: Gate(X, (r["b"][0],)), "register b"),
+], ids=["phase", "dirty-ancilla", "wrong-output"])
+def test_verify_rejects_mutants(monkeypatch, op, algo, gate_for, failure):
+    mutant = _mutant(op, algo, 3, gate_for)
+    assert catalog.verify(op, algo, 3).ok
+    monkeypatch.setattr(catalog, "build", lambda *args, **kwargs: mutant)
+    report = catalog.verify(op, algo, 3)
+    assert not report.ok
+    assert report.failure.startswith(failure), report.failure

@@ -279,3 +279,64 @@ def test_cached_blocks_replay_allocations():
     s = bld.summary()
     assert s.kinds["CCX"] == 2
     assert s.num_qubits == 1 + 2 + 2
+
+
+def test_builder_adjoint_daggers_in_reverse_order():
+    bld = new_builder()
+    bld.alloc_register(2)
+    bld.x(1)
+    result = bld.adjoint(lambda: (bld.t(0), bld.s(1), bld.rz(0, 0.5), "r")[-1])
+    assert result == "r"
+    c = bld.finalize()
+    assert c.gates == (
+        Gate("X", (1,)), Gate("RZ", (0,), -0.5), Gate("SDG", (1,)),
+        Gate("TDG", (0,)),
+    )
+
+
+def test_builder_adjoint_counts_forward():
+    bld = new_builder(counting=True)
+    bld.alloc_register(1)
+    bld.adjoint(lambda: (bld.t(0), bld.s(0)))
+    assert bld.summary().kinds == {"T": 1, "S": 1}
+
+
+def _within_blocks(bld, calls):
+    reg = bld.alloc_register(2)
+
+    def compute():
+        calls.append("compute")
+        anc = bld.alloc_ancilla(2)
+        bld.ccx(reg[0], reg[1], anc[0])
+        bld.t(anc[0])
+        bld.mcx((reg[0], reg[1], anc[0]), anc[1])
+        return anc[1]
+
+    def apply(flag):
+        calls.append("apply")
+        bld.cnot(flag, reg[1])
+
+    bld.within(compute, apply)
+
+
+def test_within_recording_appends_reversed_dagger_of_compute():
+    calls: list = []
+    bld = new_builder()
+    _within_blocks(bld, calls)
+    c = bld.finalize()
+    compute = (Gate("CCX", (0, 1, 2)), Gate("T", (2,)), Gate("MCX", (0, 1, 2, 3)))
+    apply = (Gate("CNOT", (3, 1)),)
+    assert c.gates == compute + apply + tuple(g.adjoint() for g in reversed(compute))
+    assert calls == ["compute", "apply"]
+    assert c.num_qubits == 4  # nothing allocated a second time
+
+
+def test_within_counting_tallies_compute_twice_without_rerunning_it():
+    calls: list = []
+    bld = new_builder(counting=True)
+    _within_blocks(bld, calls)
+    s = bld.summary()
+    assert calls == ["compute", "apply"]
+    assert s.kinds == {"CCX": 2, "T": 2, "MCX": 2, "CNOT": 1}
+    assert s.mcx_controls == {3: 2}
+    assert s.num_qubits == 4

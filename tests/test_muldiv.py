@@ -185,8 +185,8 @@ def test_counting_matches_recording_multiplier():
 
 
 def test_counting_matches_recording_karatsuba_deep():
-    # n=8 with piece 3 exercises a two-level recursion tree plus the
-    # cache-replay and adjoint-rollback paths; n=5 adds padding.
+    # n=8 with piece 3 exercises a two-level recursion tree, block-cache
+    # hits and the counted uncompute of Builder.within; n=5 adds padding.
     for algo, n in (("Karatsuba(3)", 8), ("Karatsuba(2)", 5)):
         clear_block_cache()
         rec = build_multiplier(algo, n)

@@ -85,9 +85,7 @@ def test_qft_inverse_qft_roundtrip():
     bld = new_builder()
     r = bld.alloc_register(4)
     emit_qft(bld, r.qubits)
-    m = bld.mark()
-    emit_qft(bld, r.qubits)
-    bld.adjoint_since(m)
+    bld.adjoint(lambda: emit_qft(bld, r.qubits))
     c = bld.finalize()
     for basis in range(16):
         v = simulate_statevector(c, basis)
