@@ -7,15 +7,23 @@ stable across runs).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import adders, modexp, muldiv
-from .circuit import Circuit, CircuitError, encode_register, register_value
+from .circuit import (
+    PERMUTATION_KINDS,
+    Circuit,
+    CircuitError,
+    encode_register,
+    register_value,
+)
 from .resources import LogicalCounts, SynthesisParams, lower
 from .sim import (
+    SimulationError,
     extract_basis,
     simulate_permutation_batch,
     simulate_statevector,
@@ -188,84 +196,90 @@ def _input_space(op_class: str, n: int, seed: int):
     raise CircuitError(f"unknown op class {op_class!r}")
 
 
-def _case_list(inputs: dict, seed: int):
+@dataclass(frozen=True)
+class OracleCheck:
+    cases: int
+    exhaustive: bool
+    failure: str | None = None  # the first counterexample
+
+
+def check_oracle(circuit: Circuit, inputs: dict, oracle,
+                 seed: int = DEFAULT_SEED) -> OracleCheck:
+    """Check a circuit against a classical oracle on basis inputs.
+
+    inputs maps register names to the values to try; the cases are their
+    cartesian product, exhaustive up to RANDOM_CASE_LIMIT and a seeded sample
+    of RANDOM_SAMPLES above it.  oracle(**values) returns {register: value}
+    for the registers it sets; every other data register must come out as it
+    went in (0 if not named in inputs) and every ancilla clean.  Circuits
+    with non-permutation gates are run on the statevector, where a non-basis
+    output fails and every case's output amplitude must carry the first
+    case's phase (a global phase is ignored, a relative one is a failure).
+    """
     names = list(inputs)
     spaces = [list(inputs[name]) for name in names]
-    total = 1
-    for s in spaces:
-        total *= len(s)
-    if total <= RANDOM_CASE_LIMIT:
-        combos: list[tuple[int, ...]] = [()]
-        for s in spaces:
-            combos = [c + (v,) for c in combos for v in s]
-        return names, combos, True
-    rng = np.random.default_rng(seed)
-    combos = [
-        tuple(int(s[rng.integers(len(s))]) for s in spaces)
-        for _ in range(RANDOM_SAMPLES)
-    ]
-    return names, combos, False
-
-
-def verify(op_class: str, algorithm: str, n: int,
-           seed: int = DEFAULT_SEED) -> VerifyReport:
-    """Check one operation instance against its classical oracle.
-
-    Exhaustive over all basis inputs when the case count permits, otherwise
-    a seeded random sample.  Ancillas are required to end clean on every
-    case; statevector-checked circuits must also give every case's output
-    amplitude the first case's phase (a global phase is ignored, a relative
-    one is a failure).  The first counterexample is reported.
-    """
-    circuit = build(op_class, algorithm, n, seed=seed)
-    inputs, oracle = _input_space(op_class, n, seed)
-    names, combos, exhaustive = _case_list(inputs, seed)
+    exhaustive = math.prod(map(len, spaces)) <= RANDOM_CASE_LIMIT
+    if exhaustive:
+        combos = list(itertools.product(*spaces))
+    else:
+        rng = np.random.default_rng(seed)
+        combos = [
+            tuple(int(s[rng.integers(len(s))]) for s in spaces)
+            for _ in range(RANDOM_SAMPLES)
+        ]
     regs = {r.name: r for r in circuit.data_registers}
-    anc_mask = 0
-    for q in circuit.ancilla_qubits:
-        anc_mask |= 1 << q
-    statevector = _uses_statevector(op_class, algorithm)
-
+    anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
     states = [
         sum(encode_register(v, regs[name]) for name, v in zip(names, combo))
         for combo in combos
     ]
     phases = []
-    if statevector:
+    if all(g.kind in PERMUTATION_KINDS for g in circuit.gates):
+        outs = simulate_permutation_batch(circuit, states)
+    else:
         outs = []
         for s in states:
             v = simulate_statevector(circuit, s)
-            outs.append(extract_basis(v))
-            phases.append(v[outs[-1]] / abs(v[outs[-1]]))
-    else:
-        dtype = np.uint64 if circuit.num_qubits <= 63 else object
-        outs = simulate_permutation_batch(circuit, np.array(states, dtype=dtype))
+            try:
+                out = extract_basis(v)
+            except SimulationError:
+                out = None
+            outs.append(out)
+            phases.append(None if out is None else v[out] / abs(v[out]))
 
-    for i, (combo, raw) in enumerate(zip(combos, outs)):
-        vals = dict(zip(names, combo))
-        state = int(raw)
+    def failure(i, vals, out):
+        if out is None:
+            return "not a basis state"
+        state = int(out)
         if state & anc_mask:
-            return VerifyReport(
-                op_class, algorithm, n, len(combos), False,
-                f"dirty ancillas for input {vals}", exhaustive,
-            )
+            return "dirty ancillas"
         expected = oracle(**vals)
         for rname, reg in regs.items():
             want = expected.get(rname, vals.get(rname, 0))
             got = register_value(state, reg)
             if got != want:
-                return VerifyReport(
-                    op_class, algorithm, n, len(combos), False,
-                    f"register {rname} = {got}, want {want} for input {vals}",
-                    exhaustive,
-                )
+                return f"register {rname} = {got}, want {want}"
         if phases and abs(phases[i] - phases[0]) > PHASE_TOL:
-            return VerifyReport(
-                op_class, algorithm, n, len(combos), False,
-                f"relative phase {cmath.phase(phases[i] / phases[0]):.6g} rad "
-                f"for input {vals}", exhaustive,
-            )
-    return VerifyReport(op_class, algorithm, n, len(combos), True, None, exhaustive)
+            return f"relative phase {cmath.phase(phases[i] / phases[0]):.6g} rad"
+        return None
+
+    for i, (combo, out) in enumerate(zip(combos, outs)):
+        vals = dict(zip(names, combo))
+        reason = failure(i, vals, out)
+        if reason:
+            return OracleCheck(len(combos), exhaustive, f"{reason} for input {vals}")
+    return OracleCheck(len(combos), exhaustive)
+
+
+def verify(op_class: str, algorithm: str, n: int,
+           seed: int = DEFAULT_SEED) -> VerifyReport:
+    """Check one operation instance against its classical oracle
+    (check_oracle), exhaustively when the case count permits."""
+    circuit = build(op_class, algorithm, n, seed=seed)
+    inputs, oracle = _input_space(op_class, n, seed)
+    check = check_oracle(circuit, inputs, oracle, seed)
+    return VerifyReport(op_class, algorithm, n, check.cases,
+                        check.failure is None, check.failure, check.exhaustive)
 
 
 def verify_n_max(op_class: str, algorithm: str, n_max: int) -> int:

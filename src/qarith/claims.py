@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 from . import catalog
 from .adders import IN_PLACE_ADDERS, OUT_OF_PLACE_ADDERS, RIPPLE_CARRY_ADDERS
 from .analysis import SweepSeries, find_tipping_point, fit_power_law, log_grid
-from .circuit import Circuit, adjoint, encode_register, register_value
+from .circuit import Circuit, adjoint
 from .modexp import build_modexp, optimal_window
 from .muldiv import DIVIDER_ADDERS, divider_design_space
 from .physical import PhysicalParams, pareto_frontier
@@ -121,34 +121,26 @@ def _check_dividers(seed) -> ClaimCheck:
 
 
 def _check_modexp(seed) -> ClaimCheck:
-    failures = []
+    description = (
+        "ModExp equivalence: LYY and LYYWindowed(w), w in {1,2,3}, n 2..4, "
+        "N = 2^n - 1, every coprime a, all x match a^x mod N"
+    )
     cases = 0
     for n in (2, 3, 4):
         N = (1 << n) - 1
         coprime = [a for a in range(2, N) if math.gcd(a, N) == 1]
         for algo in ("LYY", "LYYWindowed(1)", "LYYWindowed(2)", "LYYWindowed(3)"):
             for a in coprime:
-                c = build_modexp(algo, a, N, n)
-                regs = {r.name: r for r in c.data_registers}
-                anc = 0
-                for qb in c.ancilla_qubits:
-                    anc |= 1 << qb
-                for x in range(1 << n):
-                    out = simulate_permutation(c, encode_register(x, regs["x"]))
-                    cases += 1
-                    got = register_value(out, regs["out"])
-                    if got != pow(a, x, N) or (out & anc):
-                        failures.append(
-                            f"{algo} a={a} N={N} x={x}: out={got}, "
-                            f"want {pow(a, x, N)}"
-                        )
-    return _claim(
-        "AC4",
-        "ModExp equivalence: LYY and LYYWindowed(w), w in {1,2,3}, n 2..4, "
-        "N = 2^n - 1, every coprime a, all x match a^x mod N",
-        not failures,
-        failures[0] if failures else f"{cases} cases, all match",
-    )
+                check = catalog.check_oracle(
+                    build_modexp(algo, a, N, n),
+                    {"x": range(1 << n), "out": [0]},
+                    lambda x, out: {"out": pow(a, x, N)}, seed,
+                )
+                if check.failure:
+                    return _claim("AC4", description, False,
+                                  f"{algo} a={a} N={N}: {check.failure}")
+                cases += check.cases
+    return _claim("AC4", description, True, f"{cases} cases, all match")
 
 
 def _check_structure(seed) -> ClaimCheck:

@@ -1,10 +1,14 @@
 """Verification simulators.
 
-Two substrates: a bit-parallel permutation simulator for Toffoli-class
-circuits (arbitrary width, with a vectorised batch path up to 63 qubits) and
-a dense statevector simulator for rotation-bearing circuits (QFT adders).
-Global phase is ignored everywhere; arithmetic semantics live in the
-computational basis.
+One kernel, `_apply_perm`, holds the rules of the permutation gates (X, CNOT,
+CCX, MCX, SWAP).  It uses only shifts, ands and xors, so one body acts on a
+Python int (one basis state of any width), on an int64 or object array (a
+batch of basis states; object past 63 qubits) and on the int64 index array
+that permutes a dense statevector.  `simulate_permutation`,
+`simulate_permutation_batch` and `simulate_statevector` all call it; the
+statevector simulator adds the rotation-bearing gates (H, S, T, RZ, CPHASE)
+for the QFT adders.  Global phase is ignored everywhere; arithmetic semantics
+live in the computational basis.
 """
 from __future__ import annotations
 
@@ -14,11 +18,8 @@ import math
 import numpy as np
 
 from .circuit import (
-    CCX,
-    CNOT,
     CPHASE,
     H,
-    MCX,
     PERMUTATION_KINDS,
     RZ,
     S,
@@ -28,6 +29,7 @@ from .circuit import (
     TDG,
     X,
     Circuit,
+    Gate,
 )
 
 PERMUTATION_TABLE_LIMIT = 16
@@ -39,76 +41,51 @@ class SimulationError(ValueError):
     pass
 
 
+def _apply_perm(g: Gate, s):
+    """Permutation gate g applied to basis state(s) s (an int or int array).
+
+    Every permutation gate is an involution, so on the statevector's index
+    array the result also reads new[i] = old[P(i)].
+    """
+    q = g.qubits
+    if g.kind == X:
+        return s ^ (1 << q[0])
+    if g.kind == SWAP:
+        a, b = q
+        d = ((s >> a) ^ (s >> b)) & 1
+        return s ^ ((d << a) | (d << b))
+    # CNOT, CCX, MCX: flip the last qubit when all the others are set.
+    bit = s >> q[0]
+    for c in q[1:-1]:
+        bit = bit & (s >> c)
+    return s ^ ((bit & 1) << q[-1])
+
+
+def _permute(c: Circuit, s):
+    for i, g in enumerate(c.gates):
+        if g.kind not in PERMUTATION_KINDS:
+            raise SimulationError(f"non-permutation gate {g.kind} at gate {i}")
+        s = _apply_perm(g, s)
+    return s
+
+
 def simulate_permutation(c: Circuit, basis_in: int) -> int:
     """Apply a permutation-only circuit to one basis state (any width)."""
     if not 0 <= basis_in < (1 << c.num_qubits):
         raise SimulationError("input state out of range")
-    s = basis_in
-    for i, g in enumerate(c.gates):
-        k = g.kind
-        if k == X:
-            s ^= 1 << g.qubits[0]
-        elif k == CNOT:
-            cq, t = g.qubits
-            if (s >> cq) & 1:
-                s ^= 1 << t
-        elif k == CCX:
-            c1, c2, t = g.qubits
-            if (s >> c1) & (s >> c2) & 1:
-                s ^= 1 << t
-        elif k == MCX:
-            *controls, t = g.qubits
-            if all((s >> q) & 1 for q in controls):
-                s ^= 1 << t
-        elif k == SWAP:
-            a, b = g.qubits
-            d = ((s >> a) ^ (s >> b)) & 1
-            s ^= (d << a) | (d << b)
-        else:
-            raise SimulationError(
-                f"non-permutation gate {k} at gate {i}"
-            )
-    return s
+    return _permute(c, basis_in)
 
 
-def simulate_permutation_batch(c: Circuit, states: np.ndarray) -> np.ndarray:
-    """Vectorised permutation simulation of many basis states at once.
+def simulate_permutation_batch(c: Circuit, states) -> np.ndarray:
+    """Apply a permutation-only circuit to many basis states at once.
 
-    Falls back to the single-state path above when the circuit is wider than
-    a uint64 can hold.
+    The states are held as int64 up to 63 qubits and as Python ints in an
+    object array past that.
     """
-    if c.num_qubits > 63:
-        return np.array(
-            [simulate_permutation(c, int(s)) for s in states], dtype=object
-        )
-    s = np.asarray(states, dtype=np.uint64).copy()
-    one = np.uint64(1)
-    for i, g in enumerate(c.gates):
-        k = g.kind
-        if k == X:
-            s ^= one << np.uint64(g.qubits[0])
-        elif k == CNOT:
-            cq, t = g.qubits
-            bit = (s >> np.uint64(cq)) & one
-            s ^= bit << np.uint64(t)
-        elif k == CCX:
-            c1, c2, t = g.qubits
-            bit = (s >> np.uint64(c1)) & (s >> np.uint64(c2)) & one
-            s ^= bit << np.uint64(t)
-        elif k == MCX:
-            *controls, t = g.qubits
-            bit = (s >> np.uint64(controls[0])) & one
-            for q in controls[1:]:
-                bit &= s >> np.uint64(q)
-            bit &= one
-            s ^= bit << np.uint64(t)
-        elif k == SWAP:
-            a, b = g.qubits
-            d = ((s >> np.uint64(a)) ^ (s >> np.uint64(b))) & one
-            s ^= (d << np.uint64(a)) | (d << np.uint64(b))
-        else:
-            raise SimulationError(f"non-permutation gate {k} at gate {i}")
-    return s
+    exact = np.array(states, dtype=object)
+    if exact.size and (exact.min() < 0 or exact.max() >> c.num_qubits):
+        raise SimulationError("input state out of range")
+    return _permute(c, exact.astype(np.int64 if c.num_qubits <= 63 else object))
 
 
 def permutation_table(c: Circuit, limit: int = PERMUTATION_TABLE_LIMIT) -> np.ndarray:
@@ -151,8 +128,7 @@ def simulate_statevector(
     for g in c.gates:
         k = g.kind
         if k in PERMUTATION_KINDS:
-            perm = _permutation_indices(g, idx)
-            state = state[perm]
+            state = state[_apply_perm(g, idx)]
         elif k == H:
             state = _apply_single_qubit(
                 state, g.qubits[0], inv_sqrt2, inv_sqrt2, inv_sqrt2, -inv_sqrt2
@@ -176,30 +152,6 @@ def simulate_statevector(
     if abs(norm - 1.0) > 1e-9:
         raise SimulationError(f"norm drifted to {norm}")
     return state
-
-
-def _permutation_indices(g, idx: np.ndarray) -> np.ndarray:
-    # All permutation gates are involutions, so new[i] = old[P(i)].
-    k = g.kind
-    if k == X:
-        return idx ^ (1 << g.qubits[0])
-    if k == CNOT:
-        c, t = g.qubits
-        return idx ^ (((idx >> c) & 1) << t)
-    if k == CCX:
-        c1, c2, t = g.qubits
-        return idx ^ ((((idx >> c1) & (idx >> c2)) & 1) << t)
-    if k == MCX:
-        *controls, t = g.qubits
-        bit = (idx >> controls[0]) & 1
-        for q in controls[1:]:
-            bit &= idx >> q
-        return idx ^ ((bit & 1) << t)
-    if k == SWAP:
-        a, b = g.qubits
-        d = ((idx >> a) ^ (idx >> b)) & 1
-        return idx ^ ((d << a) | (d << b))
-    raise SimulationError(f"not a permutation gate: {k}")
 
 
 def extract_basis(state: np.ndarray, tol: float = _BASIS_TOL) -> int:

@@ -1,48 +1,14 @@
-import itertools
-
-import numpy as np
 import pytest
 
-from qarith.circuit import Circuit, encode_register, register_value
-from qarith.sim import simulate_permutation_batch
+from qarith.catalog import check_oracle
 
 
-def run_cases(circuit: Circuit, inputs: dict, expected) -> int:
-    """Exhaustively check a permutation circuit against a classical oracle.
-
-    inputs: {register_name: iterable of values}; the cartesian product is
-    simulated in one vectorised batch.  expected(**values) returns
-    {register_name: value} for the registers it wants checked; omitted
-    registers must pass through unchanged.  Ancillas must end clean.
-    Returns the number of cases checked.
-    """
-    regs = {r.name: r for r in circuit.data_registers}
-    names = list(inputs)
-    combos = list(itertools.product(*[list(inputs[n]) for n in names]))
-    states = []
-    for combo in combos:
-        s = 0
-        for n, v in zip(names, combo):
-            s |= encode_register(int(v), regs[n])
-        states.append(s)
-    dtype = np.uint64 if circuit.num_qubits <= 63 else object
-    out = simulate_permutation_batch(circuit, np.array(states, dtype=dtype))
-
-    anc_mask = 0
-    for q in circuit.ancilla_qubits:
-        anc_mask |= 1 << q
-    for combo, raw in zip(combos, out):
-        vals = {n: int(v) for n, v in zip(names, combo)}
-        state = int(raw)
-        assert state & anc_mask == 0, f"{circuit.name}: dirty ancillas for {vals}"
-        exp = expected(**vals)
-        for rname, reg in regs.items():
-            want = exp.get(rname, vals.get(rname, 0))
-            got = register_value(state, reg)
-            assert got == want, (
-                f"{circuit.name}: register {rname} = {got}, want {want} for {vals}"
-            )
-    return len(combos)
+def run_cases(circuit, inputs: dict, expected) -> int:
+    """Assert that circuit passes catalog.check_oracle against expected;
+    returns the number of cases checked."""
+    check = check_oracle(circuit, inputs, expected)
+    assert check.failure is None, f"{circuit.name}: {check.failure}"
+    return check.cases
 
 
 @pytest.fixture

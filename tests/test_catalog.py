@@ -2,10 +2,12 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qarith import catalog
-from qarith.circuit import CPHASE, X, Circuit, CircuitError, Gate
-from qarith.resources import LogicalCounts
+from qarith.circuit import CPHASE, H, X, Circuit, CircuitError, Gate
+from qarith.resources import LogicalCounts, lower, lower_to_clifford_t
 
 
 def test_every_listed_algorithm_builds_and_verifies():
@@ -29,6 +31,21 @@ def test_unknown_op_class_rejected():
         catalog.build("square_root", "Newton", 4)
     with pytest.raises(CircuitError):
         catalog.build("table_lookup", "Linear", 3)
+
+
+@given(entry=st.sampled_from([row[:2] for row in catalog.catalog()]),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_counting_build_matches_recorded_build(entry, data):
+    op, algo = entry
+    n_min = 2 if op in ("modexp", "modmul_const") else 1
+    n = data.draw(st.integers(n_min, 6 if op in ("modexp", "table_lookup") else 8),
+                  label="n")
+    fields = ("qubits", "t_count", "toffoli_count", "cnot_count", "rotation_count")
+    counted = lower(catalog.build(op, algo, n, counting=True))
+    recorded = lower_to_clifford_t(catalog.build(op, algo, n))
+    assert ({f: getattr(counted, f) for f in fields}
+            == {f: getattr(recorded, f) for f in fields})
 
 
 def test_modexp_constants_coprime():
@@ -56,20 +73,22 @@ def _mutant(op, algo, n, gate_for):
     return dataclasses.replace(c, gates=c.gates + (gate_for(regs),))
 
 
-@pytest.mark.parametrize("op,algo,gate_for,failure", [
+@pytest.mark.parametrize("op,algo,n,gate_for,failure", [
     # A relative phase leaves every basis label right.
-    ("inplace_adder", "QFT",
+    ("inplace_adder", "QFT", 3,
      lambda r: Gate(CPHASE, (r["a"][0], r["a"][1]), math.pi / 2),
      "relative phase"),
-    ("inplace_adder", "Gidney",
+    ("inplace_adder", "Gidney", 3,
      lambda r: Gate(X, (r["cg_carry"][0],)), "dirty ancillas"),
-    ("inplace_adder", "Gidney",
+    ("inplace_adder", "Gidney", 3,
      lambda r: Gate(X, (r["b"][0],)), "register b"),
-], ids=["phase", "dirty-ancilla", "wrong-output"])
-def test_verify_rejects_mutants(monkeypatch, op, algo, gate_for, failure):
-    mutant = _mutant(op, algo, 3, gate_for)
-    assert catalog.verify(op, algo, 3).ok
+    ("inplace_adder", "QFT", 2,
+     lambda r: Gate(H, (r["b"][0],)), "not a basis state"),
+], ids=["phase", "dirty-ancilla", "wrong-output", "superposition"])
+def test_verify_rejects_mutants(monkeypatch, op, algo, n, gate_for, failure):
+    mutant = _mutant(op, algo, n, gate_for)
+    assert catalog.verify(op, algo, n).ok
     monkeypatch.setattr(catalog, "build", lambda *args, **kwargs: mutant)
-    report = catalog.verify(op, algo, 3)
+    report = catalog.verify(op, algo, n)
     assert not report.ok
     assert report.failure.startswith(failure), report.failure

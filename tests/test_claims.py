@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
+from qarith import claims
+from qarith.circuit import X, Gate
 from qarith.claims import (
     EXPECTED_CLAIM_IDS,
     _check_design_space,
+    _check_modexp,
     _check_multipliers,
     _check_non_reproduction,
     _check_pareto,
@@ -39,6 +43,20 @@ def test_pareto_claim_with_modified_params():
 
 def test_seed_change_leaves_oracle_claims_unaffected():
     assert _check_multipliers(999).status == "pass"
+
+
+def test_modexp_claim_checks_the_x_register(monkeypatch):
+    build = claims.build_modexp
+
+    def stray_x(algo, a, N, n):
+        c = build(algo, a, N, n)
+        x0 = next(r for r in c.data_registers if r.name == "x")[0]
+        return dataclasses.replace(c, gates=c.gates + (Gate(X, (x0,)),))
+
+    monkeypatch.setattr(claims, "build_modexp", stray_x)
+    check = _check_modexp(12345)
+    assert check.status == "fail"
+    assert "register x" in check.observed, check.observed
 
 
 def test_non_reproduction_documented():

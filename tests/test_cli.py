@@ -197,6 +197,29 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL inplace_adder/TTK n=3: register b = 0, want 1" in out
 
 
+def test_verify_superposed_output_fails_with_exit_1(capsys, monkeypatch):
+    import dataclasses
+
+    from qarith import catalog as cat
+    from qarith.circuit import H, Gate
+
+    build = cat.build
+    good = build("inplace_adder", "QFT", 2)
+    b0 = next(r for r in good.data_registers if r.name == "b")[0]
+    mutant = dataclasses.replace(good, gates=good.gates + (Gate(H, (b0,)),))
+    monkeypatch.setattr(cat, "build", lambda op, algo, n, **kwargs: (
+        mutant if n == 2 else build(op, algo, n, **kwargs)))
+    code, out, _ = run_cli(
+        ["verify", "--op-class", "inplace_adder", "--algo", "QFT", "--n-max", "2"],
+        capsys,
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS inplace_adder/QFT n=1 (4 exhaustive cases)",
+        "FAIL inplace_adder/QFT n=2: not a basis state for input {'a': 0, 'b': 0}",
+    ]
+
+
 def test_cli_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "qarith.cli", "list"],

@@ -60,6 +60,27 @@ def test_permutation_table_limit():
         permutation_table(c)
 
 
+@pytest.mark.parametrize("bad", [-1, 8, 1 << 70])
+def test_out_of_range_states_rejected(bad):
+    c = _circ(3, [Gate("X", (0,))])
+    with pytest.raises(SimulationError, match="out of range"):
+        simulate_permutation(c, bad)
+    with pytest.raises(SimulationError, match="out of range"):
+        simulate_permutation_batch(c, [0, bad])
+    with pytest.raises(SimulationError, match="out of range"):
+        simulate_statevector(c, bad)
+
+
+@pytest.mark.parametrize("width", [63, 64])  # int64 and object batches
+def test_wide_batch_matches_single(width):
+    top = width - 1
+    c = _circ(width, [Gate("X", (top,)), Gate("CCX", (top, 3, top - 3)),
+                      Gate("SWAP", (top - 3, 1)), Gate("MCX", (0, 1, top, 5))])
+    states = [0, 1 << 3, (1 << width) - 1, 0b1011]
+    batch = simulate_permutation_batch(c, states)
+    assert [int(o) for o in batch] == [simulate_permutation(c, s) for s in states]
+
+
 def test_batch_matches_single():
     rng = np.random.default_rng(11)
     bld = new_builder()
