@@ -9,7 +9,7 @@ ancilla registers allocated through the builder are expected to return to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 # Gate kinds.  Permutation gates first, then Clifford/T single-qubit gates,
 # then parameterised phase gates.
@@ -33,6 +33,9 @@ ALL_KINDS = frozenset(
 )
 
 _ADJOINT_KIND = {S: SDG, SDG: S, T: TDG, TDG: T}
+# Operand count of every kind but MCX, which takes three or more controls.
+_ARITY = {X: 1, CNOT: 2, CCX: 3, SWAP: 2, H: 1, S: 1, SDG: 1,
+          T: 1, TDG: 1, RZ: 1, CPHASE: 2}
 
 
 class CircuitError(ValueError):
@@ -77,6 +80,11 @@ class Circuit:
     name: str = "circuit"
 
     def __post_init__(self):
+        self._check_registers()
+        for i, g in enumerate(self.gates):
+            _validate_gate(g, self.num_qubits, i)
+
+    def _check_registers(self) -> None:
         seen: set[int] = set()
         for reg in self.data_registers + self.ancilla_registers:
             for q in reg:
@@ -85,8 +93,16 @@ class Circuit:
                 if not 0 <= q < self.num_qubits:
                     raise CircuitError(f"register qubit {q} out of range")
                 seen.add(q)
-        for i, g in enumerate(self.gates):
-            _validate_gate(g, self.num_qubits, i)
+
+    @classmethod
+    def _of_checked_gates(cls, **values) -> "Circuit":
+        """A Circuit whose gates were each validated when they were appended
+        to a Builder; only the registers are checked again."""
+        c = object.__new__(cls)
+        for f in fields(cls):
+            object.__setattr__(c, f.name, values[f.name])
+        c._check_registers()
+        return c
 
     @property
     def ancilla_qubits(self) -> tuple[int, ...]:
@@ -107,13 +123,11 @@ def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
     if g.kind in ANGLE_KINDS:
         if g.angle is None or not math.isfinite(g.angle):
             raise CircuitError(f"{g.kind} needs a finite angle{where}")
-    expected = {X: 1, CNOT: 2, CCX: 3, SWAP: 2, H: 1, S: 1, SDG: 1,
-                T: 1, TDG: 1, RZ: 1, CPHASE: 2}
     if g.kind == MCX:
         if len(g.qubits) < 4:
             raise CircuitError(f"MCX needs >= 3 controls{where}")
-    elif len(g.qubits) != expected[g.kind]:
-        raise CircuitError(f"{g.kind} takes {expected[g.kind]} operands{where}")
+    elif len(g.qubits) != _ARITY[g.kind]:
+        raise CircuitError(f"{g.kind} takes {_ARITY[g.kind]} operands{where}")
 
 
 @dataclass
@@ -338,7 +352,9 @@ class Builder:
         if self.counting:
             raise CircuitError("counting builder finalizes to a summary")
         self._finalized = True
-        return Circuit(
+        # `append` validated each gate against a width that only grows, and
+        # `adjoint`/`within` only add daggers of appended gates.
+        return Circuit._of_checked_gates(
             num_qubits=self.num_qubits,
             gates=tuple(self.gates),
             data_registers=tuple(self._data_regs),

@@ -2,15 +2,18 @@
 
 `count_raw` tallies a circuit without decomposition.  `lower_to_clifford_t`
 expands Toffoli-class and rotation gates into Clifford+T and recomputes depth
-on the expanded stream with greedy as-soon-as-possible layering.  For
+on the expanded stream with greedy as-soon-as-possible layering, taken one
+recorded gate at a time through each kind's `LayeringProfile`.  For
 counting-mode builds (no materialised gate list) `lower_summary` applies the
 same tallies with serial depth composition, mirroring the conservative
 scheduling stance of the estimation methodology this model follows.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, asdict
+from operator import add
 
 from .circuit import (
     CCX,
@@ -91,32 +94,20 @@ CCX_TEMPLATE: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
+# SWAP over roles (a, b) as three alternating CNOTs.
+SWAP_TEMPLATE: tuple[tuple[str, tuple[int, ...]], ...] = (
+    (CNOT, (0, 1)),
+    (CNOT, (1, 0)),
+    (CNOT, (0, 1)),
+)
+
+
 def ccx_decomposition(c1: int, c2: int, t: int) -> list[Gate]:
     roles = (c1, c2, t)
     out = []
     for kind, qs in CCX_TEMPLATE:
         out.append(Gate(kind, tuple(roles[i] for i in qs)))
     return out
-
-
-def _greedy_layers(stream) -> tuple[int, int]:
-    """Greedy ASAP layering of (kind, qubits) events.
-
-    Returns (depth, t_depth) where t_depth counts layers containing at least
-    one T or T-dagger.
-    """
-    frontier: dict[int, int] = {}
-    t_layers: set[int] = set()
-    depth = 0
-    for kind, qubits in stream:
-        layer = 1 + max((frontier.get(q, 0) for q in qubits), default=0)
-        for q in qubits:
-            frontier[q] = layer
-        if layer > depth:
-            depth = layer
-        if kind in _T_KINDS:
-            t_layers.add(layer)
-    return depth, len(t_layers)
 
 
 def count_raw(c: Circuit) -> LogicalCounts:
@@ -138,9 +129,7 @@ def count_raw(c: Circuit) -> LogicalCounts:
             out.rotation_count += 1
         else:
             out.single_qubit_clifford += 1
-    out.depth, out.t_depth = _greedy_layers(
-        (g.kind, g.qubits) for g in c.gates
-    )
+    out.depth, out.t_depth = _greedy_depth(c, c.num_qubits)
     return out
 
 
@@ -156,32 +145,139 @@ def _mcx_ladder(controls: tuple[int, ...], target: int, anc_base: int):
     yield from reversed(ups)
 
 
-def _expanded_stream(c: Circuit, t_per_rotation: int):
-    anc_base = c.num_qubits
+# An offset for a role whose entry frontier cannot reach an expression.
+# Frontiers never exceed the number of events laid out, so it never wins a max.
+_UNREACHED = -(1 << 62)
+
+
+@dataclass(frozen=True)
+class LayeringProfile:
+    """Greedy ASAP layering of one gate's Clifford+T expansion, as a function
+    of the frontiers of its roles on entry.
+
+    Every frontier the expansion produces is a max-plus expression
+    ``max over roles r of (f[r] + offset[r])`` of the entry frontiers ``f``.
+    Expressions equal up to a constant share one ``shape`` (the offsets per
+    role); ``outs`` gives each role's exit frontier and ``t_layers`` each
+    distinct layer holding a T or T-dagger as (shape index, shift).
+    """
+
+    shapes: tuple[tuple[int, ...], ...]
+    outs: tuple[tuple[int, int], ...]
+    t_layers: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, events, roles: int) -> "LayeringProfile":
+        """Lay out (kind, role indices) events symbolically, once."""
+        front = [{r: 0} for r in range(roles)]
+        t_exprs: list[dict[int, int]] = []
+        for kind, qs in events:
+            layer: dict[int, int] = {}
+            for q in qs:
+                for r, o in front[q].items():
+                    layer[r] = max(layer.get(r, 0), o + 1)
+            for q in qs:
+                front[q] = layer
+            if kind in _T_KINDS and layer not in t_exprs:
+                t_exprs.append(layer)
+        shapes: list[tuple[int, ...]] = []
+
+        def ref(expr: dict[int, int]) -> tuple[int, int]:
+            shift = min(expr.values())
+            shape = tuple(expr[r] - shift if r in expr else _UNREACHED
+                          for r in range(roles))
+            if shape not in shapes:
+                shapes.append(shape)
+            return shapes.index(shape), shift
+
+        outs = tuple(ref(e) for e in front)
+        t_layers = tuple(ref(e) for e in t_exprs)
+        return cls(tuple(shapes), outs, t_layers)
+
+    @property
+    def depth(self) -> int:
+        """Depth of the expansion laid out alone."""
+        return max(max(self.shapes[i]) + d for i, d in self.outs)
+
+    @property
+    def t_depth(self) -> int:
+        """T-depth of the expansion laid out alone."""
+        return len({max(self.shapes[i]) + d for i, d in self.t_layers})
+
+
+def _expand_ccx(events):
+    for kind, qs in events:
+        if kind == CCX:
+            for sub, roles in CCX_TEMPLATE:
+                yield sub, tuple(qs[i] for i in roles)
+        else:
+            yield kind, qs
+
+
+_CCX_PROFILE = LayeringProfile.of(CCX_TEMPLATE, 3)
+_SWAP_PROFILE = LayeringProfile.of(SWAP_TEMPLATE, 2)
+
+
+@functools.cache
+def _mcx_profile(k: int) -> LayeringProfile:
+    """Profile of a k-control MCX over roles (controls, target, k-1 ladder
+    ancillas), the order `_greedy_depth` maps them onto qubits in."""
+    ladder = _mcx_ladder(tuple(range(k)), k, k + 1)
+    return LayeringProfile.of(_expand_ccx(ladder), 2 * k)
+
+
+# Kinds laid out as more than one layer when lowered; every other gate, and
+# every gate in `count_raw`, is a single layer on its own qubits.
+_EXPANDED_KINDS = frozenset({CCX, MCX, SWAP}) | _ROTATION_KINDS
+
+
+def _greedy_depth(
+    c: Circuit, width: int, per_rot: int | None = None
+) -> tuple[int, int]:
+    """Greedy ASAP layering of `c`, one step per recorded gate.
+
+    Returns (depth, t_depth) where t_depth counts layers containing at least
+    one T or T-dagger.  With `per_rot` None every gate is one layer; otherwise
+    each gate is laid out as its Clifford+T expansion (CCX and SWAP from their
+    templates, MCX as an ancilla ladder on qubits ``c.num_qubits ...``,
+    rotations as a serial ladder of `per_rot` T gates), with the same depths
+    as layering that expanded stream event by event.  `width` covers every
+    qubit the layout touches.
+    """
+    front = [0] * width
+    at = front.__getitem__
+    t_layers: set[int] = set()
+    expanded = frozenset() if per_rot is None else _EXPANDED_KINDS
+    ancillas = tuple(range(c.num_qubits, width))
     for g in c.gates:
-        k = g.kind
-        if k == CCX:
-            for kind, qs in CCX_TEMPLATE:
-                yield (kind, tuple(g.qubits[i] for i in qs))
-        elif k == MCX:
-            for sub in _mcx_ladder(g.qubits[:-1], g.qubits[-1], anc_base):
-                if sub[0] == CCX:
-                    for kind, qs in CCX_TEMPLATE:
-                        yield (kind, tuple(sub[1][i] for i in qs))
-                else:
-                    yield sub
-        elif k == SWAP:
-            a, b = g.qubits
-            yield (CNOT, (a, b))
-            yield (CNOT, (b, a))
-            yield (CNOT, (a, b))
-        elif k in _ROTATION_KINDS:
+        kind, qs = g.kind, g.qubits
+        if kind not in expanded:
+            layer = max(map(at, qs)) + 1
+            for q in qs:
+                front[q] = layer
+            if kind in _T_KINDS:
+                t_layers.add(layer)
+            continue
+        if kind in _ROTATION_KINDS:
             # Synthesized as a serial T ladder on the gate's qubits: the
             # Clifford interleaving of the synthesis is not scheduled.
-            for _ in range(t_per_rotation):
-                yield (T, g.qubits)
+            start = max(map(at, qs))
+            for q in qs:
+                front[q] = start + per_rot
+            t_layers.update(range(start + 1, start + per_rot + 1))
+            continue
+        if kind == MCX:
+            k = len(qs) - 1
+            prof = _mcx_profile(k)
+            qs += ancillas[:k - 1]
         else:
-            yield (k, g.qubits)
+            prof = _CCX_PROFILE if kind == CCX else _SWAP_PROFILE
+        f = tuple(map(at, qs))
+        v = [max(map(add, f, shape)) for shape in prof.shapes]
+        for q, (i, d) in zip(qs, prof.outs):
+            front[q] = v[i] + d
+        t_layers.update([v[i] + d for i, d in prof.t_layers])
+    return max(front, default=0), len(t_layers)
 
 
 def _lowered_tallies(
@@ -217,9 +313,6 @@ def _lowered_tallies(
     return out
 
 
-_CCX_DEPTH, _CCX_T_DEPTH = _greedy_layers(iter(CCX_TEMPLATE))
-
-
 def lower_to_clifford_t(
     c: Circuit, params: SynthesisParams | None = None
 ) -> LogicalCounts:
@@ -236,8 +329,8 @@ def lower_to_clifford_t(
             max_k = max(max_k, k)
     out = _lowered_tallies(kinds, mcx, params)
     out.qubits = c.num_qubits + (max_k - 1 if max_k else 0)
-    out.depth, out.t_depth = _greedy_layers(
-        _expanded_stream(c, params.t_per_rotation())
+    out.depth, out.t_depth = _greedy_depth(
+        c, out.qubits, params.t_per_rotation()
     )
     return out
 
@@ -256,12 +349,13 @@ def lower_summary(
     max_k = max(s.mcx_controls, default=0)
     out.qubits = s.num_qubits + (max_k - 1 if max_k else 0)
     per_rot = params.t_per_rotation()
+    ccx_depth, ccx_t_depth = _CCX_PROFILE.depth, _CCX_PROFILE.t_depth
     depth_weights = {
         X: 1, H: 1, S: 1, SDG: 1, T: 1, TDG: 1, CNOT: 1,
-        SWAP: 3, CCX: _CCX_DEPTH, RZ: per_rot, CPHASE: per_rot,
+        SWAP: _SWAP_PROFILE.depth, CCX: ccx_depth, RZ: per_rot, CPHASE: per_rot,
     }
     t_weights = {
-        T: 1, TDG: 1, CCX: _CCX_T_DEPTH, RZ: per_rot, CPHASE: per_rot,
+        T: 1, TDG: 1, CCX: ccx_t_depth, RZ: per_rot, CPHASE: per_rot,
     }
     depth = 0
     t_depth = 0
@@ -270,9 +364,12 @@ def lower_summary(
             continue
         depth += depth_weights[kind] * count
         t_depth += t_weights.get(kind, 0) * count
+    # An MCX is composed serially as its 2(k-1) Toffolis and one CNOT, like
+    # every gate here: without qubit assignments the summary cannot credit
+    # the overlap of consecutive ladder Toffolis that greedy layering finds.
     for k, count in s.mcx_controls.items():
-        depth += (2 * (k - 1) * _CCX_DEPTH + 1) * count
-        t_depth += 2 * (k - 1) * _CCX_T_DEPTH * count
+        depth += (2 * (k - 1) * ccx_depth + 1) * count
+        t_depth += 2 * (k - 1) * ccx_t_depth * count
     out.depth = depth
     out.t_depth = t_depth
     return out

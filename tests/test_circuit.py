@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -229,6 +230,25 @@ def test_circuit_rejects_overlapping_registers():
         )
     with pytest.raises(CircuitError):
         cir.Circuit(num_qubits=2, gates=(Gate("CNOT", (0, 5)),))
+
+
+def test_recorded_gates_are_validated_once(monkeypatch):
+    calls = []
+    validate = cir._validate_gate
+    monkeypatch.setattr(
+        cir, "_validate_gate", lambda *args: calls.append(args) or validate(*args)
+    )
+    bld = new_builder()
+    bld.alloc_register(3)
+    bld.adjoint(lambda: (bld.t(0), bld.ccx(0, 1, 2)))
+    bld.within(lambda: bld.cnot(0, 1), lambda _: bld.h(2))
+    c = bld.finalize()
+    assert len(calls) == 4 and len(c.gates) == 5
+    # Circuits built any other way still validate every gate.
+    assert dataclasses.replace(c, name="copy").gates == c.gates
+    assert len(calls) == 4 + 5
+    with pytest.raises(CircuitError):
+        dataclasses.replace(c, gates=c.gates + (Gate("CNOT", (1, 1)),))
 
 
 def test_controlled_mcx_gains_a_control():

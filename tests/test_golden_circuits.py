@@ -1,8 +1,11 @@
-"""Golden outputs of every catalog entry: recorded gate lists and counting tallies.
+"""Golden outputs of every catalog entry: recorded gate lists, their greedy
+Clifford+T depths, and counting tallies.
 
 Greedy depth depends on the recorded gate order, so a refactor of how
 circuits are emitted must leave every recorded gate list byte-identical and
-every counting summary equal.  The pinned values live in
+every counting summary equal; a change to the layering itself must leave the
+lowered depth and T-depth of every recorded build equal.  The pinned values
+live in
 ``golden_circuits.json``; regenerate them (only on purpose) with
 
     PYTHONPATH=src python3 tests/test_golden_circuits.py
@@ -17,6 +20,7 @@ import pytest
 
 from qarith import catalog
 from qarith.circuit import circuit_to_text, clear_block_cache
+from qarith.resources import lower_to_clifford_t
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_circuits.json"
 RECORDED_NS = (2, 3, 5)
@@ -32,6 +36,14 @@ def recorded_digests(op: str, algo: str) -> dict[str, str]:
         ).hexdigest()
         for n in RECORDED_NS
     }
+
+
+def recorded_depths(op: str, algo: str) -> dict[str, list[int]]:
+    out = {}
+    for n in RECORDED_NS:
+        low = lower_to_clifford_t(catalog.build(op, algo, n))
+        out[str(n)] = [low.depth, low.t_depth]
+    return out
 
 
 def counting_summaries(op: str, algo: str) -> dict[str, dict]:
@@ -64,11 +76,17 @@ def golden():
 def test_golden_covers_the_catalog(golden):
     assert sorted(golden["recorded"]) == sorted(_key(*e) for e in ENTRIES)
     assert sorted(golden["counting"]) == sorted(_key(*e) for e in ENTRIES)
+    assert sorted(golden["depths"]) == sorted(_key(*e) for e in ENTRIES)
 
 
 @pytest.mark.parametrize("op,algo", ENTRIES, ids=[_key(*e) for e in ENTRIES])
 def test_recorded_gate_lists_unchanged(golden, op, algo):
     assert recorded_digests(op, algo) == golden["recorded"][_key(op, algo)]
+
+
+@pytest.mark.parametrize("op,algo", ENTRIES, ids=[_key(*e) for e in ENTRIES])
+def test_recorded_depths_unchanged(golden, op, algo):
+    assert recorded_depths(op, algo) == golden["depths"][_key(op, algo)]
 
 
 @pytest.mark.parametrize("op,algo", ENTRIES, ids=[_key(*e) for e in ENTRIES])
@@ -80,5 +98,6 @@ if __name__ == "__main__":
     data = {
         "recorded": {_key(*e): recorded_digests(*e) for e in ENTRIES},
         "counting": {_key(*e): counting_summaries(*e) for e in ENTRIES},
+        "depths": {_key(*e): recorded_depths(*e) for e in ENTRIES},
     }
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
