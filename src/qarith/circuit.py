@@ -36,6 +36,8 @@ _ADJOINT_KIND = {S: SDG, SDG: S, T: TDG, TDG: T}
 # Operand count of every kind but MCX, which takes three or more controls.
 _ARITY = {X: 1, CNOT: 2, CCX: 3, SWAP: 2, H: 1, S: 1, SDG: 1,
           T: 1, TDG: 1, RZ: 1, CPHASE: 2}
+# Kind of an X gate by its number of controls; three or more make an MCX.
+_CONTROLLED_X = {0: X, 1: CNOT, 2: CCX}
 
 
 class CircuitError(ValueError):
@@ -110,6 +112,21 @@ class Circuit:
 
 
 def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
+    kind, qs = g.kind, g.qubits
+    n = len(qs)
+    # A well-formed gate passes this one test, which builds no set for one-
+    # and two-qubit gates (min() and max() cost more than the loop on three
+    # operands or fewer); a malformed one falls through to the checks that
+    # name its first fault.
+    if ((n == _ARITY.get(kind) or kind == MCX and n >= 4)
+            and (n == 1 or (qs[0] != qs[1] if n == 2 else len(set(qs)) == n))
+            and (kind not in ANGLE_KINDS
+                 or g.angle is not None and math.isfinite(g.angle))):
+        for q in qs:
+            if not 0 <= q < num_qubits:
+                break
+        else:
+            return
     where = "" if index is None else f" at gate {index}"
     if g.kind not in ALL_KINDS:
         raise CircuitError(f"unknown gate kind {g.kind!r}{where}")
@@ -167,10 +184,16 @@ def clear_block_cache() -> None:
 class Builder:
     """Single-owner circuit builder with append-only qubit allocation.
 
-    In recording mode (default) every gate is kept and ``finalize`` returns a
-    Circuit.  In counting mode only tallies are kept; ``cached`` blocks are
-    memoised by key so that repeated structures cost O(1) after the first
-    emission, which keeps sweep-scale builds (n ~ 2^13) tractable.
+    Every gate method goes through one emission path, ``_emit``.  A recording
+    builder (the default) builds, validates and keeps each gate, and
+    ``finalize`` returns a Circuit.  A counting builder only tallies kinds
+    and MCX control counts, never builds a Gate, and ``finalize`` returns a
+    CountSummary; its ``cached`` blocks are memoised by key, so repeated
+    structures cost O(1) after the first emission, which keeps sweep-scale
+    builds (n ~ 2^13) tractable.  Two helpers tally in closed form through
+    ``bulk`` instead of emitting gate by gate: the unary-iteration lookup
+    (``modexp.emit_lookup``) and the uncontrolled CNOT fan of
+    ``adders.emit_copy``.
 
     Uncomputation has two primitives, named after Q#'s ``Adjoint`` and
     ``within ... apply``: ``adjoint(emit)`` emits the adjoint of a block, and
@@ -212,66 +235,65 @@ class Builder:
 
     # -- gate emission -----------------------------------------------------
 
-    def append(self, gate: Gate) -> None:
+    def _emit(self, kind: str, qubits: tuple[int, ...],
+              angle: float | None = None) -> None:
         if self._finalized:
             raise CircuitError("builder already finalized")
         if self.counting:
-            self._summary.add_kind(gate.kind)
-            if gate.kind == MCX:
-                k = len(gate.qubits) - 1
-                self._summary.mcx_controls[k] = (
-                    self._summary.mcx_controls.get(k, 0) + 1
-                )
+            kinds = self._summary.kinds
+            kinds[kind] = kinds.get(kind, 0) + 1
+            if kind == MCX:
+                k = len(qubits) - 1
+                mcx = self._summary.mcx_controls
+                mcx[k] = mcx.get(k, 0) + 1
             return
+        gate = Gate(kind, qubits, angle)
         _validate_gate(gate, self.num_qubits)
         self.gates.append(gate)
 
+    def append(self, gate: Gate) -> None:
+        self._emit(gate.kind, gate.qubits, gate.angle)
+
     def x(self, t: int) -> None:
-        self.append(Gate(X, (t,)))
+        self._emit(X, (t,))
 
     def cnot(self, c: int, t: int) -> None:
-        self.append(Gate(CNOT, (c, t)))
+        self._emit(CNOT, (c, t))
 
     def ccx(self, c1: int, c2: int, t: int) -> None:
-        self.append(Gate(CCX, (c1, c2, t)))
+        self._emit(CCX, (c1, c2, t))
 
     def mcx(self, controls, t: int) -> None:
+        """X on `t` under any number of controls: X, CNOT, CCX or MCX."""
         controls = tuple(controls)
-        if len(controls) == 0:
-            self.x(t)
-        elif len(controls) == 1:
-            self.cnot(controls[0], t)
-        elif len(controls) == 2:
-            self.ccx(controls[0], controls[1], t)
-        else:
-            self.append(Gate(MCX, controls + (t,)))
+        self._emit(_CONTROLLED_X.get(len(controls), MCX), controls + (t,))
 
     def swap(self, a: int, b: int) -> None:
-        self.append(Gate(SWAP, (a, b)))
+        self._emit(SWAP, (a, b))
 
     def h(self, t: int) -> None:
-        self.append(Gate(H, (t,)))
+        self._emit(H, (t,))
 
     def s(self, t: int) -> None:
-        self.append(Gate(S, (t,)))
+        self._emit(S, (t,))
 
     def sdg(self, t: int) -> None:
-        self.append(Gate(SDG, (t,)))
+        self._emit(SDG, (t,))
 
     def t(self, q: int) -> None:
-        self.append(Gate(T, (q,)))
+        self._emit(T, (q,))
 
     def tdg(self, q: int) -> None:
-        self.append(Gate(TDG, (q,)))
+        self._emit(TDG, (q,))
 
     def rz(self, t: int, angle: float) -> None:
-        self.append(Gate(RZ, (t,), angle))
+        self._emit(RZ, (t,), angle)
 
     def cphase(self, c: int, t: int, angle: float) -> None:
-        self.append(Gate(CPHASE, (c, t), angle))
+        self._emit(CPHASE, (c, t), angle)
 
-    def bulk(self, kind: str, count: int, mcx_k: int | None = None) -> None:
-        """Tally `count` gates of `kind` without materialising them.
+    def bulk(self, kind: str, count: int) -> None:
+        """Tally `count` gates of `kind` (not MCX) without emitting them.
 
         Only legal in counting mode; recording builders must emit real gates.
         """
@@ -279,10 +301,6 @@ class Builder:
             raise CircuitError("bulk tallies are only valid in counting mode")
         if count:
             self._summary.add_kind(kind, count)
-            if kind == MCX:
-                self._summary.mcx_controls[mcx_k] = (
-                    self._summary.mcx_controls.get(mcx_k, 0) + count
-                )
 
     # -- structure helpers ---------------------------------------------------
 
@@ -348,12 +366,14 @@ class Builder:
 
     # -- finalization --------------------------------------------------------
 
-    def finalize(self, name: str | None = None) -> Circuit:
-        if self.counting:
-            raise CircuitError("counting builder finalizes to a summary")
+    def finalize(self, name: str | None = None) -> Circuit | CountSummary:
+        """End the build: the recorded Circuit, or a counting build's tallies."""
         self._finalized = True
-        # `append` validated each gate against a width that only grows, and
-        # `adjoint`/`within` only add daggers of appended gates.
+        if self.counting:
+            self._summary.num_qubits = self.num_qubits
+            return self._summary
+        # `_emit` validated each gate against a width that only grows, and
+        # `adjoint`/`within` only add daggers of emitted gates.
         return Circuit._of_checked_gates(
             num_qubits=self.num_qubits,
             gates=tuple(self.gates),
@@ -361,13 +381,6 @@ class Builder:
             ancilla_registers=tuple(self._anc_regs),
             name=name or self.name,
         )
-
-    def summary(self) -> CountSummary:
-        if not self.counting:
-            raise CircuitError("recording builder finalizes to a Circuit")
-        self._finalized = True
-        self._summary.num_qubits = self.num_qubits
-        return self._summary
 
 
 def new_builder(counting: bool = False, name: str = "circuit") -> Builder:

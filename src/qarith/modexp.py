@@ -14,15 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .adders import (
-    emit_accumulate_add,
-    emit_complement,
-    emit_const_load,
-    emit_const_load_cctrl,
-    emit_const_load_ctrl,
-    emit_copy,
-    emit_copy_ctrl,
-)
+from .adders import emit_accumulate_add, emit_complement, emit_const_load, emit_copy
 from .circuit import CCX, CNOT, X, Builder, CircuitError, new_builder
 
 MODEXP_ALGOS = ("LYY", "LYYWindowed", "LYYWindowedOpt")
@@ -82,35 +74,29 @@ def emit_lookup(bld: Builder, addr, target, entries, ancs) -> None:
         bld.bulk(CNOT, nodes + sum((e & mask).bit_count() for e in entries))
         return
 
-    def write(ctrl, entry):
-        if ctrl is None:
-            emit_const_load(bld, target, entry)
-        else:
-            emit_const_load_ctrl(bld, ctrl, target, entry)
-
-    def rec(ctrl, bits, tab, depth):
+    def rec(ctrls, bits, tab, depth):
         if not bits:
-            write(ctrl, tab[0])
+            emit_const_load(bld, target, tab[0], *ctrls)
             return
         a = bits[-1]
         half = len(tab) // 2
         lo, hi = tab[:half], tab[half:]
-        if ctrl is None:
+        if not ctrls:
             bld.x(a)
-            rec(a, bits[:-1], lo, depth)
+            rec((a,), bits[:-1], lo, depth)
             bld.x(a)
-            rec(a, bits[:-1], hi, depth)
+            rec((a,), bits[:-1], hi, depth)
         else:
             u = ancs[depth]
             bld.x(a)
-            bld.ccx(ctrl, a, u)
+            bld.ccx(*ctrls, a, u)
             bld.x(a)
-            rec(u, bits[:-1], lo, depth + 1)
-            bld.cnot(ctrl, u)
-            rec(u, bits[:-1], hi, depth + 1)
-            bld.ccx(ctrl, a, u)
+            rec((u,), bits[:-1], lo, depth + 1)
+            bld.cnot(*ctrls, u)
+            rec((u,), bits[:-1], hi, depth + 1)
+            bld.ccx(*ctrls, a, u)
 
-    rec(None, list(addr), list(entries), 0)
+    rec((), list(addr), list(entries), 0)
 
 
 def build_table_lookup(table: LookupTable, m: int, counting: bool = False):
@@ -129,7 +115,7 @@ def build_table_lookup(table: LookupTable, m: int, counting: bool = False):
         else ()
     )
     emit_lookup(bld, addr.qubits, y.qubits, table.entries, ancs)
-    return bld.summary() if counting else bld.finalize()
+    return bld.finalize()
 
 
 # -- modular arithmetic building blocks ------------------------------------------
@@ -169,18 +155,14 @@ def _cached_acc(bld: Builder, x, y, carries) -> None:
     )
 
 
-def _emit_not_into(bld: Builder, carry: int, out: int, ctrl) -> None:
-    """out ^= NOT carry [AND ctrl]."""
-    if ctrl is None:
-        bld.cnot(carry, out)
-        bld.x(out)
-    else:
-        bld.ccx(ctrl, carry, out)
-        bld.cnot(ctrl, out)
+def _emit_not_into(bld: Builder, carry: int, out: int, ctrls) -> None:
+    """out ^= NOT carry [AND ctrls]."""
+    bld.mcx(ctrls + (carry,), out)
+    bld.mcx(ctrls, out)
 
 
-def _emit_ge_const(bld: Builder, t, k, out: int, chain, ctrl=None) -> None:
-    """out ^= (t >= k) [AND ctrl], for a classical constant 1 <= k < 2^n.
+def _emit_ge_const(bld: Builder, t, k, out: int, chain, ctrls=()) -> None:
+    """out ^= (t >= k) [AND ctrls], for a classical constant 1 <= k < 2^n.
 
     Computed as NOT carry(~t + k) with a borrowed Toffoli chain that is
     uncomputed by the reverse chain.
@@ -203,12 +185,12 @@ def _emit_ge_const(bld: Builder, t, k, out: int, chain, ctrl=None) -> None:
                 bld.ccx(t[j], chain[j - 1], chain[j])
         return chain[n - 1]
 
-    bld.within(fwd, lambda carry: _emit_not_into(bld, carry, out, ctrl))
+    bld.within(fwd, lambda carry: _emit_not_into(bld, carry, out, ctrls))
     emit_complement(bld, t)
 
 
-def _emit_ge_quantum(bld: Builder, t, u, out: int, chain, ctrl=None) -> None:
-    """out ^= (t >= u) [AND ctrl] for two quantum registers of equal width."""
+def _emit_ge_quantum(bld: Builder, t, u, out: int, chain, ctrls=()) -> None:
+    """out ^= (t >= u) [AND ctrls] for two quantum registers of equal width."""
     n = len(t)
     emit_complement(bld, t)
 
@@ -221,115 +203,69 @@ def _emit_ge_quantum(bld: Builder, t, u, out: int, chain, ctrl=None) -> None:
             bld.cnot(u[j], t[j])
         return chain[n - 1]
 
-    bld.within(fwd, lambda carry: _emit_not_into(bld, carry, out, ctrl))
+    bld.within(fwd, lambda carry: _emit_not_into(bld, carry, out, ctrls))
     emit_complement(bld, t)
 
 
-def _emit_modadd_const(bld: Builder, t, hi: int, k: int, N: int, sc: _Scratch,
-                       ctrl=None) -> None:
-    """t += k mod N on an n-qubit register holding t < N (hi: clean ancilla)."""
+def _emit_reduce(bld: Builder, t, hi: int, N: int, sc: _Scratch, ctrls) -> None:
+    """(t, hi) -= N under `ctrls`, then t += N back where that borrowed into hi."""
     n = len(t)
-    width = n + 1
-    y = list(t) + [hi]
     kq = sc.kload
+    m_n = (1 << (n + 1)) - N
+    emit_const_load(bld, kq[:n + 1], m_n, *ctrls)
+    _cached_acc(bld, kq[:n + 1], list(t) + [hi], sc.carries)
+    emit_const_load(bld, kq[:n + 1], m_n, *ctrls)
+    emit_const_load(bld, kq[:n], N, *ctrls, hi)
+    _cached_acc(bld, kq[:n], t, sc.carries)
+    emit_const_load(bld, kq[:n], N, *ctrls, hi)
+
+
+def _emit_modadd_const(bld: Builder, t, hi: int, k: int, N: int, sc: _Scratch,
+                       ctrls=()) -> None:
+    """t += k mod N on an n-qubit register holding t < N (hi: clean ancilla)."""
     k %= N
     if k == 0:
         return
-
-    def load(const, width_):
-        if ctrl is None:
-            emit_const_load(bld, kq[:width_], const)
-        else:
-            emit_const_load_ctrl(bld, ctrl, kq[:width_], const)
-
-    load(k, width)
-    _cached_acc(bld, kq[:width], y, sc.carries)
-    load(k, width)
-    m_n = (1 << width) - N
-    load(m_n, width)
-    _cached_acc(bld, kq[:width], y, sc.carries)
-    load(m_n, width)
-    if ctrl is None:
-        emit_const_load_ctrl(bld, hi, kq[:n], N)
-    else:
-        emit_const_load_cctrl(bld, ctrl, hi, kq[:n], N)
-    _cached_acc(bld, kq[:n], t, sc.carries)
-    if ctrl is None:
-        emit_const_load_ctrl(bld, hi, kq[:n], N)
-    else:
-        emit_const_load_cctrl(bld, ctrl, hi, kq[:n], N)
-    _emit_ge_const(bld, t, k, hi, sc.chain, ctrl)
+    kq = sc.kload[:len(t) + 1]
+    emit_const_load(bld, kq, k, *ctrls)
+    _cached_acc(bld, kq, list(t) + [hi], sc.carries)
+    emit_const_load(bld, kq, k, *ctrls)
+    _emit_reduce(bld, t, hi, N, sc, ctrls)
+    _emit_ge_const(bld, t, k, hi, sc.chain, ctrls)
 
 
 def _modadd_cached(bld: Builder, t, hi: int, k: int, N: int, sc: _Scratch,
-                   ctrl=None) -> None:
+                   ctrls=()) -> None:
     k %= N
     if k == 0:
         return
-    key = ("modadd", len(t), N, k & 1, k.bit_count(), ctrl is not None)
-    bld.cached(key, lambda: _emit_modadd_const(bld, t, hi, k, N, sc, ctrl))
+    key = ("modadd", len(t), N, k & 1, k.bit_count(), len(ctrls))
+    bld.cached(key, lambda: _emit_modadd_const(bld, t, hi, k, N, sc, ctrls))
 
 
 def _emit_qq_modadd(bld: Builder, t, hi: int, u, N: int, sc: _Scratch,
-                    ctrl=None) -> None:
+                    ctrls=()) -> None:
     """t += u mod N for quantum t, u < N (optionally controlled)."""
 
     def emit():
-        n = len(t)
-        width = n + 1
-        y = list(t) + [hi]
         kq = sc.kload
+        emit_copy(bld, u, kq[:len(t)], *ctrls)
+        _cached_acc(bld, kq[:len(t) + 1], list(t) + [hi], sc.carries)
+        emit_copy(bld, u, kq[:len(t)], *ctrls)
+        _emit_reduce(bld, t, hi, N, sc, ctrls)
+        _emit_ge_quantum(bld, t, u, hi, sc.chain, ctrls)
 
-        def loadu():
-            if ctrl is None:
-                emit_copy(bld, u, kq[:n])
-            else:
-                emit_copy_ctrl(bld, ctrl, u, kq[:n])
-
-        loadu()
-        _cached_acc(bld, kq[:width], y, sc.carries)
-        loadu()
-        m_n = (1 << width) - N
-        if ctrl is None:
-            emit_const_load(bld, kq[:width], m_n)
-        else:
-            emit_const_load_ctrl(bld, ctrl, kq[:width], m_n)
-        _cached_acc(bld, kq[:width], y, sc.carries)
-        if ctrl is None:
-            emit_const_load(bld, kq[:width], m_n)
-        else:
-            emit_const_load_ctrl(bld, ctrl, kq[:width], m_n)
-        if ctrl is None:
-            emit_const_load_ctrl(bld, hi, kq[:n], N)
-        else:
-            emit_const_load_cctrl(bld, ctrl, hi, kq[:n], N)
-        _cached_acc(bld, kq[:n], t, sc.carries)
-        if ctrl is None:
-            emit_const_load_ctrl(bld, hi, kq[:n], N)
-        else:
-            emit_const_load_cctrl(bld, ctrl, hi, kq[:n], N)
-        _emit_ge_quantum(bld, t, u, hi, sc.chain, ctrl)
-
-    bld.cached(("qqmodadd", len(t), N, ctrl is not None), emit)
+    bld.cached(("qqmodadd", len(t), N, len(ctrls)), emit)
 
 
 def _emit_mod_double(bld: Builder, a_reg, hi: int, N: int, sc: _Scratch) -> None:
     """a -> 2a mod N in place (N odd; the parity of the result clears hi)."""
 
     def emit():
-        n = len(a_reg)
-        width = n + 1
         y = list(a_reg) + [hi]
-        kq = sc.kload
-        for j in reversed(range(n)):
+        for j in reversed(range(len(a_reg))):
             bld.swap(y[j + 1], y[j])
-        m_n = (1 << width) - N
-        emit_const_load(bld, kq[:width], m_n)
-        _cached_acc(bld, kq[:width], y, sc.carries)
-        emit_const_load(bld, kq[:width], m_n)
-        emit_const_load_ctrl(bld, hi, kq[:n], N)
-        _cached_acc(bld, kq[:n], a_reg, sc.carries)
-        emit_const_load_ctrl(bld, hi, kq[:n], N)
+        _emit_reduce(bld, a_reg, hi, N, sc, ())
         bld.cnot(a_reg[0], hi)
         bld.x(hi)
 
@@ -346,10 +282,10 @@ def _emit_modmul_const(bld: Builder, x, c: int, N: int, sc: _Scratch,
         for i in range(n):
             k = const * (1 << i) % N
             if ctrl is None:
-                _modadd_cached(bld, sc.t, sc.hi, k, N, sc, ctrl=x[i])
+                _modadd_cached(bld, sc.t, sc.hi, k, N, sc, (x[i],))
             else:
                 bld.ccx(ctrl, x[i], sc.qa)
-                _modadd_cached(bld, sc.t, sc.hi, k, N, sc, ctrl=sc.qa)
+                _modadd_cached(bld, sc.t, sc.hi, k, N, sc, (sc.qa,))
                 bld.ccx(ctrl, x[i], sc.qa)
 
     acc(c)
@@ -372,7 +308,7 @@ def _emit_modmul_table(bld: Builder, out, addr, entries, entries_inv, N: int,
     def acc(tab):
         emit_lookup(bld, addr, sc.a_reg, tab, sc.lk)
         for i in range(n):
-            _emit_qq_modadd(bld, sc.t, sc.hi, sc.a_reg, N, sc, ctrl=out[i])
+            _emit_qq_modadd(bld, sc.t, sc.hi, sc.a_reg, N, sc, (out[i],))
             _emit_mod_double(bld, sc.a_reg, sc.hi, N, sc)
 
         def doublings():
@@ -404,7 +340,7 @@ def build_modmul_const(c: int, N: int, n: int, counting: bool = False):
     x = bld.alloc_register(n, "x")
     sc = _alloc_scratch(bld, n, qa=False)
     _emit_modmul_const(bld, x.qubits, c, N, sc)
-    return bld.summary() if counting else bld.finalize()
+    return bld.finalize()
 
 
 def _powers(c: int, N: int, count: int) -> tuple[int, ...]:
@@ -455,4 +391,4 @@ def build_modexp(algo: str, a: int, N: int, n: int, counting: bool = False):
                 bld, out.qubits, x.qubits[off:off + wj], entries, entries_inv, N, sc
             )
             off += wj
-    return bld.summary() if counting else bld.finalize()
+    return bld.finalize()

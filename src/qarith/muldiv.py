@@ -21,10 +21,9 @@ from .adders import (
     emit_accumulate_sub,
     emit_complement,
     emit_copy,
-    emit_copy_ctrl,
     emit_inplace_adder,
 )
-from .circuit import Builder, CircuitError, CNOT, X, new_builder
+from .circuit import Builder, CircuitError, new_builder
 
 DEFAULT_PIECE_SIZE = 32
 KARATSUBA8_PIECE_SIZE = 8
@@ -64,9 +63,9 @@ def emit_schoolbook_acc(bld: Builder, a, b, acc, temp, carries) -> None:
         if not tgt:
             break
         k = min(nb, len(tgt))
-        emit_copy_ctrl(bld, a[i], b, temp)
+        emit_copy(bld, b, temp, a[i])
         emit_accumulate_add(bld, temp[:k], tgt, carries)
-        emit_copy_ctrl(bld, a[i], b, temp)
+        emit_copy(bld, b, temp, a[i])
 
 
 # -- Karatsuba -------------------------------------------------------------------
@@ -128,7 +127,9 @@ def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, carries):
         wq = list(w.qubits)
         emit_copy(bld, w_lo, wq[: len(w_lo)])
         emit_copy(bld, w_hi, wq[2 * h: 2 * h + len(w_hi)])
-        emit_accumulate_add(bld, w_mid, wq[h:], carries)
+        # w_mid can be wider than wq[h:]; its top qubits stay |0> because
+        # the middle product is at most mid_max and peak >= mid_max << h.
+        emit_accumulate_add(bld, w_mid[: len(wq) - h], wq[h:], carries)
         emit_accumulate_sub(bld, w_lo, wq[h:], carries)
         emit_accumulate_sub(bld, w_hi, wq[h:], carries)
         out.append(wq)
@@ -166,11 +167,11 @@ def build_multiplier(algo: str, n: int, counting: bool = False):
         carries = bld.alloc_ancilla(n, "carry")
 
         def iteration(i):
-            emit_copy_ctrl(bld, a[i], b.qubits, temp.qubits)
+            emit_copy(bld, b.qubits, temp.qubits, a[i])
             emit_accumulate_add(
                 bld, temp.qubits, prod.qubits[i:i + n + 1], carries.qubits
             )
-            emit_copy_ctrl(bld, a[i], b.qubits, temp.qubits)
+            emit_copy(bld, b.qubits, temp.qubits, a[i])
 
         for i in range(n):
             bld.cached(("school_iter", n), lambda i=i: iteration(i))
@@ -186,7 +187,7 @@ def build_multiplier(algo: str, n: int, counting: bool = False):
         emit_karatsuba_multiply(
             bld, aq, bq, list(prod.qubits), piece, temp.qubits, carries.qubits
         )
-    return bld.summary() if counting else bld.finalize()
+    return bld.finalize()
 
 
 # -- division ---------------------------------------------------------------------
@@ -260,11 +261,11 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
             window = seq[i:i + n + 1]
             sign = seq[i + n]
             _emit_window_sub(bld, spec, window, kload.qubits, scratches, b.qubits)
-            emit_copy_ctrl(bld, sign, b.qubits, kload.qubits[:n])
+            emit_copy(bld, b.qubits, kload.qubits[:n], sign)
             emit_inplace_adder(
                 bld, spec.adder, kload.qubits[:n], window[:n], scratches[n]
             )
-            emit_copy_ctrl(bld, sign, b.qubits, kload.qubits[:n])
+            emit_copy(bld, b.qubits, kload.qubits[:n], sign)
             bld.x(sign)
 
         for i in reversed(range(n)):
@@ -280,13 +281,9 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
             u = seq[i + n + 2]
 
             def flip():  # complement the window when u = 0
-                if bld.counting:
-                    bld.bulk(X, len(window))
-                    bld.bulk(CNOT, len(window))
-                else:
-                    for w in window:
-                        bld.x(w)
-                        bld.cnot(u, w)
+                for w in window:
+                    bld.x(w)
+                    bld.cnot(u, w)
 
             flip()
             _emit_window_sub(bld, spec, window, kload.qubits, scratches, b.qubits)
@@ -299,18 +296,18 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
 
         def final_fix():
             sign = seq[n]
-            emit_copy_ctrl(bld, sign, b.qubits, kload.qubits[:n])
+            emit_copy(bld, b.qubits, kload.qubits[:n], sign)
             emit_inplace_adder(
                 bld, spec.adder, kload.qubits[:n], seq[:n], scratches[n]
             )
-            emit_copy_ctrl(bld, sign, b.qubits, kload.qubits[:n])
+            emit_copy(bld, b.qubits, kload.qubits[:n], sign)
             bld.cnot(seq[n + 1], seq[n])
             bld.x(seq[n])
             for j in range(n, 2 * n):
                 bld.swap(seq[j], seq[j + 1])
 
         bld.cached(("div_fix_nr", spec.adder, n), final_fix)
-    return bld.summary() if counting else bld.finalize()
+    return bld.finalize()
 
 
 def divider_design_space(n: int, synthesis=None):

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, asdict
-from operator import add
+from operator import add, attrgetter
 
 from .circuit import (
     CCX,
@@ -281,9 +282,13 @@ def _greedy_depth(
 
 
 def _lowered_tallies(
-    kinds: dict[str, int], mcx_controls: dict[int, int], params: SynthesisParams
+    kinds: dict[str, int], mcx_controls: dict[int, int], num_qubits: int,
+    params: SynthesisParams,
 ) -> LogicalCounts:
-    out = LogicalCounts()
+    """Clifford+T tallies of raw gate tallies; `qubits` adds the ancillas of
+    the widest MCX ladder to `num_qubits`."""
+    max_k = max(mcx_controls, default=0)
+    out = LogicalCounts(qubits=num_qubits + (max_k - 1 if max_k else 0))
     per_rot = params.t_per_rotation()
     ccx_total = kinds.get(CCX, 0)
     for k, count in mcx_controls.items():
@@ -318,17 +323,11 @@ def lower_to_clifford_t(
 ) -> LogicalCounts:
     """Lower a recorded circuit; depth recomputed on the expanded sequence."""
     params = params or SynthesisParams()
-    kinds: dict[str, int] = {}
-    mcx: dict[int, int] = {}
-    max_k = 0
-    for g in c.gates:
-        kinds[g.kind] = kinds.get(g.kind, 0) + 1
-        if g.kind == MCX:
-            k = len(g.qubits) - 1
-            mcx[k] = mcx.get(k, 0) + 1
-            max_k = max(max_k, k)
-    out = _lowered_tallies(kinds, mcx, params)
-    out.qubits = c.num_qubits + (max_k - 1 if max_k else 0)
+    kinds = Counter(map(attrgetter("kind"), c.gates))
+    mcx: Counter[int] = Counter()
+    if kinds[MCX]:
+        mcx.update(len(g.qubits) - 1 for g in c.gates if g.kind == MCX)
+    out = _lowered_tallies(kinds, mcx, c.num_qubits, params)
     out.depth, out.t_depth = _greedy_depth(
         c, out.qubits, params.t_per_rotation()
     )
@@ -345,9 +344,7 @@ def lower_summary(
     greedy layering, since no gate list exists).
     """
     params = params or SynthesisParams()
-    out = _lowered_tallies(s.kinds, s.mcx_controls, params)
-    max_k = max(s.mcx_controls, default=0)
-    out.qubits = s.num_qubits + (max_k - 1 if max_k else 0)
+    out = _lowered_tallies(s.kinds, s.mcx_controls, s.num_qubits, params)
     per_rot = params.t_per_rotation()
     ccx_depth, ccx_t_depth = _CCX_PROFILE.depth, _CCX_PROFILE.t_depth
     depth_weights = {

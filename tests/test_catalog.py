@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qarith import catalog
+from qarith import circuit as cir
 from qarith.circuit import CPHASE, H, X, Circuit, CircuitError, Gate
 from qarith.resources import LogicalCounts, lower, lower_to_clifford_t
 
@@ -46,6 +47,16 @@ def test_counting_build_matches_recorded_build(entry, data):
     recorded = lower_to_clifford_t(catalog.build(op, algo, n))
     assert ({f: getattr(counted, f) for f in fields}
             == {f: getattr(recorded, f) for f in fields})
+
+
+def test_counting_builds_construct_no_gate(monkeypatch):
+    def no_gate(*args, **kwargs):
+        raise AssertionError(f"counting build constructed Gate{args}")
+
+    cir.clear_block_cache()  # every cached block is emitted, not replayed
+    monkeypatch.setattr(cir, "Gate", no_gate)
+    for op, algo, _ in catalog.catalog():
+        assert catalog.build(op, algo, 13, counting=True).kinds, (op, algo)
 
 
 def test_modexp_constants_coprime():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -77,6 +78,44 @@ def test_append_and_errors():
     bld2.alloc_register(3)
     with pytest.raises(CircuitError):
         bld2.ccx(0, 1, 5)
+
+
+def _reference_validate(g, num_qubits):
+    """Gate validation one check at a time, in the order it reports faults."""
+    if g.kind not in cir.ALL_KINDS:
+        raise CircuitError(f"unknown gate kind {g.kind!r}")
+    if len(set(g.qubits)) != len(g.qubits):
+        raise CircuitError(f"duplicate operand in {g.kind}{g.qubits}")
+    for q in g.qubits:
+        if not 0 <= q < num_qubits:
+            raise CircuitError(f"operand {q} out of range for {num_qubits} qubits")
+    if g.kind in cir.ANGLE_KINDS and (g.angle is None or not math.isfinite(g.angle)):
+        raise CircuitError(f"{g.kind} needs a finite angle")
+    if g.kind == "MCX":
+        if len(g.qubits) < 4:
+            raise CircuitError("MCX needs >= 3 controls")
+    elif len(g.qubits) != cir._ARITY[g.kind]:
+        raise CircuitError(f"{g.kind} takes {cir._ARITY[g.kind]} operands")
+
+
+def _error(check, *args):
+    try:
+        check(*args)
+    except CircuitError as e:
+        return str(e)
+    return None
+
+
+def test_gate_validation_reports_the_reference_fault():
+    # Every kind and operand tuple of up to four qubit ids in -1..3 on a
+    # three-qubit circuit.
+    for kind in sorted(cir.ALL_KINDS) + ["BOGUS"]:
+        for n in range(5):
+            for qubits in itertools.product(range(-1, 4), repeat=n):
+                for angle in (None, 0.5, math.nan, math.inf):
+                    g = Gate(kind, qubits, angle)
+                    assert (_error(cir._validate_gate, g, 3)
+                            == _error(_reference_validate, g, 3)), g
 
 
 def test_adjoint_reverses_and_flips():
@@ -279,7 +318,7 @@ def test_counting_builder_matches_recording():
     c = rec.finalize()
     cnt = new_builder(counting=True)
     emit(cnt)
-    s = cnt.summary()
+    s = cnt.finalize()
     assert s.num_qubits == c.num_qubits == 5
     assert s.kinds == {"CCX": 1, "CNOT": 1, "MCX": 1, "RZ": 1}
     assert s.mcx_controls == {4: 1}
@@ -296,7 +335,7 @@ def test_cached_blocks_replay_allocations():
     reg = bld.alloc_register(1)
     bld.cached(("blk", 1), lambda: block(bld))
     bld.cached(("blk", 1), lambda: block(bld))
-    s = bld.summary()
+    s = bld.finalize()
     assert s.kinds["CCX"] == 2
     assert s.num_qubits == 1 + 2 + 2
 
@@ -318,7 +357,7 @@ def test_builder_adjoint_counts_forward():
     bld = new_builder(counting=True)
     bld.alloc_register(1)
     bld.adjoint(lambda: (bld.t(0), bld.s(0)))
-    assert bld.summary().kinds == {"T": 1, "S": 1}
+    assert bld.finalize().kinds == {"T": 1, "S": 1}
 
 
 def _within_blocks(bld, calls):
@@ -355,7 +394,7 @@ def test_within_counting_tallies_compute_twice_without_rerunning_it():
     calls: list = []
     bld = new_builder(counting=True)
     _within_blocks(bld, calls)
-    s = bld.summary()
+    s = bld.finalize()
     assert calls == ["compute", "apply"]
     assert s.kinds == {"CCX": 2, "T": 2, "MCX": 2, "CNOT": 1}
     assert s.mcx_controls == {3: 2}

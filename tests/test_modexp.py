@@ -208,7 +208,7 @@ def test_lookup_tally_matches_recording(data):
         ancs = bld.alloc_ancilla(a - 1, "lk").qubits if a > 1 else ()
         emit_lookup(bld, addr, target, entries, ancs)
         if counting:
-            kinds.append(bld.summary().kinds)
+            kinds.append(bld.finalize().kinds)
         else:
             kinds.append(Counter(g.kind for g in bld.finalize().gates))
     cnt, rec = kinds

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from qarith import catalog
 from qarith.circuit import CircuitError, clear_block_cache
 from qarith.muldiv import (
     DIVIDER_ADDERS,
@@ -181,6 +184,23 @@ def test_counting_matches_recording_karatsuba_deep():
         # warm-cache rebuild must give identical tallies
         cnt2 = build_multiplier(algo, n, counting=True)
         assert cnt2.kinds == cnt.kinds and cnt2.num_qubits == cnt.num_qubits
+
+
+def test_karatsuba_middle_product_wider_than_its_slot():
+    # At n=17 (padded to 32) the middle product's register is wider than
+    # wq[h:]; only its low len(wq) - h qubits can be nonzero.
+    assert catalog.verify("multiplier", "Karatsuba(2)", 17).ok
+    build_multiplier("Karatsuba(3)", 17)
+    build_multiplier("Karatsuba(3)", 17, counting=True)
+
+
+@pytest.mark.xfail(strict=True, reason="counting emit_copy tallies len(src) "
+                   "CNOTs where the Karatsuba w_hi copy's dst is shorter")
+def test_counting_matches_recording_karatsuba_short_copy():
+    clear_block_cache()
+    cnt = build_multiplier("Karatsuba(4)", 33, counting=True)
+    rec = build_multiplier("Karatsuba(4)", 33)
+    assert cnt.kinds == Counter(g.kind for g in rec.gates)
 
 
 def test_counting_matches_recording_divider():

@@ -274,5 +274,5 @@ def test_ccx_and_swap_serial_weights_come_from_their_expansions():
     s.alloc_register(3)
     s.ccx(0, 1, 2)
     s.swap(0, 1)
-    low = lower_summary(s.summary())
+    low = lower_summary(s.finalize())
     assert (low.depth, low.t_depth) == (ccx[0] + swap[0], ccx[1] + swap[1])
