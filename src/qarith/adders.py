@@ -8,12 +8,13 @@ uncomputation, no measurement).
 
 The emit_* functions write gates into a caller-owned Builder so that larger
 circuits (multipliers, dividers, modexp) can reuse scratch registers; the
-build_* functions wrap them into standalone circuits.
+build_* functions wrap them into standalone circuits.  inplace_adder(bld,
+algo, width) is the one place an in-place adder name is resolved: it
+allocates the algorithm's ancillas and returns add(a, b), which emits b += a.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .circuit import Builder, CNOT, CircuitError, new_builder
 
@@ -292,69 +293,51 @@ def emit_qft_const_add(bld: Builder, b, constant: int) -> None:
     emit_inverse_qft(bld, b)
 
 
-# -- unified in-place adder interface -----------------------------------------
+# -- in-place adder handle ------------------------------------------------------
 
-@dataclass
-class InPlaceScratch:
-    """Clean ancillas an in-place adder needs at a given width."""
-
-    algo: str
-    width: int
-    carries: tuple[int, ...] = ()
-    cdkm_z: int | None = None
-    bp: tuple[int, ...] = ()
+def _alloc_cla(bld: Builder, width: int):
+    """Allocate the DKRS tree's carry and block-propagate ancillas."""
+    carry = bld.alloc_ancilla(width - 1, "cla_carry").qubits if width > 1 else ()
+    nbp = cla_bp_count(width)
+    return carry, bld.alloc_ancilla(nbp, "cla_bp").qubits if nbp else ()
 
 
-def alloc_inplace_scratch(bld: Builder, algo: str, width: int) -> InPlaceScratch:
+def inplace_adder(bld: Builder, algo: str, width: int):
+    """Allocate `algo`'s clean ancillas for `width`-bit operands and return
+    add(a, b), which emits b += a mod 2^width into `bld`."""
     if algo == "Gidney":
-        reg = bld.alloc_ancilla(width - 1, "cg_carry") if width > 1 else None
-        return InPlaceScratch(algo, width, carries=reg.qubits if reg else ())
-    if algo == "TTK" or algo == "QFT":
-        return InPlaceScratch(algo, width)
-    if algo == "CDKM":
-        return InPlaceScratch(algo, width, cdkm_z=bld.alloc_ancilla(1, "cdkm_z")[0])
-    if algo == "DKRS":
-        carry = bld.alloc_ancilla(width - 1, "cla_carry") if width > 1 else None
-        nbp = cla_bp_count(width)
-        bp = bld.alloc_ancilla(nbp, "cla_bp") if nbp else None
-        return InPlaceScratch(
-            algo, width,
-            carries=carry.qubits if carry else (),
-            bp=bp.qubits if bp else (),
-        )
-    raise CircuitError(f"unknown in-place adder {algo!r}")
-
-
-def emit_inplace_adder(bld: Builder, algo: str, a, b, scratch: InPlaceScratch) -> None:
-    """b += a mod 2^len(b) using the chosen algorithm (len(a) == len(b))."""
-    if len(a) != len(b) or len(b) != scratch.width:
-        raise CircuitError("operand widths must match the scratch width")
-    if algo == "Gidney":
-        emit_accumulate_add(bld, a, b, scratch.carries)
+        carries = bld.alloc_ancilla(width - 1, "cg_carry").qubits if width > 1 else ()
+        emit = lambda a, b: emit_accumulate_add(bld, a, b, carries)
     elif algo == "TTK":
-        emit_ttk(bld, a, b)
+        emit = lambda a, b: emit_ttk(bld, a, b)
     elif algo == "CDKM":
-        emit_cdkm(bld, a, b, scratch.cdkm_z)
+        z = bld.alloc_ancilla(1, "cdkm_z")[0]
+        emit = lambda a, b: emit_cdkm(bld, a, b, z)
     elif algo == "DKRS":
-        emit_dkrs_inplace(bld, a, b, scratch.carries, scratch.bp)
+        carry, bp = _alloc_cla(bld, width)
+        emit = lambda a, b: emit_dkrs_inplace(bld, a, b, carry, bp)
     elif algo == "QFT":
-        emit_qft_inplace_add(bld, a, b)
+        emit = lambda a, b: emit_qft_inplace_add(bld, a, b)
     else:
         raise CircuitError(f"unknown in-place adder {algo!r}")
+
+    def add(a, b) -> None:
+        if len(a) != width or len(b) != width:
+            raise CircuitError(f"operand widths must both be {width}")
+        emit(a, b)
+
+    return add
 
 
 # -- standalone circuit builders ------------------------------------------------
 
 def build_inplace_adder(algo: str, n: int, counting: bool = False):
     """|a>|b> -> |a>|(a+b) mod 2^n>."""
-    if algo not in IN_PLACE_ADDERS:
-        raise CircuitError(f"unknown in-place adder {algo!r}")
     _check_n(n)
     bld = new_builder(counting, f"inplace_adder[{algo},{n}]")
     a = bld.alloc_register(n, "a")
     b = bld.alloc_register(n, "b")
-    scratch = alloc_inplace_scratch(bld, algo, n)
-    emit_inplace_adder(bld, algo, a.qubits, b.qubits, scratch)
+    inplace_adder(bld, algo, n)(a.qubits, b.qubits)
     return bld.finalize()
 
 
@@ -370,13 +353,7 @@ def build_outofplace_adder(algo: str, n: int, counting: bool = False):
     if algo == "Gidney":
         _emit_gidney_outofplace(bld, a.qubits, b.qubits, s.qubits)
     else:
-        carry = bld.alloc_ancilla(n - 1, "cla_carry") if n > 1 else None
-        nbp = cla_bp_count(n)
-        bp = bld.alloc_ancilla(nbp, "cla_bp") if nbp else None
-        emit_dkrs_outofplace(
-            bld, a.qubits, b.qubits, s.qubits,
-            carry.qubits if carry else (), bp.qubits if bp else (),
-        )
+        emit_dkrs_outofplace(bld, a.qubits, b.qubits, s.qubits, *_alloc_cla(bld, n))
     return bld.finalize()
 
 
@@ -421,24 +398,22 @@ def build_const_adder(algo: str, n: int, constant: int, counting: bool = False):
         emit_qft_const_add(bld, b.qubits, constant)
     else:
         kreg = bld.alloc_ancilla(n, "k")
-        scratch = alloc_inplace_scratch(bld, inner, n)
+        add = inplace_adder(bld, inner, n)
         emit_const_load(bld, kreg.qubits, constant)
-        emit_inplace_adder(bld, inner, kreg.qubits, b.qubits, scratch)
+        add(kreg.qubits, b.qubits)
         emit_const_load(bld, kreg.qubits, constant)
     return bld.finalize()
 
 
 def build_subtractor(algo: str, n: int, counting: bool = False):
     """|a>|b> -> |a>|(b - a) mod 2^n> via the complement trick around `algo`."""
-    if algo not in IN_PLACE_ADDERS:
-        raise CircuitError(f"unknown in-place adder {algo!r}")
     _check_n(n)
     bld = new_builder(counting, f"subtractor[{algo},{n}]")
     a = bld.alloc_register(n, "a")
     b = bld.alloc_register(n, "b")
-    scratch = alloc_inplace_scratch(bld, algo, n)
+    add = inplace_adder(bld, algo, n)
     emit_complement(bld, b.qubits)
-    emit_inplace_adder(bld, algo, a.qubits, b.qubits, scratch)
+    add(a.qubits, b.qubits)
     emit_complement(bld, b.qubits)
     return bld.finalize()
 

@@ -20,10 +20,9 @@ from .circuit import Circuit, adjoint
 from .modexp import build_modexp, optimal_window
 from .muldiv import DIVIDER_ADDERS, divider_design_space
 from .physical import PhysicalParams, pareto_frontier
-from .resources import lower, lower_summary
+from .resources import lower
 from .sim import (
     extract_basis,
-    is_bijection,
     permutation_table,
     simulate_permutation,
     simulate_statevector,

@@ -12,7 +12,7 @@ powers and modular doublings of the looked-up multiplicand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .adders import emit_accumulate_add, emit_complement, emit_const_load, emit_copy
 from .circuit import CCX, CNOT, X, Builder, CircuitError, new_builder

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 from .adders import (
     IN_PLACE_ADDERS,
-    alloc_inplace_scratch,
     emit_accumulate_add,
     emit_accumulate_sub,
     emit_complement,
     emit_copy,
-    emit_inplace_adder,
+    inplace_adder,
 )
 from .circuit import Builder, CircuitError, new_builder
 
@@ -213,19 +212,13 @@ def parse_divider(algo: str) -> DividerSpec:
     return DividerSpec(kind, adder)
 
 
-def _emit_window_add(bld, spec, window, kload, scratches, src_bits):
-    """window += src (quantum register), zero-extended through kload staging."""
-    width = len(window)
-    scratch = scratches[width]
-    emit_copy(bld, src_bits, kload[:len(src_bits)])
-    emit_inplace_adder(bld, spec.adder, kload[:width], window, scratch)
-    emit_copy(bld, src_bits, kload[:len(src_bits)])
-
-
-def _emit_window_sub(bld, spec, window, kload, scratches, src_bits):
-    """window -= src via the complement trick around the chosen adder."""
+def _emit_window_sub(bld, window, kload, adders, src_bits):
+    """window -= src via the complement trick around the window-width adder;
+    src is zero-extended through kload staging."""
     emit_complement(bld, window)
-    _emit_window_add(bld, spec, window, kload, scratches, src_bits)
+    emit_copy(bld, src_bits, kload[:len(src_bits)])
+    adders[len(window)](kload[:len(window)], window)
+    emit_copy(bld, src_bits, kload[:len(src_bits)])
     emit_complement(bld, window)
 
 
@@ -251,21 +244,19 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
         ext = bld.alloc_ancilla(1, "ext")
         seq.append(ext[0])
     kload = bld.alloc_ancilla(wmax, "kload")
-    scratches = {
-        w: alloc_inplace_scratch(bld, spec.adder, w)
-        for w in sorted({n, wmax})
-    }
+    adders = {w: inplace_adder(bld, spec.adder, w) for w in sorted({n, wmax})}
+
+    def add_b_if(sign, target):  # target += b when sign is set
+        emit_copy(bld, b.qubits, kload.qubits[:n], sign)
+        adders[n](kload.qubits[:n], target)
+        emit_copy(bld, b.qubits, kload.qubits[:n], sign)
 
     if restoring:
         def step(i):
             window = seq[i:i + n + 1]
             sign = seq[i + n]
-            _emit_window_sub(bld, spec, window, kload.qubits, scratches, b.qubits)
-            emit_copy(bld, b.qubits, kload.qubits[:n], sign)
-            emit_inplace_adder(
-                bld, spec.adder, kload.qubits[:n], window[:n], scratches[n]
-            )
-            emit_copy(bld, b.qubits, kload.qubits[:n], sign)
+            _emit_window_sub(bld, window, kload.qubits, adders, b.qubits)
+            add_b_if(sign, window[:n])
             bld.x(sign)
 
         for i in reversed(range(n)):
@@ -273,7 +264,7 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
     else:
         def first_step():
             window = seq[n - 1:2 * n + 1]
-            _emit_window_sub(bld, spec, window, kload.qubits, scratches, b.qubits)
+            _emit_window_sub(bld, window, kload.qubits, adders, b.qubits)
             bld.x(seq[2 * n])
 
         def step(i):
@@ -286,7 +277,7 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
                     bld.cnot(u, w)
 
             flip()
-            _emit_window_sub(bld, spec, window, kload.qubits, scratches, b.qubits)
+            _emit_window_sub(bld, window, kload.qubits, adders, b.qubits)
             flip()
             bld.x(seq[i + n + 1])
 
@@ -295,12 +286,7 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
             bld.cached(("div_step_nr", spec.adder, n), lambda i=i: step(i))
 
         def final_fix():
-            sign = seq[n]
-            emit_copy(bld, b.qubits, kload.qubits[:n], sign)
-            emit_inplace_adder(
-                bld, spec.adder, kload.qubits[:n], seq[:n], scratches[n]
-            )
-            emit_copy(bld, b.qubits, kload.qubits[:n], sign)
+            add_b_if(seq[n], seq[:n])
             bld.cnot(seq[n + 1], seq[n])
             bld.x(seq[n])
             for j in range(n, 2 * n):

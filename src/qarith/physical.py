@@ -11,7 +11,7 @@ non-goal; orderings and trade-off shapes are what this model is for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from .resources import LogicalCounts
 
@@ -35,6 +35,11 @@ class PhysicalParams:
             raise EstimationError("need 0 < p_phys < p_threshold")
         if not 0 < self.error_budget < 1:
             raise EstimationError("error budget must lie in (0, 1)")
+        for name in ("t_cycle_factor", "prefactor_a"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise EstimationError(f"{name} must be finite and > 0")
+        if self.max_code_distance < 3:
+            raise EstimationError("max_code_distance must be >= 3")
         if self.layout != "psspc":
             raise EstimationError(f"unknown layout rule {self.layout!r}")
 
@@ -202,7 +207,11 @@ def pareto_frontier(
     saturation = math.ceil(
         counts.t_count * factory.duration_seconds / depth_time
     )
-    saturation = max(1, min(saturation, _FRONTIER_CAP))
+    if saturation > _FRONTIER_CAP:
+        raise EstimationError(
+            f"frontier needs {saturation} factory counts, more than the cap of "
+            f"{_FRONTIER_CAP}"
+        )
     points = [estimate(counts, p, nf) for nf in range(1, saturation + 1)]
     points.sort(key=lambda e: (e.runtime_seconds, e.physical_qubits))
     frontier: list[PhysicalEstimate] = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from operator import add, attrgetter
 
 from .circuit import (
@@ -29,7 +29,6 @@ from .circuit import (
     T,
     TDG,
     X,
-    Builder,
     Circuit,
     CountSummary,
     Gate,

@@ -14,10 +14,11 @@ from qarith.adders import (
     build_inplace_adder,
     build_outofplace_adder,
     build_subtractor,
+    inplace_adder,
     spec_constant,
 )
 from qarith.catalog import check_oracle
-from qarith.circuit import CircuitError
+from qarith.circuit import CircuitError, new_builder
 from qarith.resources import lower_to_clifford_t
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_widths.json"
@@ -194,3 +195,18 @@ def test_counting_mode_tallies_match_recorded():
         assert cnt.num_qubits == rec.num_qubits
         assert kinds.get("CNOT", 0) + kinds.get("SWAP", 0) == raw.cnot_count
         assert kinds.get("RZ", 0) + kinds.get("CPHASE", 0) == raw.rotation_count
+
+
+def test_inplace_adder_handle_rejects_unknown_name_and_other_widths():
+    bld = new_builder(False, "handle")
+    with pytest.raises(CircuitError, match="unknown in-place adder"):
+        inplace_adder(bld, "Nope", 4)
+    a = bld.alloc_register(4, "a").qubits
+    b = bld.alloc_register(4, "b").qubits
+    add = inplace_adder(bld, "CDKM", 4)
+    with pytest.raises(CircuitError):
+        add(a[:3], b[:3])
+    with pytest.raises(CircuitError):
+        add(a, b[:3])
+    add(a, b)
+    assert bld.finalize().gates

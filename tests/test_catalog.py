@@ -49,6 +49,23 @@ def test_counting_build_matches_recorded_build(entry, data):
             == {f: getattr(recorded, f) for f in fields})
 
 
+WIDE_OPS = ("inplace_adder", "outofplace_adder", "const_adder", "subtractor",
+            "multiplier", "divider")
+
+
+@pytest.mark.parametrize("n", [17, 32])
+def test_counting_build_matches_recorded_build_wide(n):
+    # Wide enough for multi-level DKRS trees and recursing Karatsuba.
+    fields = ("qubits", "t_count", "toffoli_count", "cnot_count", "rotation_count")
+    for op, algo, _ in catalog.catalog():
+        if op not in WIDE_OPS:
+            continue
+        counted = lower(catalog.build(op, algo, n, counting=True))
+        recorded = lower_to_clifford_t(catalog.build(op, algo, n))
+        assert ({f: getattr(counted, f) for f in fields}
+                == {f: getattr(recorded, f) for f in fields}), (op, algo, n)
+
+
 def test_counting_builds_construct_no_gate(monkeypatch):
     def no_gate(*args, **kwargs):
         raise AssertionError(f"counting build constructed Gate{args}")

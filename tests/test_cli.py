@@ -227,3 +227,16 @@ def test_cli_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "modexp/LYYWindowedOpt" in proc.stdout
+
+
+def test_pareto_degenerate_params_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("t_cycle_factor = 0\n")
+    code, out, err = run_cli(
+        ["pareto", "--op-class", "inplace_adder", "--algo", "TTK", "--n", "8",
+         "--params", str(cfg)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "t_cycle_factor" in err

@@ -143,3 +143,26 @@ def test_params_validation():
         PhysicalParams(p_phys=0.02)  # above threshold
     with pytest.raises(EstimationError):
         PhysicalParams(error_budget=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_cycle_factor", 0.0),
+    ("t_cycle_factor", -6e-7),
+    ("t_cycle_factor", math.inf),
+    ("t_cycle_factor", math.nan),
+    ("prefactor_a", 0.0),
+    ("prefactor_a", -1.0),
+    ("prefactor_a", math.inf),
+    ("prefactor_a", math.nan),
+    ("max_code_distance", 2),
+    ("max_code_distance", -1),
+])
+def test_params_reject_degenerate_surface_code_values(field, value):
+    with pytest.raises(EstimationError, match=field):
+        PhysicalParams(**{field: value})
+
+
+def test_pareto_refuses_frontier_past_the_cap():
+    counts = LogicalCounts(qubits=4, t_count=10**9, depth=1)
+    with pytest.raises(EstimationError, match="factory counts"):
+        pareto_frontier(counts, PhysicalParams())
