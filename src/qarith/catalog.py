@@ -7,7 +7,6 @@ stable across runs).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +22,9 @@ from .circuit import (
 )
 from .resources import LogicalCounts, SynthesisParams, lower
 from .sim import (
-    SimulationError,
-    extract_basis,
+    BLOCK_AMPLITUDES,
+    basis_columns,
+    basis_dtype,
     simulate_permutation_batch,
     simulate_statevector,
 )
@@ -209,66 +209,86 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
 
     inputs maps register names to the values to try; the cases are their
     cartesian product, exhaustive up to RANDOM_CASE_LIMIT and a seeded sample
-    of RANDOM_SAMPLES above it.  oracle(**values) returns {register: value}
-    for the registers it sets; every other data register must come out as it
-    went in (0 if not named in inputs) and every ancilla clean.  Circuits
-    with non-permutation gates are run on the statevector, where a non-basis
-    output fails and every case's output amplitude must carry the first
-    case's phase (a global phase is ignored, a relative one is a failure).
+    of RANDOM_SAMPLES above it.  Every value must fit its register.
+    oracle(**values) returns {register: value} for the registers it sets;
+    every other data register must come out as it went in (0 if not named in
+    inputs) and every ancilla clean.  Circuits with non-permutation gates are
+    run on the statevector, where a non-basis output fails and every case's
+    output amplitude must carry the first case's phase (a global phase is
+    ignored, a relative one is a failure).
+
+    The cases are checked as columns: the simulators run them in batches,
+    numpy finds the first failing case, and only that case is explained.
     """
     names = list(inputs)
-    spaces = [list(inputs[name]) for name in names]
-    exhaustive = math.prod(map(len, spaces)) <= RANDOM_CASE_LIMIT
-    if exhaustive:
-        combos = list(itertools.product(*spaces))
+    spaces = [np.array([int(v) for v in inputs[name]], dtype=object)
+              for name in names]
+    sizes = [len(s) for s in spaces]
+    exhaustive = math.prod(sizes) <= RANDOM_CASE_LIMIT
+    if exhaustive:  # itertools.product order
+        picks = np.indices(sizes).reshape(len(sizes), math.prod(sizes))
     else:
         rng = np.random.default_rng(seed)
-        combos = [
-            tuple(int(s[rng.integers(len(s))]) for s in spaces)
-            for _ in range(RANDOM_SAMPLES)
-        ]
+        picks = np.array([[rng.integers(k) for k in sizes]
+                          for _ in range(RANDOM_SAMPLES)]).T
+    count = picks.shape[1]
     regs = {r.name: r for r in circuit.data_registers}
     anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
-    states = [
-        sum(encode_register(v, regs[name]) for name, v in zip(names, combo))
-        for combo in combos
-    ]
-    phases = []
+    dtype = basis_dtype(circuit.num_qubits)
+    values = np.empty((count, len(names)), dtype=object)
+    states = np.zeros(count, dtype=dtype)
+    for k, (name, space, pick) in enumerate(zip(names, spaces, picks)):
+        values[:, k] = space[pick]
+        states |= np.array(encode_register(space, regs[name]), dtype=dtype)[pick]
+
     if all(g.kind in PERMUTATION_KINDS for g in circuit.gates):
         outs = simulate_permutation_batch(circuit, states)
+        basis = np.ones(count, dtype=bool)
+        phases = None
     else:
-        outs = []
-        for s in states:
-            v = simulate_statevector(circuit, s)
-            try:
-                out = extract_basis(v)
-            except SimulationError:
-                out = None
-            outs.append(out)
-            phases.append(None if out is None else v[out] / abs(v[out]))
+        outs = np.zeros(count, dtype=dtype)
+        basis = np.zeros(count, dtype=bool)
+        phases = np.zeros(count, dtype=np.complex128)
+        width = max(1, BLOCK_AMPLITUDES >> circuit.num_qubits)
+        for lo in range(0, count, width):
+            v = simulate_statevector(circuit, states[lo:lo + width])
+            out, ok = basis_columns(v)
+            amp = v[out, np.arange(len(out))]
+            outs[lo:lo + width] = out
+            basis[lo:lo + width] = ok
+            phases[lo:lo + width] = amp / abs(amp)
 
-    def failure(i, vals, out):
-        if out is None:
+    expected = [oracle(**dict(zip(names, row))) for row in values.tolist()]
+    given = dict(zip(names, values.T.tolist()))  # an unnamed register held 0
+    wants = {rname: [e.get(rname, v) for e, v in
+                     zip(expected, given.get(rname, [0] * count))]
+             for rname in regs}
+    bad = ~basis | ((outs & anc_mask) != 0)
+    for rname, reg in regs.items():
+        bad |= register_value(outs, reg) != np.array(wants[rname], dtype=object)
+    if phases is not None:
+        bad |= abs(phases - phases[:1]) > PHASE_TOL
+
+    def failure(i):
+        if not basis[i]:
             return "not a basis state"
-        state = int(out)
+        state = int(outs[i])
         if state & anc_mask:
             return "dirty ancillas"
-        expected = oracle(**vals)
         for rname, reg in regs.items():
-            want = expected.get(rname, vals.get(rname, 0))
-            got = register_value(state, reg)
+            want, got = wants[rname][i], register_value(state, reg)
             if got != want:
                 return f"register {rname} = {got}, want {want}"
-        if phases and abs(phases[i] - phases[0]) > PHASE_TOL:
+        if phases is not None and abs(phases[i] - phases[0]) > PHASE_TOL:
             return f"relative phase {cmath.phase(phases[i] / phases[0]):.6g} rad"
         return None
 
-    for i, (combo, out) in enumerate(zip(combos, outs)):
-        vals = dict(zip(names, combo))
-        reason = failure(i, vals, out)
+    for i in np.flatnonzero(bad):
+        reason = failure(i)
         if reason:
-            return OracleCheck(len(combos), exhaustive, f"{reason} for input {vals}")
-    return OracleCheck(len(combos), exhaustive)
+            vals = dict(zip(names, values[i]))
+            return OracleCheck(count, exhaustive, f"{reason} for input {vals}")
+    return OracleCheck(count, exhaustive)
 
 
 def verify(op_class: str, algorithm: str, n: int,

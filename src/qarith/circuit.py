@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 # Gate kinds.  Permutation gates first, then Clifford/T single-qubit gates,
 # then parameterised phase gates.
 X = "X"
@@ -476,20 +478,23 @@ def circuit_to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def register_value(state: int, reg: Register) -> int:
-    """Little-endian read of a register's bits out of a basis-state index."""
+def register_value(state, reg: Register):
+    """Little-endian read of a register's bits out of a basis-state index,
+    or out of every entry of an int array of them."""
     v = 0
     for j, q in enumerate(reg):
         v |= ((state >> q) & 1) << j
     return v
 
 
-def encode_register(value: int, reg: Register) -> int:
-    """Basis-state bits for `value` placed on `reg` (other bits zero)."""
-    if not 0 <= value < (1 << len(reg)):
-        raise CircuitError(f"value {value} does not fit register of {len(reg)}")
-    s = 0
+def encode_register(value, reg: Register):
+    """Basis-state bits for `value` placed on `reg` (other bits zero); value
+    is an int or an int array, encoded entry by entry."""
+    over = np.asarray(value) >> len(reg)  # nonzero below 0 and past the top
+    if np.any(over):
+        bad = np.ravel(value)[np.flatnonzero(over)[0]]
+        raise CircuitError(f"value {bad} does not fit register of {len(reg)}")
+    s = value & 0  # 0, or zeros shaped like value
     for j, q in enumerate(reg):
-        if (value >> j) & 1:
-            s |= 1 << q
+        s |= ((value >> j) & 1) << q
     return s

@@ -1,18 +1,32 @@
 """Verification simulators.
 
-One kernel, `_apply_perm`, holds the rules of the permutation gates (X, CNOT,
-CCX, MCX, SWAP).  It uses only shifts, ands and xors, so one body acts on a
-Python int (one basis state of any width), on an int64 or object array (a
-batch of basis states; object past 63 qubits) and on the int64 index array
-that permutes a dense statevector.  `simulate_permutation`,
-`simulate_permutation_batch` and `simulate_statevector` all call it; the
-statevector simulator adds the rotation-bearing gates (H, S, T, RZ, CPHASE)
-for the QFT adders.  Global phase is ignored everywhere; arithmetic semantics
-live in the computational basis.
+Both simulators run a whole batch of basis states per pass, with one Python
+step per gate rather than one per gate and state.
+
+Permutation gates (X, CNOT, CCX, MCX, SWAP) run bit-sliced.  The batch is
+transposed into one bit plane per qubit: a Python int whose bit b is that
+qubit's value in state b.  X is then ``p[q] ^= ones``, CNOT/CCX/MCX are
+``p[t] ^= p[c1] & ...`` and SWAP swaps two planes, each one big-int operation
+for the whole batch at any width.  `_apply_perm` is the only statement of
+these rules; `simulate_permutation`, `simulate_permutation_batch`,
+`permutation_table` and the statevector's permutation steps all go through
+it.
+
+`simulate_statevector` evolves a 2^n x B block of basis columns through the
+full alphabet (the QFT adders need H, S, T, RZ and CPHASE).  The gate list is
+first fused into steps: a run of consecutive permutation gates becomes one
+row-index array (the kernel applied to every basis index), a run of
+consecutive diagonal gates one phase vector, and each H a step of its own.
+Callers that check many cases pass about BLOCK_AMPLITUDES amplitudes' worth
+of columns per call, which bounds the memory a check needs.
+
+Global phase is ignored everywhere; arithmetic semantics live in the
+computational basis.
 """
 from __future__ import annotations
 
-import cmath
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -34,58 +48,100 @@ from .circuit import (
 
 PERMUTATION_TABLE_LIMIT = 16
 STATEVECTOR_LIMIT = 22
+BLOCK_AMPLITUDES = 1 << 12  # statevector block size a batched check aims for
 _BASIS_TOL = 1e-9
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_PHASES = {S: math.pi / 2, SDG: -math.pi / 2, T: math.pi / 4, TDG: -math.pi / 4}
+_DIAGONAL_KINDS = frozenset(_PHASES) | {RZ, CPHASE}
 
 
 class SimulationError(ValueError):
     pass
 
 
-def _apply_perm(g: Gate, s):
-    """Permutation gate g applied to basis state(s) s (an int or int array).
+def basis_dtype(num_qubits: int):
+    """Array dtype that holds basis states of num_qubits qubits exactly:
+    int64 up to 63 qubits, Python ints (object) past that."""
+    return np.int64 if num_qubits <= 63 else object
 
-    Every permutation gate is an involution, so on the statevector's index
-    array the result also reads new[i] = old[P(i)].
-    """
+
+def _apply_perm(g: Gate, planes: list[int], ones: int) -> None:
+    """Permutation gate g applied in place to the bit planes of a batch;
+    ones has a bit set for every state in the batch."""
     q = g.qubits
     if g.kind == X:
-        return s ^ (1 << q[0])
-    if g.kind == SWAP:
+        planes[q[0]] ^= ones
+    elif g.kind == SWAP:
         a, b = q
-        d = ((s >> a) ^ (s >> b)) & 1
-        return s ^ ((d << a) | (d << b))
-    # CNOT, CCX, MCX: flip the last qubit when all the others are set.
-    bit = s >> q[0]
-    for c in q[1:-1]:
-        bit = bit & (s >> c)
-    return s ^ ((bit & 1) << q[-1])
+        planes[a], planes[b] = planes[b], planes[a]
+    else:  # CNOT, CCX, MCX: flip the last qubit where all the others are set
+        hit = planes[q[0]]
+        for c in q[1:-1]:
+            hit &= planes[c]
+        planes[q[-1]] ^= hit
 
 
-def _permute(c: Circuit, s):
-    for i, g in enumerate(c.gates):
+def _transpose(rows, width: int) -> np.ndarray:
+    """Bit-matrix transpose: len(rows) ints of `width` bits become `width`
+    ints of len(rows) bits, bit b of result q being bit q of rows[b].  Ints
+    of up to 64 bits travel as uint64 words, longer ones as Python ints."""
+    count, nbytes = len(rows), (width + 7) // 8
+    if width <= 64:
+        raw = np.array(rows, dtype="<u8").view(np.uint8).reshape(count, 8)
+    else:
+        raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                            dtype=np.uint8).reshape(count, nbytes)
+    bits = np.unpackbits(raw[:, :nbytes], bitorder="little").reshape(count, 8 * nbytes)
+    # Whole-buffer unpacking and packing: numpy's per-row loops are slow on
+    # short rows.
+    padded = np.zeros((width, -(-count // 8) * 8), dtype=np.uint8)
+    padded[:, :count] = bits[:, :width].T
+    cols = np.packbits(padded, bitorder="little").reshape(width, padded.shape[1] // 8)
+    if count <= 64:
+        words = np.zeros((width, 8), dtype=np.uint8)
+        words[:, :cols.shape[1]] = cols
+        return words.view("<u8")[:, 0]
+    return np.array([int.from_bytes(col.tobytes(), "little") for col in cols],
+                    dtype=object)
+
+
+def _basis_states(states, n: int) -> list[int]:
+    ints = [int(s) for s in states]
+    if ints and (min(ints) < 0 or max(ints) >> n):
+        raise SimulationError("input state out of range")
+    return ints
+
+
+def _run_perm(gates, planes: list[int], count: int) -> np.ndarray:
+    """Run permutation gates over the bit planes of `count` basis states and
+    return the states."""
+    ones = (1 << count) - 1
+    for i, g in enumerate(gates):
         if g.kind not in PERMUTATION_KINDS:
             raise SimulationError(f"non-permutation gate {g.kind} at gate {i}")
-        s = _apply_perm(g, s)
-    return s
+        _apply_perm(g, planes, ones)
+    return _transpose(planes, count)
+
+
+def _permute(gates, states, n: int) -> np.ndarray:
+    """Run permutation gates over a batch of n-qubit basis states."""
+    return _run_perm(gates, _transpose(states, n).tolist(), len(states))
 
 
 def simulate_permutation(c: Circuit, basis_in: int) -> int:
     """Apply a permutation-only circuit to one basis state (any width)."""
-    if not 0 <= basis_in < (1 << c.num_qubits):
-        raise SimulationError("input state out of range")
-    return _permute(c, basis_in)
+    n = c.num_qubits
+    return int(_permute(c.gates, _basis_states([basis_in], n), n)[0])
 
 
 def simulate_permutation_batch(c: Circuit, states) -> np.ndarray:
     """Apply a permutation-only circuit to many basis states at once.
 
-    The states are held as int64 up to 63 qubits and as Python ints in an
-    object array past that.
+    The result holds int64 up to 63 qubits and Python ints in an object
+    array past that.
     """
-    exact = np.array(states, dtype=object)
-    if exact.size and (exact.min() < 0 or exact.max() >> c.num_qubits):
-        raise SimulationError("input state out of range")
-    return _permute(c, exact.astype(np.int64 if c.num_qubits <= 63 else object))
+    n = c.num_qubits
+    return _permute(c.gates, _basis_states(states, n), n).astype(basis_dtype(n))
 
 
 def permutation_table(c: Circuit, limit: int = PERMUTATION_TABLE_LIMIT) -> np.ndarray:
@@ -94,64 +150,99 @@ def permutation_table(c: Circuit, limit: int = PERMUTATION_TABLE_LIMIT) -> np.nd
         raise SimulationError(
             f"{c.num_qubits} qubits exceeds table limit {limit}"
         )
-    table = simulate_permutation_batch(c, np.arange(1 << c.num_qubits))
-    return np.asarray(table, dtype=np.int64)
+    return simulate_permutation_batch(c, range(1 << c.num_qubits))
 
 
 def is_bijection(table: np.ndarray) -> bool:
     return len(np.unique(table)) == len(table)
 
 
-def _apply_single_qubit(state: np.ndarray, q: int, u00, u01, u10, u11) -> np.ndarray:
-    view = state.reshape(-1, 2, 1 << q)
-    lo = view[:, 0, :].copy()
-    hi = view[:, 1, :]
-    view[:, 0, :] = u00 * lo + u01 * hi
-    view[:, 1, :] = u10 * lo + u11 * hi
-    return state
+def _step_kind(g: Gate) -> str:
+    if g.kind in PERMUTATION_KINDS:
+        return "perm"
+    if g.kind in _DIAGONAL_KINDS:
+        return "phase"
+    if g.kind == H:
+        return H
+    raise SimulationError(f"unsupported gate kind {g.kind}")  # pragma: no cover
+
+
+@functools.lru_cache(maxsize=1)
+def _statevector_steps(c: Circuit) -> tuple[tuple[str, object], ...]:
+    """The circuit as fused statevector steps (kind, operand).  Cached, so a
+    check that evolves its cases block by block fuses the gates once."""
+    n = c.num_qubits
+    idx = np.arange(1 << n)
+    idx_planes = _transpose(idx, n).tolist()
+    steps = []
+    for kind, run in itertools.groupby(c.gates, _step_kind):
+        run = list(run)
+        if kind == H:
+            steps += [(H, g.qubits[0]) for g in run]
+        elif kind == "perm":
+            # new[i] = old[P^-1(i)]; every permutation gate is an involution,
+            # so P^-1 is the run applied in reverse.
+            steps.append((kind, _run_perm(run[::-1], idx_planes.copy(), len(idx))))
+        else:
+            theta = np.zeros(1 << n)
+            for g in run:
+                bit = (idx >> g.qubits[0]) & (idx >> g.qubits[-1]) & 1
+                if g.kind == RZ:
+                    theta += g.angle * (bit - 0.5)
+                else:
+                    theta += _PHASES.get(g.kind, g.angle) * bit
+            steps.append((kind, np.exp(1j * theta)[:, None]))
+    return tuple(steps)
+
+
+def _apply_step(block: np.ndarray, step) -> np.ndarray:
+    """One fused step on a 2^n x B block of statevector columns."""
+    kind, operand = step
+    if kind == "perm":
+        return block[operand]
+    if kind == "phase":
+        block *= operand
+        return block
+    view = block.reshape(block.shape[0] >> (operand + 1), 2,
+                         block.shape[1] << operand)
+    lo = view[:, 0, :] * _INV_SQRT2
+    hi = view[:, 1, :] * _INV_SQRT2
+    view[:, 0, :] = lo + hi
+    view[:, 1, :] = lo - hi
+    return block
 
 
 def simulate_statevector(
-    c: Circuit, basis_in: int, limit: int = STATEVECTOR_LIMIT
+    c: Circuit, basis_in, limit: int = STATEVECTOR_LIMIT
 ) -> np.ndarray:
-    """Exact dense evolution of one basis input through the full alphabet."""
+    """Exact dense evolution of basis inputs through the full alphabet.
+
+    basis_in is one basis state, giving its 2^n statevector, or a sequence
+    of B of them, giving a 2^n x B array with one column per input.
+    """
     n = c.num_qubits
     if n > limit:
         raise SimulationError(f"{n} qubits exceeds statevector limit {limit}")
-    if not 0 <= basis_in < (1 << n):
-        raise SimulationError("input state out of range")
-    dim = 1 << n
-    state = np.zeros(dim, dtype=np.complex128)
-    state[basis_in] = 1.0
-    idx = np.arange(dim)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for g in c.gates:
-        k = g.kind
-        if k in PERMUTATION_KINDS:
-            state = state[_apply_perm(g, idx)]
-        elif k == H:
-            state = _apply_single_qubit(
-                state, g.qubits[0], inv_sqrt2, inv_sqrt2, inv_sqrt2, -inv_sqrt2
-            )
-        elif k in (S, SDG, T, TDG):
-            angle = {S: math.pi / 2, SDG: -math.pi / 2,
-                     T: math.pi / 4, TDG: -math.pi / 4}[k]
-            mask = (idx >> g.qubits[0]) & 1 == 1
-            state[mask] *= cmath.exp(1j * angle)
-        elif k == RZ:
-            mask = (idx >> g.qubits[0]) & 1 == 1
-            state[~mask] *= cmath.exp(-0.5j * g.angle)
-            state[mask] *= cmath.exp(0.5j * g.angle)
-        elif k == CPHASE:
-            cq, t = g.qubits
-            mask = (((idx >> cq) & (idx >> t)) & 1) == 1
-            state[mask] *= cmath.exp(1j * g.angle)
-        else:  # pragma: no cover - alphabet is closed
-            raise SimulationError(f"unsupported gate kind {k}")
-    norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > 1e-9:
-        raise SimulationError(f"norm drifted to {norm}")
-    return state
+    single = np.ndim(basis_in) == 0
+    states = _basis_states([basis_in] if single else basis_in, n)
+    block = np.zeros((1 << n, len(states)), dtype=np.complex128)
+    block[states, np.arange(len(states))] = 1.0
+    for step in _statevector_steps(c):
+        block = _apply_step(block, step)
+    norms = np.linalg.norm(block, axis=0)
+    drift = np.abs(norms - 1.0) > 1e-9
+    if drift.any():
+        raise SimulationError(f"norm drifted to {norms[drift][0]}")
+    return block[:, 0] if single else block
+
+
+def basis_columns(states: np.ndarray, tol: float = _BASIS_TOL):
+    """(index, is_basis) of each column's largest amplitude: is_basis holds
+    where that amplitude carries probability >= 1 - tol."""
+    probs = np.abs(states) ** 2
+    idx = np.argmax(probs, axis=0)
+    best = np.take_along_axis(probs, np.expand_dims(idx, 0), axis=0)[0]
+    return idx, best >= 1.0 - tol
 
 
 def extract_basis(state: np.ndarray, tol: float = _BASIS_TOL) -> int:
@@ -160,11 +251,11 @@ def extract_basis(state: np.ndarray, tol: float = _BASIS_TOL) -> int:
     Raises if no basis amplitude carries probability >= 1 - tol, which
     signals a broken circuit rather than a tolerance issue.
     """
-    probs = np.abs(state) ** 2
-    idx = int(np.argmax(probs))
-    if probs[idx] < 1.0 - tol:
+    idx, ok = basis_columns(state, tol)
+    if not ok:
+        best = abs(state[idx]) ** 2
         raise SimulationError(
             f"state is not within {tol} of a basis state "
-            f"(best |amp|^2 = {probs[idx]:.6f} at {idx})"
+            f"(best |amp|^2 = {best:.6f} at {idx})"
         )
-    return idx
+    return int(idx)

@@ -1,13 +1,32 @@
+import cmath
 import dataclasses
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qarith import catalog
+from qarith import catalog, sim
 from qarith import circuit as cir
-from qarith.circuit import CPHASE, H, X, Circuit, CircuitError, Gate
+from qarith.circuit import (
+    CNOT,
+    CPHASE,
+    PERMUTATION_KINDS,
+    H,
+    X,
+    Circuit,
+    CircuitError,
+    Gate,
+    encode_register,
+    register_value,
+)
+from qarith.sim import (
+    SimulationError,
+    extract_basis,
+    simulate_permutation,
+    simulate_statevector,
+)
 from qarith.resources import LogicalCounts, lower, lower_to_clifford_t
 
 
@@ -93,30 +112,118 @@ def test_verify_random_sampling_for_large_spaces():
     assert report.cases == catalog.RANDOM_SAMPLES
 
 
-def _mutant(op, algo, n, gate_for):
-    """catalog.build(op, algo, n) with one gate appended; gate_for maps the
-    register dict {name: Register} to that gate."""
+def _mutant(op, algo, n, gates_for):
+    """catalog.build(op, algo, n) with gates appended; gates_for maps the
+    register dict {name: Register} to the tuple of gates."""
     c = catalog.build(op, algo, n)
     regs = {r.name: r for r in c.data_registers + c.ancilla_registers}
-    return dataclasses.replace(c, gates=c.gates + (gate_for(regs),))
+    return dataclasses.replace(c, gates=c.gates + gates_for(regs))
 
 
-@pytest.mark.parametrize("op,algo,n,gate_for,failure", [
+@pytest.mark.parametrize("op,algo,n,gates_for,failure", [
     # A relative phase leaves every basis label right.
     ("inplace_adder", "QFT", 3,
-     lambda r: Gate(CPHASE, (r["a"][0], r["a"][1]), math.pi / 2),
+     lambda r: (Gate(CPHASE, (r["a"][0], r["a"][1]), math.pi / 2),),
      "relative phase"),
     ("inplace_adder", "Gidney", 3,
-     lambda r: Gate(X, (r["cg_carry"][0],)), "dirty ancillas"),
+     lambda r: (Gate(X, (r["cg_carry"][0],)),), "dirty ancillas"),
     ("inplace_adder", "Gidney", 3,
-     lambda r: Gate(X, (r["b"][0],)), "register b"),
+     lambda r: (Gate(X, (r["b"][0],)),), "register b"),
     ("inplace_adder", "QFT", 2,
-     lambda r: Gate(H, (r["b"][0],)), "not a basis state"),
+     lambda r: (Gate(H, (r["b"][0],)),), "not a basis state"),
 ], ids=["phase", "dirty-ancilla", "wrong-output", "superposition"])
-def test_verify_rejects_mutants(monkeypatch, op, algo, n, gate_for, failure):
-    mutant = _mutant(op, algo, n, gate_for)
+def test_verify_rejects_mutants(monkeypatch, op, algo, n, gates_for, failure):
+    mutant = _mutant(op, algo, n, gates_for)
     assert catalog.verify(op, algo, n).ok
     monkeypatch.setattr(catalog, "build", lambda *args, **kwargs: mutant)
     report = catalog.verify(op, algo, n)
     assert not report.ok
     assert report.failure.startswith(failure), report.failure
+
+
+def _reference_failure(circuit, inputs, oracle):
+    """First failure of a plain per-case loop over the exhaustive cases, in
+    check_oracle's order: basis, ancillas, registers, phase."""
+    names = list(inputs)
+    regs = {r.name: r for r in circuit.data_registers}
+    anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
+    unitary = any(g.kind not in PERMUTATION_KINDS for g in circuit.gates)
+    first_phase = None
+    for combo in itertools.product(*(inputs[name] for name in names)):
+        vals = dict(zip(names, combo))
+        state = sum(encode_register(v, regs[name]) for name, v in vals.items())
+        if unitary:
+            v = simulate_statevector(circuit, state)
+            try:
+                out = extract_basis(v)
+            except SimulationError:
+                return f"not a basis state for input {vals}"
+            phase = v[out] / abs(v[out])
+            first_phase = phase if first_phase is None else first_phase
+        else:
+            out = simulate_permutation(circuit, state)
+        if out & anc_mask:
+            return f"dirty ancillas for input {vals}"
+        expected = oracle(**vals)
+        for rname, reg in regs.items():
+            want = expected.get(rname, vals.get(rname, 0))
+            got = register_value(out, reg)
+            if got != want:
+                return f"register {rname} = {got}, want {want} for input {vals}"
+        if unitary and abs(phase - first_phase) > catalog.PHASE_TOL:
+            rad = cmath.phase(phase / first_phase)
+            return f"relative phase {rad:.6g} rad for input {vals}"
+    return None
+
+
+@pytest.mark.parametrize("op,algo,n,gates_for,failure", [
+    ("inplace_adder", "Gidney", 3,
+     lambda r: (Gate(CNOT, (r["a"][1], r["cg_carry"][0])),), "dirty ancillas"),
+    ("inplace_adder", "Gidney", 3,
+     lambda r: (Gate(CNOT, (r["a"][2], r["b"][0])),), "register b"),
+    ("inplace_adder", "QFT", 3,
+     lambda r: (Gate(CPHASE, (r["a"][0], r["a"][1]), math.pi / 2),),
+     "relative phase"),
+    # H Z^(a0/2) H: the identity when a0 = 0, a superposition when a0 = 1.
+    ("inplace_adder", "QFT", 2,
+     lambda r: (Gate(H, (r["b"][0],)),
+                Gate(CPHASE, (r["a"][0], r["b"][0]), math.pi / 2),
+                Gate(H, (r["b"][0],))), "not a basis state"),
+], ids=["dirty-ancilla", "wrong-output", "phase", "superposition"])
+def test_first_failure_matches_per_case_reference(op, algo, n, gates_for, failure):
+    mutant = _mutant(op, algo, n, gates_for)
+    inputs, oracle = catalog._input_space(op, n, catalog.DEFAULT_SEED)
+    check = catalog.check_oracle(mutant, inputs, oracle)
+    assert check.failure == _reference_failure(mutant, inputs, oracle)
+    assert check.failure.startswith(failure), check.failure
+    assert not check.failure.endswith("{'a': 0, 'b': 0}")  # not the first case
+
+
+def test_check_oracle_refuses_values_that_do_not_fit():
+    c = catalog.build("inplace_adder", "TTK", 4)
+    with pytest.raises(CircuitError, match="value 16 does not fit register of 4"):
+        catalog.check_oracle(c, {"a": range(17), "b": range(16)},
+                             lambda a, b: {"b": (a + b) % 16})
+
+
+def test_verification_takes_one_step_per_gate_per_batch(monkeypatch):
+    calls = {"perm": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sim, "_apply_perm", counted("perm", sim._apply_perm))
+    monkeypatch.setattr(sim, "_apply_step", counted("step", sim._apply_step))
+    report = catalog.verify("multiplier", "Karatsuba-8", 6)
+    assert report.ok and report.cases == 4096
+    assert calls["perm"] == len(catalog.build("multiplier", "Karatsuba-8", 6).gates)
+
+    qft = catalog.build("inplace_adder", "QFT", 5)
+    report = catalog.verify("inplace_adder", "QFT", 5)
+    assert report.ok and report.cases == 1024
+    blocks = -(-report.cases // (sim.BLOCK_AMPLITUDES >> qft.num_qubits))
+    assert blocks < report.cases
+    assert 0 < calls["step"] <= len(qft.gates) * blocks

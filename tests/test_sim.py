@@ -1,11 +1,28 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from qarith.adders import emit_qft
-from qarith.circuit import Gate, new_builder
+from qarith.circuit import (
+    CCX,
+    CNOT,
+    CPHASE,
+    MCX,
+    RZ,
+    SDG,
+    SWAP,
+    TDG,
+    Gate,
+    H,
+    S,
+    T,
+    X,
+    new_builder,
+)
 from qarith.sim import (
+    BLOCK_AMPLITUDES,
     SimulationError,
     extract_basis,
     is_bijection,
@@ -69,6 +86,8 @@ def test_out_of_range_states_rejected(bad):
         simulate_permutation_batch(c, [0, bad])
     with pytest.raises(SimulationError, match="out of range"):
         simulate_statevector(c, bad)
+    with pytest.raises(SimulationError, match="out of range"):
+        simulate_statevector(c, [0, bad])
 
 
 @pytest.mark.parametrize("width", [63, 64])  # int64 and object batches
@@ -157,3 +176,108 @@ def test_norm_preserved_long_sequence():
 def test_bijection_checker():
     c = _circ(3, [Gate("CCX", (0, 1, 2)), Gate("CNOT", (2, 0))])
     assert is_bijection(permutation_table(c))
+
+
+# -- batched simulation against plain per-state references -----------------------
+
+def _reference_permutation(gates, s: int) -> int:
+    """One basis state through permutation gates, one bit operation at a time."""
+    for g in gates:
+        q = g.qubits
+        if g.kind == SWAP:
+            a, b = q
+            if (s >> a) & 1 != (s >> b) & 1:
+                s ^= (1 << a) | (1 << b)
+        elif all((s >> c) & 1 for c in q[:-1]):  # X has no controls
+            s ^= 1 << q[-1]
+    return s
+
+
+def _reference_statevector(c, basis: int) -> np.ndarray:
+    """One basis state through the full alphabet, one gate at a time."""
+    n = c.num_qubits
+    idx = np.arange(1 << n)
+    state = np.zeros(1 << n, dtype=complex)
+    state[basis] = 1.0
+    phase = {S: math.pi / 2, SDG: -math.pi / 2, T: math.pi / 4, TDG: -math.pi / 4}
+    for g in c.gates:
+        q = g.qubits
+        on = (idx >> q[0]) & 1 == 1
+        if g.kind == H:
+            view = state.reshape(-1, 2, 1 << q[0])
+            lo, hi = view[:, 0, :].copy(), view[:, 1, :].copy()
+            view[:, 0, :] = (lo + hi) / math.sqrt(2)
+            view[:, 1, :] = (lo - hi) / math.sqrt(2)
+        elif g.kind in phase:
+            state[on] *= cmath.exp(1j * phase[g.kind])
+        elif g.kind == RZ:
+            state[~on] *= cmath.exp(-0.5j * g.angle)
+            state[on] *= cmath.exp(0.5j * g.angle)
+        elif g.kind == CPHASE:
+            state[on & ((idx >> q[1]) & 1 == 1)] *= cmath.exp(1j * g.angle)
+        else:
+            state = state[[_reference_permutation([g], int(i)) for i in idx]]
+    return state
+
+
+def _random_gate(rng, kind, n):
+    picks = [int(q) for q in rng.choice(n, size=min(n, 5), replace=False)]
+    operands = {X: 1, H: 1, S: 1, SDG: 1, T: 1, TDG: 1, RZ: 1,
+                CNOT: 2, SWAP: 2, CPHASE: 2, CCX: 3, MCX: 4 + (n > 4)}[kind]
+    angle = float(rng.uniform(-3, 3)) if kind in (RZ, CPHASE) else None
+    return Gate(kind, tuple(picks[:operands]), angle)
+
+
+PERM = (X, CNOT, CCX, MCX, SWAP)
+DIAG = (S, SDG, T, TDG, RZ, CPHASE)
+
+
+def _random_full_circuit(rng, n, reverse):
+    # Permutation and diagonal runs at both ends, runs split by single H
+    # gates and by each other, and runs of H.
+    layout = [PERM, DIAG, (H,), PERM, (H,), DIAG, (H,), (H,), DIAG, PERM,
+              (H,), PERM + DIAG + (H,), DIAG, PERM, DIAG]
+    gates = []
+    for kinds in layout[::-1] if reverse else layout:
+        for _ in range(int(rng.integers(1, 6))):
+            gates.append(_random_gate(rng, kinds[int(rng.integers(len(kinds)))], n))
+    return _circ(n, gates)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_statevector_matches_single_columns(seed):
+    rng = np.random.default_rng(seed)
+    n = 4 + seed % 3
+    c = _random_full_circuit(rng, n, reverse=seed % 2)
+    block = BLOCK_AMPLITUDES >> n  # columns a batched check puts in one call
+    for count in (1, 3, block, block + 1):
+        states = [int(s) for s in rng.integers(0, 1 << n, size=count)]
+        batch = simulate_statevector(c, states)
+        assert batch.shape == (1 << n, count)
+        for col, s in zip(batch.T, states):
+            single = simulate_statevector(c, s)
+            assert np.allclose(col, single, rtol=0, atol=1e-12)
+    for s in range(1 << n):
+        assert np.allclose(simulate_statevector(c, s), _reference_statevector(c, s),
+                           rtol=0, atol=1e-12)
+
+
+def _random_permutation_circuit(rng, width, length=40):
+    kinds = PERM if width >= 5 else PERM[:3] if width >= 3 else (X, CNOT, SWAP)[:width]
+    return _circ(width, [_random_gate(rng, kinds[int(rng.integers(len(kinds)))], width)
+                         for _ in range(length)])
+
+
+@pytest.mark.parametrize("width", [1, 8, 63, 64, 130])
+def test_bitsliced_batch_matches_single_states(width):
+    rng = np.random.default_rng(width)
+    c = _random_permutation_circuit(rng, width)
+    for count in (0, 1, 7, 8, 9, 4097):
+        states = [int.from_bytes(rng.bytes(17), "little") % (1 << width)
+                  for _ in range(count)]
+        batch = simulate_permutation_batch(c, states)
+        assert batch.dtype == (np.int64 if width <= 63 else object)
+        assert [int(o) for o in batch] == [simulate_permutation(c, s)
+                                           for s in states]
+        assert [int(o) for o in batch] == [_reference_permutation(c.gates, s)
+                                           for s in states]
