@@ -20,7 +20,7 @@ from .circuit import (
     encode_register,
     register_value,
 )
-from .resources import LogicalCounts, SynthesisParams, lower
+from .resources import LogicalCounts, lower
 from .sim import (
     BLOCK_AMPLITUDES,
     basis_columns,
@@ -129,10 +129,9 @@ def build(op_class: str, algorithm: str, n: int, counting: bool = False,
 
 
 def measure(op_class: str, algorithm: str, n: int,
-            synthesis: SynthesisParams | None = None,
             recorded: bool = False) -> LogicalCounts:
     """Lowered Clifford+T counts for one operation instance."""
-    return lower(build(op_class, algorithm, n, counting=not recorded), synthesis)
+    return lower(build(op_class, algorithm, n, counting=not recorded))
 
 
 # -- verification ------------------------------------------------------------------
@@ -312,8 +311,13 @@ def verify_n_max(op_class: str, algorithm: str, n_max: int) -> int:
 
 def verify_range(op_class: str, algorithm: str, n_max: int,
                  seed: int = DEFAULT_SEED) -> list[VerifyReport]:
-    """Verify every size from the class minimum up to verify_n_max."""
+    """Verify every size from the class minimum up to verify_n_max; an
+    n_max below the class minimum, which would check nothing, is refused."""
     n_min = 2 if op_class in ("modexp", "modmul_const") else 1
+    if n_max < n_min:
+        raise CircuitError(
+            f"n_max {n_max} is below the smallest verified {op_class} size {n_min}"
+        )
     n_max = verify_n_max(op_class, algorithm, n_max)
     return [
         verify(op_class, algorithm, n, seed) for n in range(n_min, n_max + 1)

@@ -26,7 +26,6 @@ from .analysis import (
 from .circuit import CircuitError
 from .modexp import parse_modexp
 from .physical import EstimationError, PhysicalParams, estimate, pareto_frontier
-from .resources import SynthesisParams
 
 # Recorded circuits give exact greedy depth; above these sizes the streaming
 # counting path (serial depth composition) takes over to bound memory.
@@ -76,27 +75,25 @@ def _record(op_class, algorithm, n, counts, est) -> SweepRecord:
 
 
 def sweep_records(op_class, algorithms, n_min, n_max,
-                  params: PhysicalParams | None = None,
-                  synthesis: SynthesisParams | None = None) -> list[SweepRecord]:
+                  params: PhysicalParams | None = None) -> list[SweepRecord]:
     """One single-factory record per (algorithm, grid point)."""
     params = params or PhysicalParams()
     grid = log_grid(n_min, n_max)
     records = []
     for algo in algorithms:
         for n in grid:
-            counts = catalog.measure(op_class, algo, n, synthesis)
+            counts = catalog.measure(op_class, algo, n)
             est = estimate(counts, params, num_factories=1)
             records.append(_record(op_class, algo, n, counts, est))
     return records
 
 
 def pareto_records(op_class, algorithm, n,
-                   params: PhysicalParams | None = None,
-                   synthesis: SynthesisParams | None = None) -> list[SweepRecord]:
+                   params: PhysicalParams | None = None) -> list[SweepRecord]:
     """Frontier rows sorted by runtime ascending."""
     params = params or PhysicalParams()
     counts = catalog.measure(
-        op_class, algorithm, n, synthesis, recorded=_use_recorded(op_class, n)
+        op_class, algorithm, n, recorded=_use_recorded(op_class, n)
     )
     return [
         _record(op_class, algorithm, n, counts, est)

@@ -120,208 +120,171 @@ def build_table_lookup(table: LookupTable, m: int, counting: bool = False):
 
 # -- modular arithmetic building blocks ------------------------------------------
 
-@dataclass
-class _Scratch:
-    t: tuple[int, ...]
-    hi: int
-    chain: tuple[int, ...]
-    kload: tuple[int, ...]
-    carries: tuple[int, ...]
-    qa: int | None = None
-    a_reg: tuple[int, ...] = ()
-    lk: tuple[int, ...] = ()
+class _ModN:
+    """Arithmetic mod N on n-qubit registers holding values < N.
 
-
-def _alloc_scratch(bld: Builder, n: int, qa: bool, windowed_w: int = 0) -> _Scratch:
-    t = bld.alloc_ancilla(n, "acc").qubits
-    hi = bld.alloc_ancilla(1, "hi")[0]
-    chain = bld.alloc_ancilla(n, "cmp").qubits
-    kload = bld.alloc_ancilla(n + 1, "kload").qubits
-    carries = bld.alloc_ancilla(n, "carry").qubits
-    sc = _Scratch(t, hi, chain, kload, carries)
-    if qa:
-        sc.qa = bld.alloc_ancilla(1, "qa")[0]
-    if windowed_w:
-        sc.a_reg = bld.alloc_ancilla(n, "mult").qubits
-        if windowed_w > 1:
-            sc.lk = bld.alloc_ancilla(windowed_w - 1, "lk").qubits
-    return sc
-
-
-def _cached_acc(bld: Builder, x, y, carries) -> None:
-    bld.cached(
-        ("cgacc", len(x), len(y)),
-        lambda: emit_accumulate_add(bld, x, y, carries),
-    )
-
-
-def _emit_not_into(bld: Builder, carry: int, out: int, ctrls) -> None:
-    """out ^= NOT carry [AND ctrls]."""
-    bld.mcx(ctrls + (carry,), out)
-    bld.mcx(ctrls, out)
-
-
-def _emit_ge_const(bld: Builder, t, k, out: int, chain, ctrls=()) -> None:
-    """out ^= (t >= k) [AND ctrls], for a classical constant 1 <= k < 2^n.
-
-    Computed as NOT carry(~t + k) with a borrowed Toffoli chain that is
-    uncomputed by the reverse chain.
+    Allocates the scratch every step shares, in this order: the accumulator
+    `acc` (n), the overflow/compare flag `hi` (1), the comparator chain `cmp`
+    (n), the constant/copy staging register `kload` (n + 1) and the ripple
+    carries `carry` (n).  The add, double and multiply methods emit into
+    `bld` and return all scratch but `acc` clean.
     """
-    n = len(t)
-    emit_complement(bld, t)
 
-    def fwd():
-        if k & 1:
-            bld.cnot(t[0], chain[0])
-        for j in range(1, n):
-            if (k >> j) & 1:
-                bld.x(t[j])
-                bld.x(chain[j - 1])
+    def __init__(self, bld: Builder, n: int, N: int):
+        self.bld, self.N = bld, N
+        self.acc = bld.alloc_ancilla(n, "acc").qubits
+        self.hi = bld.alloc_ancilla(1, "hi")[0]
+        self.cmp = bld.alloc_ancilla(n, "cmp").qubits
+        self.kload = bld.alloc_ancilla(n + 1, "kload").qubits
+        self.carry = bld.alloc_ancilla(n, "carry").qubits
+
+    def _accumulate(self, x, y) -> None:
+        self.bld.cached(
+            ("cgacc", len(x), len(y)),
+            lambda: emit_accumulate_add(self.bld, x, y, self.carry),
+        )
+
+    def _reduce(self, t, ctrls) -> None:
+        """(t, hi) -= N under `ctrls`, then t += N back where that borrowed into hi."""
+        n, kq, N = len(t), self.kload, self.N
+        m_n = (1 << (n + 1)) - N
+        emit_const_load(self.bld, kq[:n + 1], m_n, *ctrls)
+        self._accumulate(kq[:n + 1], list(t) + [self.hi])
+        emit_const_load(self.bld, kq[:n + 1], m_n, *ctrls)
+        emit_const_load(self.bld, kq[:n], N, *ctrls, self.hi)
+        self._accumulate(kq[:n], t)
+        emit_const_load(self.bld, kq[:n], N, *ctrls, self.hi)
+
+    def _ge(self, chain, ctrls) -> None:
+        """hi ^= (acc >= operand) [AND ctrls], computed as NOT carry(~acc +
+        operand): `chain` ripples that carry into cmp on the complemented acc,
+        and the reverse chain uncomputes it."""
+        bld, t, carry = self.bld, self.acc, self.cmp[-1]
+
+        def not_into(_):
+            bld.mcx(ctrls + (carry,), self.hi)
+            bld.mcx(ctrls, self.hi)
+
+        emit_complement(bld, t)
+        bld.within(chain, not_into)
+        emit_complement(bld, t)
+
+    def add_const(self, k: int, ctrls=()) -> None:
+        """acc += k mod N under `ctrls`."""
+        bld, t, chain = self.bld, self.acc, self.cmp
+        k %= self.N
+        if k == 0:
+            return
+
+        def ge_k():  # the carry of ~acc + k, for 1 <= k < 2^n
+            if k & 1:
+                bld.cnot(t[0], chain[0])
+            for j in range(1, len(t)):
+                if (k >> j) & 1:
+                    bld.x(t[j])
+                    bld.x(chain[j - 1])
+                    bld.ccx(t[j], chain[j - 1], chain[j])
+                    bld.x(chain[j])
+                    bld.x(chain[j - 1])
+                    bld.x(t[j])
+                else:
+                    bld.ccx(t[j], chain[j - 1], chain[j])
+
+        def emit():
+            kq = self.kload[:len(t) + 1]
+            emit_const_load(bld, kq, k, *ctrls)
+            self._accumulate(kq, list(t) + [self.hi])
+            emit_const_load(bld, kq, k, *ctrls)
+            self._reduce(t, ctrls)
+            self._ge(ge_k, ctrls)
+
+        key = ("modadd", len(t), self.N, k & 1, k.bit_count(), len(ctrls))
+        bld.cached(key, emit)
+
+    def add(self, u, ctrls=()) -> None:
+        """acc += u mod N for a quantum u < N under `ctrls`."""
+        bld, t, chain = self.bld, self.acc, self.cmp
+
+        def ge_u():  # the carry of ~acc + u
+            bld.ccx(t[0], u[0], chain[0])
+            for j in range(1, len(t)):
+                bld.ccx(t[j], u[j], chain[j])
+                bld.cnot(u[j], t[j])
                 bld.ccx(t[j], chain[j - 1], chain[j])
-                bld.x(chain[j])
-                bld.x(chain[j - 1])
-                bld.x(t[j])
-            else:
-                bld.ccx(t[j], chain[j - 1], chain[j])
-        return chain[n - 1]
+                bld.cnot(u[j], t[j])
 
-    bld.within(fwd, lambda carry: _emit_not_into(bld, carry, out, ctrls))
-    emit_complement(bld, t)
+        def emit():
+            kq = self.kload
+            emit_copy(bld, u, kq[:len(t)], *ctrls)
+            self._accumulate(kq[:len(t) + 1], list(t) + [self.hi])
+            emit_copy(bld, u, kq[:len(t)], *ctrls)
+            self._reduce(t, ctrls)
+            self._ge(ge_u, ctrls)
 
+        bld.cached(("qqmodadd", len(t), self.N, len(ctrls)), emit)
 
-def _emit_ge_quantum(bld: Builder, t, u, out: int, chain, ctrls=()) -> None:
-    """out ^= (t >= u) [AND ctrls] for two quantum registers of equal width."""
-    n = len(t)
-    emit_complement(bld, t)
+    def double(self, reg) -> None:
+        """reg -> 2 reg mod N in place (N odd; the parity of the result clears hi)."""
+        bld = self.bld
 
-    def fwd():
-        bld.ccx(t[0], u[0], chain[0])
-        for j in range(1, n):
-            bld.ccx(t[j], u[j], chain[j])
-            bld.cnot(u[j], t[j])
-            bld.ccx(t[j], chain[j - 1], chain[j])
-            bld.cnot(u[j], t[j])
-        return chain[n - 1]
+        def emit():
+            y = list(reg) + [self.hi]
+            for j in reversed(range(len(reg))):
+                bld.swap(y[j + 1], y[j])
+            self._reduce(reg, ())
+            bld.cnot(reg[0], self.hi)
+            bld.x(self.hi)
 
-    bld.within(fwd, lambda carry: _emit_not_into(bld, carry, out, ctrls))
-    emit_complement(bld, t)
+        bld.cached(("moddouble", len(reg), self.N), emit)
 
+    def mul_const(self, x, c: int, ctrl=None, qa=None) -> None:
+        """x -> c*x mod N in place for x < N (deterministic permutation above
+        N); a controlled multiply needs the clean ancilla `qa`."""
+        bld, t, N = self.bld, self.acc, self.N
 
-def _emit_reduce(bld: Builder, t, hi: int, N: int, sc: _Scratch, ctrls) -> None:
-    """(t, hi) -= N under `ctrls`, then t += N back where that borrowed into hi."""
-    n = len(t)
-    kq = sc.kload
-    m_n = (1 << (n + 1)) - N
-    emit_const_load(bld, kq[:n + 1], m_n, *ctrls)
-    _cached_acc(bld, kq[:n + 1], list(t) + [hi], sc.carries)
-    emit_const_load(bld, kq[:n + 1], m_n, *ctrls)
-    emit_const_load(bld, kq[:n], N, *ctrls, hi)
-    _cached_acc(bld, kq[:n], t, sc.carries)
-    emit_const_load(bld, kq[:n], N, *ctrls, hi)
+        def acc(const):
+            for i in range(len(x)):
+                k = const * (1 << i) % N
+                if ctrl is None:
+                    self.add_const(k, (x[i],))
+                else:
+                    bld.ccx(ctrl, x[i], qa)
+                    self.add_const(k, (qa,))
+                    bld.ccx(ctrl, x[i], qa)
 
-
-def _emit_modadd_const(bld: Builder, t, hi: int, k: int, N: int, sc: _Scratch,
-                       ctrls=()) -> None:
-    """t += k mod N on an n-qubit register holding t < N (hi: clean ancilla)."""
-    k %= N
-    if k == 0:
-        return
-    kq = sc.kload[:len(t) + 1]
-    emit_const_load(bld, kq, k, *ctrls)
-    _cached_acc(bld, kq, list(t) + [hi], sc.carries)
-    emit_const_load(bld, kq, k, *ctrls)
-    _emit_reduce(bld, t, hi, N, sc, ctrls)
-    _emit_ge_const(bld, t, k, hi, sc.chain, ctrls)
-
-
-def _modadd_cached(bld: Builder, t, hi: int, k: int, N: int, sc: _Scratch,
-                   ctrls=()) -> None:
-    k %= N
-    if k == 0:
-        return
-    key = ("modadd", len(t), N, k & 1, k.bit_count(), len(ctrls))
-    bld.cached(key, lambda: _emit_modadd_const(bld, t, hi, k, N, sc, ctrls))
-
-
-def _emit_qq_modadd(bld: Builder, t, hi: int, u, N: int, sc: _Scratch,
-                    ctrls=()) -> None:
-    """t += u mod N for quantum t, u < N (optionally controlled)."""
-
-    def emit():
-        kq = sc.kload
-        emit_copy(bld, u, kq[:len(t)], *ctrls)
-        _cached_acc(bld, kq[:len(t) + 1], list(t) + [hi], sc.carries)
-        emit_copy(bld, u, kq[:len(t)], *ctrls)
-        _emit_reduce(bld, t, hi, N, sc, ctrls)
-        _emit_ge_quantum(bld, t, u, hi, sc.chain, ctrls)
-
-    bld.cached(("qqmodadd", len(t), N, len(ctrls)), emit)
-
-
-def _emit_mod_double(bld: Builder, a_reg, hi: int, N: int, sc: _Scratch) -> None:
-    """a -> 2a mod N in place (N odd; the parity of the result clears hi)."""
-
-    def emit():
-        y = list(a_reg) + [hi]
-        for j in reversed(range(len(a_reg))):
-            bld.swap(y[j + 1], y[j])
-        _emit_reduce(bld, a_reg, hi, N, sc, ())
-        bld.cnot(a_reg[0], hi)
-        bld.x(hi)
-
-    bld.cached(("moddouble", len(a_reg), N), emit)
-
-
-def _emit_modmul_const(bld: Builder, x, c: int, N: int, sc: _Scratch,
-                       ctrl=None) -> None:
-    """x -> c*x mod N in place for x < N (deterministic permutation above N)."""
-    n = len(x)
-    cinv = pow(c, -1, N)
-
-    def acc(const):
-        for i in range(n):
-            k = const * (1 << i) % N
+        acc(c)
+        for i in range(len(x)):
             if ctrl is None:
-                _modadd_cached(bld, sc.t, sc.hi, k, N, sc, (x[i],))
+                bld.swap(x[i], t[i])
             else:
-                bld.ccx(ctrl, x[i], sc.qa)
-                _modadd_cached(bld, sc.t, sc.hi, k, N, sc, (sc.qa,))
-                bld.ccx(ctrl, x[i], sc.qa)
+                bld.cnot(t[i], x[i])
+                bld.ccx(ctrl, x[i], t[i])
+                bld.cnot(t[i], x[i])
+        bld.adjoint(lambda: acc(pow(c, -1, N)))
 
-    acc(c)
-    if ctrl is None:
+    def mul_table(self, out, addr, entries, entries_inv, a_reg, lk) -> None:
+        """out -> entries[v]*out mod N where v is the value of the addr
+        register; the looked-up multiplicand goes to the clean n-qubit
+        `a_reg`, and `lk` holds the lookup's len(addr) - 1 ancillas."""
+        bld, n = self.bld, len(out)
+
+        def acc(tab):
+            emit_lookup(bld, addr, a_reg, tab, lk)
+            for i in range(n):
+                self.add(a_reg, (out[i],))
+                self.double(a_reg)
+
+            def doublings():
+                for _ in range(n):
+                    self.double(a_reg)
+
+            bld.adjoint(doublings)
+            emit_lookup(bld, addr, a_reg, tab, lk)
+
+        acc(entries)
         for i in range(n):
-            bld.swap(x[i], sc.t[i])
-    else:
-        for i in range(n):
-            bld.cnot(sc.t[i], x[i])
-            bld.ccx(ctrl, x[i], sc.t[i])
-            bld.cnot(sc.t[i], x[i])
-    bld.adjoint(lambda: acc(cinv))
-
-
-def _emit_modmul_table(bld: Builder, out, addr, entries, entries_inv, N: int,
-                       sc: _Scratch) -> None:
-    """out -> entries[v]*out mod N where v is the value of the addr register."""
-    n = len(out)
-
-    def acc(tab):
-        emit_lookup(bld, addr, sc.a_reg, tab, sc.lk)
-        for i in range(n):
-            _emit_qq_modadd(bld, sc.t, sc.hi, sc.a_reg, N, sc, (out[i],))
-            _emit_mod_double(bld, sc.a_reg, sc.hi, N, sc)
-
-        def doublings():
-            for _ in range(n):
-                _emit_mod_double(bld, sc.a_reg, sc.hi, N, sc)
-
-        bld.adjoint(doublings)
-        emit_lookup(bld, addr, sc.a_reg, tab, sc.lk)
-
-    acc(entries)
-    for i in range(n):
-        bld.swap(out[i], sc.t[i])
-    bld.adjoint(lambda: acc(entries_inv))
+            bld.swap(out[i], self.acc[i])
+        bld.adjoint(lambda: acc(entries_inv))
 
 
 # -- public builders -----------------------------------------------------------------
@@ -338,8 +301,7 @@ def build_modmul_const(c: int, N: int, n: int, counting: bool = False):
         raise CircuitError(f"gcd({c}, {N}) != 1; not invertible")
     bld = new_builder(counting, f"modmul_const[{c},{N},{n}]")
     x = bld.alloc_register(n, "x")
-    sc = _alloc_scratch(bld, n, qa=False)
-    _emit_modmul_const(bld, x.qubits, c, N, sc)
+    _ModN(bld, n, N).mul_const(x.qubits, c)
     return bld.finalize()
 
 
@@ -368,27 +330,24 @@ def build_modexp(algo: str, a: int, N: int, n: int, counting: bool = False):
     out = bld.alloc_register(n, "out")
 
     if variant == "LYY":
-        sc = _alloc_scratch(bld, n, qa=True)
+        mod = _ModN(bld, n, N)
+        qa = bld.alloc_ancilla(1, "qa")[0]
         bld.x(out[0])
         for j in range(n):
             c = pow(a, 1 << j, N)
             if c != 1:
-                _emit_modmul_const(bld, out.qubits, c, N, sc, ctrl=x[j])
+                mod.mul_const(out.qubits, c, ctrl=x[j], qa=qa)
     else:
         w = max(1, min(w, n))
         if N % 2 == 0:
             raise CircuitError("windowed modexp requires odd N")
-        sc = _alloc_scratch(bld, n, qa=False, windowed_w=w)
+        mod = _ModN(bld, n, N)
+        a_reg = bld.alloc_ancilla(n, "mult").qubits
+        lk = bld.alloc_ancilla(w - 1, "lk").qubits if w > 1 else ()
         bld.x(out[0])
-        off = 0
-        while off < n:
+        for off in range(0, n, w):
             wj = min(w, n - off)
             c = pow(a, 1 << off, N)
-            cinv = pow(c, -1, N)
-            entries = _powers(c, N, 1 << wj)
-            entries_inv = _powers(cinv, N, 1 << wj)
-            _emit_modmul_table(
-                bld, out.qubits, x.qubits[off:off + wj], entries, entries_inv, N, sc
-            )
-            off += wj
+            mod.mul_table(out.qubits, x.qubits[off:off + wj], _powers(c, N, 1 << wj),
+                          _powers(pow(c, -1, N), N, 1 << wj), a_reg, lk)
     return bld.finalize()

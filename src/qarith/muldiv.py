@@ -262,11 +262,6 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
         for i in reversed(range(n)):
             bld.cached(("div_step_r", spec.adder, n), lambda i=i: step(i))
     else:
-        def first_step():
-            window = seq[n - 1:2 * n + 1]
-            _emit_window_sub(bld, window, kload.qubits, adders, b.qubits)
-            bld.x(seq[2 * n])
-
         def step(i):
             window = seq[i:i + n + 2]
             u = seq[i + n + 2]
@@ -281,22 +276,22 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
             flip()
             bld.x(seq[i + n + 1])
 
-        bld.cached(("div_step_nr0", spec.adder, n), first_step)
+        # The first step has no previous quotient bit to steer it: subtract.
+        _emit_window_sub(bld, seq[n - 1:2 * n + 1], kload.qubits, adders, b.qubits)
+        bld.x(seq[2 * n])
         for i in reversed(range(n - 1)):
             bld.cached(("div_step_nr", spec.adder, n), lambda i=i: step(i))
-
-        def final_fix():
-            add_b_if(seq[n], seq[:n])
-            bld.cnot(seq[n + 1], seq[n])
-            bld.x(seq[n])
-            for j in range(n, 2 * n):
-                bld.swap(seq[j], seq[j + 1])
-
-        bld.cached(("div_fix_nr", spec.adder, n), final_fix)
+        # Final fix: add b back to a negative remainder, then rotate the
+        # quotient bits into place.
+        add_b_if(seq[n], seq[:n])
+        bld.cnot(seq[n + 1], seq[n])
+        bld.x(seq[n])
+        for j in range(n, 2 * n):
+            bld.swap(seq[j], seq[j + 1])
     return bld.finalize()
 
 
-def divider_design_space(n: int, synthesis=None):
+def divider_design_space(n: int):
     """Counts for all divider kind x adder combinations at size n.
 
     Returns [(DividerSpec, LogicalCounts)] sorted by qubit count then
@@ -310,7 +305,7 @@ def divider_design_space(n: int, synthesis=None):
     for kind in DIVIDER_KINDS:
         for adder in DIVIDER_ADDERS:
             spec = DividerSpec(kind, adder)
-            counts = lower_summary(build_divider(spec, n, counting=True), synthesis)
+            counts = lower_summary(build_divider(spec, n, counting=True))
             rows.append((spec, counts))
     rows.sort(key=lambda r: (r[1].qubits, r[1].t_count))
     return rows

@@ -159,6 +159,16 @@ def design_factory(p: PhysicalParams, t_count: int) -> FactorySpec:
     )
 
 
+def _layout(counts: LogicalCounts, p: PhysicalParams):
+    """(packed tiles, code distance, depth time, T factory) of a count set:
+    what every factory count shares.  The factory is None when t_count is 0."""
+    packed = packed_logical_qubits(counts.qubits)
+    depth = max(counts.depth, 1)
+    d = required_code_distance(p, packed, depth)
+    factory = design_factory(p, counts.t_count) if counts.t_count else None
+    return packed, d, depth * d * p.t_cycle_factor, factory
+
+
 def estimate(
     counts: LogicalCounts, p: PhysicalParams | None = None, num_factories: int = 1
 ) -> PhysicalEstimate:
@@ -168,16 +178,12 @@ def estimate(
         raise EstimationError("num_factories must be >= 0")
     if counts.t_count > 0 and num_factories == 0:
         raise EstimationError("t_count > 0 needs at least one T factory")
-    packed = packed_logical_qubits(counts.qubits)
-    depth = max(counts.depth, 1)
-    d = required_code_distance(p, packed, depth)
-    depth_time = depth * d * p.t_cycle_factor
+    packed, d, depth_time, factory = _layout(counts, p)
     physical = packed * 2 * d * d
-    if counts.t_count == 0:
+    if factory is None:
         if num_factories:
             physical += num_factories * design_factory(p, 1).qubits
         return PhysicalEstimate(d, physical, depth_time, num_factories, "depth-limited")
-    factory = design_factory(p, counts.t_count)
     t_time = (counts.t_count / num_factories) * factory.duration_seconds
     runtime = max(depth_time, t_time)
     limiting = "depth-limited" if depth_time >= t_time else "t-limited"
@@ -193,17 +199,17 @@ def pareto_frontier(
 ) -> list[PhysicalEstimate]:
     """Non-dominated (runtime, qubits) configurations over the factory count.
 
-    Factory counts run from 1 up to the depth-saturation point; the result is
-    sorted by runtime ascending, so physical qubits strictly decrease.
+    Factory counts run from the depth-saturation point down to 1; the result
+    is sorted by runtime ascending, so physical qubits strictly decrease.
+    Each factory fewer costs fewer qubits, and below saturation the T arm,
+    t_count / num_factories factory runs, sets a longer runtime, so every
+    count is on the frontier.  Only rounding can tie the largest counts on
+    runtime, and then the smaller count dominates.
     """
     p = p or PhysicalParams()
     if counts.t_count == 0:
         return [estimate(counts, p, 0)]
-    packed = packed_logical_qubits(counts.qubits)
-    depth = max(counts.depth, 1)
-    d = required_code_distance(p, packed, depth)
-    factory = design_factory(p, counts.t_count)
-    depth_time = depth * d * p.t_cycle_factor
+    _, _, depth_time, factory = _layout(counts, p)
     saturation = math.ceil(
         counts.t_count * factory.duration_seconds / depth_time
     )
@@ -212,15 +218,8 @@ def pareto_frontier(
             f"frontier needs {saturation} factory counts, more than the cap of "
             f"{_FRONTIER_CAP}"
         )
-    points = [estimate(counts, p, nf) for nf in range(1, saturation + 1)]
-    points.sort(key=lambda e: (e.runtime_seconds, e.physical_qubits))
-    frontier: list[PhysicalEstimate] = []
-    for pt in points:
-        if not frontier:
-            frontier.append(pt)
-        elif (
-            pt.runtime_seconds > frontier[-1].runtime_seconds
-            and pt.physical_qubits < frontier[-1].physical_qubits
-        ):
-            frontier.append(pt)
+    frontier = [estimate(counts, p, nf) for nf in range(saturation, 0, -1)]
+    while (len(frontier) > 1
+           and frontier[1].runtime_seconds <= frontier[0].runtime_seconds):
+        del frontier[0]
     return frontier

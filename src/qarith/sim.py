@@ -144,11 +144,11 @@ def simulate_permutation_batch(c: Circuit, states) -> np.ndarray:
     return _permute(c.gates, _basis_states(states, n), n).astype(basis_dtype(n))
 
 
-def permutation_table(c: Circuit, limit: int = PERMUTATION_TABLE_LIMIT) -> np.ndarray:
+def permutation_table(c: Circuit) -> np.ndarray:
     """Full truth table of a permutation circuit as an int array."""
-    if c.num_qubits > limit:
+    if c.num_qubits > PERMUTATION_TABLE_LIMIT:
         raise SimulationError(
-            f"{c.num_qubits} qubits exceeds table limit {limit}"
+            f"{c.num_qubits} qubits exceeds table limit {PERMUTATION_TABLE_LIMIT}"
         )
     return simulate_permutation_batch(c, range(1 << c.num_qubits))
 
@@ -212,17 +212,17 @@ def _apply_step(block: np.ndarray, step) -> np.ndarray:
     return block
 
 
-def simulate_statevector(
-    c: Circuit, basis_in, limit: int = STATEVECTOR_LIMIT
-) -> np.ndarray:
+def simulate_statevector(c: Circuit, basis_in) -> np.ndarray:
     """Exact dense evolution of basis inputs through the full alphabet.
 
     basis_in is one basis state, giving its 2^n statevector, or a sequence
     of B of them, giving a 2^n x B array with one column per input.
     """
     n = c.num_qubits
-    if n > limit:
-        raise SimulationError(f"{n} qubits exceeds statevector limit {limit}")
+    if n > STATEVECTOR_LIMIT:
+        raise SimulationError(
+            f"{n} qubits exceeds statevector limit {STATEVECTOR_LIMIT}"
+        )
     single = np.ndim(basis_in) == 0
     states = _basis_states([basis_in] if single else basis_in, n)
     block = np.zeros((1 << n, len(states)), dtype=np.complex128)
@@ -236,26 +236,26 @@ def simulate_statevector(
     return block[:, 0] if single else block
 
 
-def basis_columns(states: np.ndarray, tol: float = _BASIS_TOL):
+def basis_columns(states: np.ndarray):
     """(index, is_basis) of each column's largest amplitude: is_basis holds
-    where that amplitude carries probability >= 1 - tol."""
+    where that amplitude carries probability >= 1 - _BASIS_TOL."""
     probs = np.abs(states) ** 2
     idx = np.argmax(probs, axis=0)
     best = np.take_along_axis(probs, np.expand_dims(idx, 0), axis=0)[0]
-    return idx, best >= 1.0 - tol
+    return idx, best >= 1.0 - _BASIS_TOL
 
 
-def extract_basis(state: np.ndarray, tol: float = _BASIS_TOL) -> int:
+def extract_basis(state: np.ndarray) -> int:
     """Index of the basis state the vector has collapsed to.
 
-    Raises if no basis amplitude carries probability >= 1 - tol, which
+    Raises if no basis amplitude carries probability >= 1 - _BASIS_TOL, which
     signals a broken circuit rather than a tolerance issue.
     """
-    idx, ok = basis_columns(state, tol)
+    idx, ok = basis_columns(state)
     if not ok:
         best = abs(state[idx]) ** 2
         raise SimulationError(
-            f"state is not within {tol} of a basis state "
+            f"state is not within {_BASIS_TOL} of a basis state "
             f"(best |amp|^2 = {best:.6f} at {idx})"
         )
     return int(idx)

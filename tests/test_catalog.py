@@ -85,6 +85,20 @@ def test_counting_build_matches_recorded_build_wide(n):
                 == {f: getattr(recorded, f) for f in fields}), (op, algo, n)
 
 
+@pytest.mark.parametrize("op", ["modexp", "modmul_const"])
+def test_counting_build_matches_recorded_build_modexp_n12(op):
+    # n = 12 ends on partial windows (LYYWindowedOpt: w = 7, so 7 + 5;
+    # LYYWindowed(11): 11 + 1), which the n <= 6 property test never builds.
+    fields = ("qubits", "t_count", "toffoli_count", "cnot_count", "rotation_count")
+    for entry_op, algo, _ in catalog.catalog():
+        if entry_op != op:
+            continue
+        counted = lower(catalog.build(op, algo, 12, counting=True))
+        recorded = lower_to_clifford_t(catalog.build(op, algo, 12))
+        assert ({f: getattr(counted, f) for f in fields}
+                == {f: getattr(recorded, f) for f in fields}), (op, algo)
+
+
 def test_counting_builds_construct_no_gate(monkeypatch):
     def no_gate(*args, **kwargs):
         raise AssertionError(f"counting build constructed Gate{args}")

@@ -69,6 +69,22 @@ def test_verify_unknown_algorithm_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("op_class, algo, n_max, n_min", [
+    ("inplace_adder", "TTK", 0, 1),
+    ("modexp", "LYY", 1, 2),
+    ("inplace_adder", "Bogus", 0, 1),
+])
+def test_verify_below_class_minimum_exits_2(capsys, op_class, algo, n_max, n_min):
+    # An n-max that admits no size would check nothing; it must not pass.
+    code, out, err = run_cli(
+        ["verify", "--op-class", op_class, "--algo", algo, "--n-max", str(n_max)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"smallest verified {op_class} size {n_min}" in err
+
+
 def test_sweep_csv_schema(tmp_path, capsys):
     clear_block_cache()
     out_file = tmp_path / "adders.csv"

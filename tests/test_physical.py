@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -108,6 +109,66 @@ def test_pareto_zero_t_single_point():
     front = pareto_frontier(counts, PhysicalParams())
     assert len(front) == 1
     assert front[0].num_factories == 0
+
+
+def _saturation(counts, p):
+    """The factory count from which the depth, not T states, sets the runtime."""
+    packed = packed_logical_qubits(counts.qubits)
+    depth = max(counts.depth, 1)
+    depth_time = depth * required_code_distance(p, packed, depth) * p.t_cycle_factor
+    factory = design_factory(p, counts.t_count)
+    return math.ceil(counts.t_count * factory.duration_seconds / depth_time)
+
+
+def _sort_and_filter_frontier(counts, p):
+    """The frontier by its definition: every factory count up to saturation,
+    sorted by (runtime, qubits), keeping each point that strictly improves
+    on the last kept one in qubits at a strictly longer runtime."""
+    points = sorted(
+        (estimate(counts, p, nf) for nf in range(1, _saturation(counts, p) + 1)),
+        key=lambda e: (e.runtime_seconds, e.physical_qubits),
+    )
+    frontier = points[:1]
+    for pt in points[1:]:
+        if (pt.runtime_seconds > frontier[-1].runtime_seconds
+                and pt.physical_qubits < frontier[-1].physical_qubits):
+            frontier.append(pt)
+    return frontier
+
+
+def test_pareto_frontier_equals_sort_and_filter():
+    rng = random.Random(2024)
+
+    def log_uniform(lo, hi):
+        return int(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+    checked = 0
+    while checked < 200:
+        counts = LogicalCounts(qubits=log_uniform(1, 10**5),
+                               t_count=log_uniform(1, 10**8),
+                               depth=log_uniform(1, 10**8))
+        p = PhysicalParams(p_phys=10 ** rng.uniform(-5, -2.2),
+                           t_cycle_factor=10 ** rng.uniform(-8, -5))
+        try:
+            if _saturation(counts, p) > 500:
+                continue
+        except EstimationError:
+            continue
+        assert pareto_frontier(counts, p) == _sort_and_filter_frontier(counts, p)
+        checked += 1
+
+
+def test_pareto_frontier_runtime_tie_at_saturation():
+    # t_count * factory time / depth time rounds to just above 7, so the
+    # saturation point is 8 factories, yet 7 already reach the depth time:
+    # both run equally long and the 8-factory point is dominated.
+    counts = LogicalCounts(qubits=100, t_count=214795, depth=195415)
+    p = PhysicalParams()
+    at7, at8 = estimate(counts, p, 7), estimate(counts, p, 8)
+    assert at7.runtime_seconds == at8.runtime_seconds
+    front = pareto_frontier(counts, p)
+    assert front == _sort_and_filter_frontier(counts, p)
+    assert [e.num_factories for e in front] == list(range(7, 0, -1))
 
 
 def test_estimate_monotone_in_t():
