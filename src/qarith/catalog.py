@@ -259,35 +259,28 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
 
     expected = [oracle(**dict(zip(names, row))) for row in values.tolist()]
     given = dict(zip(names, values.T.tolist()))  # an unnamed register held 0
-    wants = {rname: [e.get(rname, v) for e, v in
-                     zip(expected, given.get(rname, [0] * count))]
-             for rname in regs}
-    bad = ~basis | ((outs & anc_mask) != 0)
-    for rname, reg in regs.items():
-        bad |= register_value(outs, reg) != np.array(wants[rname], dtype=object)
+
+    def register_rule(rname, reg):
+        got = register_value(outs, reg)
+        want = np.array([e.get(rname, v) for e, v in
+                         zip(expected, given.get(rname, [0] * count))], dtype=object)
+        return got != want, lambda i: f"register {rname} = {got[i]}, want {want[i]}"
+
+    # Failure rules in the order a case is explained: the first rule whose
+    # mask holds at the first flagged case names it.
+    rules = [(~basis, lambda i: "not a basis state"),
+             ((outs & anc_mask) != 0, lambda i: "dirty ancillas"),
+             *(register_rule(rname, reg) for rname, reg in regs.items())]
     if phases is not None:
-        bad |= abs(phases - phases[:1]) > PHASE_TOL
-
-    def failure(i):
-        if not basis[i]:
-            return "not a basis state"
-        state = int(outs[i])
-        if state & anc_mask:
-            return "dirty ancillas"
-        for rname, reg in regs.items():
-            want, got = wants[rname][i], register_value(state, reg)
-            if got != want:
-                return f"register {rname} = {got}, want {want}"
-        if phases is not None and abs(phases[i] - phases[0]) > PHASE_TOL:
-            return f"relative phase {cmath.phase(phases[i] / phases[0]):.6g} rad"
-        return None
-
-    for i in np.flatnonzero(bad):
-        reason = failure(i)
-        if reason:
-            vals = dict(zip(names, values[i]))
-            return OracleCheck(count, exhaustive, f"{reason} for input {vals}")
-    return OracleCheck(count, exhaustive)
+        rules.append((abs(phases - phases[:1]) > PHASE_TOL, lambda i:
+                      f"relative phase {cmath.phase(phases[i] / phases[0]):.6g} rad"))
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in rules]))
+    if not len(bad):
+        return OracleCheck(count, exhaustive)
+    i = bad[0]
+    reason = next(say(i) for mask, say in rules if mask[i])
+    return OracleCheck(count, exhaustive,
+                       f"{reason} for input {dict(zip(names, values[i]))}")
 
 
 def verify(op_class: str, algorithm: str, n: int,
@@ -313,6 +306,8 @@ def verify_range(op_class: str, algorithm: str, n_max: int,
                  seed: int = DEFAULT_SEED) -> list[VerifyReport]:
     """Verify every size from the class minimum up to verify_n_max; an
     n_max below the class minimum, which would check nothing, is refused."""
+    if op_class not in OP_CLASSES:
+        raise CircuitError(f"unknown op class {op_class!r}")
     n_min = 2 if op_class in ("modexp", "modmul_const") else 1
     if n_max < n_min:
         raise CircuitError(

@@ -13,22 +13,25 @@ import math
 import time
 from dataclasses import dataclass, asdict
 
+import numpy as np
+
 from . import catalog
-from .adders import IN_PLACE_ADDERS, OUT_OF_PLACE_ADDERS, RIPPLE_CARRY_ADDERS
+from .adders import (
+    CONST_ADDERS,
+    IN_PLACE_ADDERS,
+    OUT_OF_PLACE_ADDERS,
+    RIPPLE_CARRY_ADDERS,
+)
 from .analysis import SweepSeries, find_tipping_point, fit_power_law, log_grid
-from .circuit import Circuit, adjoint
+from .circuit import ALL_KINDS, PERMUTATION_KINDS, Circuit, adjoint
 from .modexp import build_modexp, optimal_window
-from .muldiv import DIVIDER_ADDERS, divider_design_space
+from .muldiv import DIVIDER_ADDERS, DIVIDER_KINDS, divider_design_space
 from .physical import PhysicalParams, pareto_frontier
 from .resources import lower
-from .sim import (
-    basis_columns,
-    permutation_table,
-    simulate_permutation,
-    simulate_statevector,
-)
+from .sim import basis_columns, simulate_permutation_batch, simulate_statevector
 
 EXPECTED_CLAIM_IDS = tuple(f"AC{i}" for i in range(1, 12))
+ADJOINT_SAMPLES = 4096  # seeded states per wide circuit in the adjoint check
 
 
 @dataclass
@@ -46,75 +49,65 @@ def _claim(claim_id, description, ok, observed) -> ClaimCheck:
     return ClaimCheck(claim_id, description, "pass" if ok else "fail", observed)
 
 
-def _verify_all(specs, seed) -> tuple[bool, int, list[str]]:
-    failures = []
-    total = 0
-    for op, algo, n_lo, n_hi in specs:
-        for n in range(n_lo, n_hi + 1):
-            report = catalog.verify(op, algo, n, seed)
-            total += report.cases
-            if not report.ok:
-                failures.append(f"{op}/{algo} n={n}: {report.failure}")
-    return not failures, total, failures
+def _verify_all(specs, seed) -> tuple[int, list[str]]:
+    """(total cases, failure lines) of catalog.verify over (op, algo, sizes)
+    specs."""
+    reports = [catalog.verify(op, algo, n, seed)
+               for op, algo, sizes in specs for n in sizes]
+    failures = [f"{r.op_class}/{r.algorithm} n={r.n}: {r.failure}"
+                for r in reports if not r.ok]
+    return sum(r.cases for r in reports), failures
+
+
+def _adder_sizes(algo):
+    return range(2, 6) if algo == "QFT" else range(1, 7)  # QFT: statevector
 
 
 def _check_adders(seed) -> ClaimCheck:
-    specs = []
-    for algo in IN_PLACE_ADDERS:
-        specs.append(("inplace_adder", algo, 2 if algo == "QFT" else 1,
-                      5 if algo == "QFT" else 6))
-        specs.append(("subtractor", algo, 2 if algo == "QFT" else 1,
-                      5 if algo == "QFT" else 6))
-    for algo in OUT_OF_PLACE_ADDERS:
-        specs.append(("outofplace_adder", algo, 1, 6))
-    for algo in ("ViaInPlace(Gidney)", "ViaInPlace(TTK)", "ViaInPlace(CDKM)",
-                 "ViaInPlace(DKRS)"):
-        specs.append(("const_adder", algo, 1, 6))
-    specs.append(("const_adder", "QFT", 2, 5))
+    specs = [(op, algo, _adder_sizes(algo)) for algo in IN_PLACE_ADDERS
+             for op in ("inplace_adder", "subtractor")]
+    specs += [("outofplace_adder", algo, range(1, 7)) for algo in OUT_OF_PLACE_ADDERS]
+    specs += [("const_adder", algo, _adder_sizes(algo)) for algo in CONST_ADDERS]
     start = time.monotonic()
-    ok, cases, failures = _verify_all(specs, seed)
+    cases, failures = _verify_all(specs, seed)
     dt = time.monotonic() - start
-    ok = ok and dt < 600.0
     return _claim(
         "AC1",
         "Adder oracle equivalence: exhaustive basis-state checks for every "
         "in-place, out-of-place, constant adder and subtractor (n 1..6; QFT "
         "variants via statevector, n 2..5), within the 10-minute budget",
-        ok,
+        not failures and dt < 600.0,
         failures[0] if failures else f"{cases} cases, all match, {dt:.1f}s",
     )
 
 
 def _check_multipliers(seed) -> ClaimCheck:
     specs = [
-        ("multiplier", "Schoolbook", 2, 4),
-        ("multiplier", "Karatsuba", 2, 4),
-        ("multiplier", "Karatsuba(2)", 2, 4),  # forces real recursion
-        ("multiplier", "Karatsuba-8", 8, 8),   # randomized 1000 cases
+        ("multiplier", "Schoolbook", range(2, 5)),
+        ("multiplier", "Karatsuba", range(2, 5)),
+        ("multiplier", "Karatsuba(2)", range(2, 5)),  # forces real recursion
+        ("multiplier", "Karatsuba-8", [8]),           # randomized 1000 cases
     ]
-    ok, cases, failures = _verify_all(specs, seed)
+    cases, failures = _verify_all(specs, seed)
     return _claim(
         "AC2",
         "Multiplier equivalence: Schoolbook and Karatsuba exhaustive for "
         "n 2..4 (plus piece-size-2 recursion), Karatsuba-8 with 1000 seeded "
         "random cases at n=8",
-        ok,
+        not failures,
         failures[0] if failures else f"{cases} cases, all products equal a*b",
     )
 
 
 def _check_dividers(seed) -> ClaimCheck:
-    specs = [
-        ("divider", f"{kind}+{adder}", 2, 4)
-        for kind in ("Restoring", "NonRestoring")
-        for adder in DIVIDER_ADDERS
-    ]
-    ok, cases, failures = _verify_all(specs, seed)
+    specs = [("divider", f"{kind}+{adder}", range(2, 5))
+             for kind in DIVIDER_KINDS for adder in DIVIDER_ADDERS]
+    cases, failures = _verify_all(specs, seed)
     return _claim(
         "AC3",
         "Divider equivalence: both kinds x {Gidney, TTK, CDKM}, exhaustive "
         "over all a and b > 0 for n 2..4, outputs (a mod b, floor(a/b))",
-        ok,
+        not failures,
         failures[0] if failures else f"{cases} cases (b > 0), all match",
     )
 
@@ -143,18 +136,18 @@ def _check_modexp(seed) -> ClaimCheck:
 
 
 def _check_structure(seed) -> ClaimCheck:
-    from .circuit import ALL_KINDS
-
-    sample = [
-        catalog.build("inplace_adder", "TTK", 5),
-        catalog.build("inplace_adder", "Gidney", 3),
-        catalog.build("inplace_adder", "CDKM", 4),
-        catalog.build("outofplace_adder", "DKRS", 3),
-        catalog.build("multiplier", "Karatsuba(2)", 2),
-        catalog.build("divider", "NonRestoring+TTK", 2),
-        catalog.build("modexp", "LYYWindowed(2)", 3),
-        catalog.build("table_lookup", "UnaryIteration", 3),
-    ]
+    sample = [catalog.build(*spec) for spec in (
+        ("inplace_adder", "TTK", 5),
+        ("inplace_adder", "Gidney", 3),
+        ("inplace_adder", "CDKM", 4),
+        ("outofplace_adder", "DKRS", 3),
+        ("multiplier", "Karatsuba(2)", 2),
+        ("divider", "NonRestoring+TTK", 2),
+        ("modexp", "LYYWindowed(2)", 3),
+        ("table_lookup", "UnaryIteration", 3),
+        ("inplace_adder", "QFT", 3),
+    )]
+    rng = np.random.default_rng(seed)
     problems = []
     for c in sample:
         # The alphabet is measurement- and reset-free by construction; the
@@ -162,26 +155,18 @@ def _check_structure(seed) -> ClaimCheck:
         bad = [g.kind for g in c.gates if g.kind not in ALL_KINDS]
         if bad:
             problems.append(f"{c.name}: non-unitary kinds {bad}")
-        if c.num_qubits <= 16:
-            combined = Circuit(
-                num_qubits=c.num_qubits, gates=c.gates + adjoint(c).gates
-            )
-            table = permutation_table(combined)
-            if not all(int(v) == i for i, v in enumerate(table)):
-                problems.append(f"{c.name}: adjoint composition is not identity")
+        # Every basis state up to 16 qubits; past that the 0, 1 and all-ones
+        # corners plus a seeded sample.
+        n = c.num_qubits
+        states = np.arange(1 << n) if n <= 16 else np.concatenate((
+            [0, 1, (1 << n) - 1], rng.integers(0, 1 << n, ADJOINT_SAMPLES)))
+        combined = Circuit(num_qubits=n, gates=c.gates + adjoint(c).gates)
+        if all(g.kind in PERMUTATION_KINDS for g in combined.gates):
+            outs, is_basis = simulate_permutation_batch(combined, states), True
         else:
-            for basis in (0, 1, (1 << c.num_qubits) - 1):
-                combined = Circuit(
-                    num_qubits=c.num_qubits, gates=c.gates + adjoint(c).gates
-                )
-                if simulate_permutation(combined, basis) != basis:
-                    problems.append(f"{c.name}: adjoint composition broken")
-                    break
-    qft = catalog.build("inplace_adder", "QFT", 3)
-    qft_combined = Circuit(num_qubits=6, gates=qft.gates + adjoint(qft).gates)
-    outs, is_basis = basis_columns(simulate_statevector(qft_combined, range(64)))
-    if not is_basis.all() or outs.tolist() != list(range(64)):
-        problems.append("QFT adder adjoint composition broken")
+            outs, is_basis = basis_columns(simulate_statevector(combined, states))
+        if not np.all(is_basis) or not np.array_equal(outs, states):
+            problems.append(f"{c.name}: adjoint composition is not identity")
     return _claim(
         "AC5",
         "Structural invariants: unitary gate alphabet (no measurement or "
@@ -200,40 +185,40 @@ SLOPE_RANGES = {
 }
 
 
+def _series(op_class, algo, grid, column) -> SweepSeries:
+    """One counting-build column of catalog.measure over a size grid."""
+    return SweepSeries(f"{op_class}/{algo}", tuple(
+        (n, float(getattr(catalog.measure(op_class, algo, n), column)))
+        for n in grid))
+
+
 def slope_of(op_class, algo, grid) -> float:
-    points = tuple(
-        (n, float(catalog.measure(op_class, algo, n).t_count)) for n in grid
-    )
-    slope, _ = fit_power_law(SweepSeries(f"{op_class}/{algo}", points))
+    slope, _ = fit_power_law(_series(op_class, algo, grid, "t_count"))
     return slope
+
+
+_SLOPES = (  # (label, op_class, algorithm, grid, accepted slope range)
+    *((f"adder[{algo}]", "inplace_adder", algo, log_grid(16, 4096),
+       SLOPE_RANGES["ripple_adder"]) for algo in RIPPLE_CARRY_ADDERS),
+    ("schoolbook", "multiplier", "Schoolbook", log_grid(16, 1024),
+     SLOPE_RANGES["schoolbook"]),
+    ("karatsuba8", "multiplier", "Karatsuba-8", [1 << k for k in range(5, 13)],
+     SLOPE_RANGES["karatsuba8"]),
+    ("modexp_opt", "modexp", "LYYWindowedOpt", log_grid(8, 128),
+     SLOPE_RANGES["modexp_opt"]),
+)
 
 
 def _check_slopes(seed) -> ClaimCheck:
     start = time.monotonic()
     observed = []
     ok = True
-
-    def record(label, slope, lo, hi):
-        nonlocal ok
+    for label, op_class, algo, grid, (lo, hi) in _SLOPES:
+        slope = slope_of(op_class, algo, grid)
         inside = lo <= slope <= hi
         ok = ok and inside
         observed.append(f"{label}={slope:.3f}{'' if inside else f' OUTSIDE [{lo},{hi}]'}")
-
-    lo, hi = SLOPE_RANGES["ripple_adder"]
-    for algo in RIPPLE_CARRY_ADDERS:
-        record(f"adder[{algo}]", slope_of("inplace_adder", algo, log_grid(16, 4096)), lo, hi)
-    lo, hi = SLOPE_RANGES["schoolbook"]
-    record("schoolbook", slope_of("multiplier", "Schoolbook", log_grid(16, 1024)), lo, hi)
-    lo, hi = SLOPE_RANGES["karatsuba8"]
-    record(
-        "karatsuba8",
-        slope_of("multiplier", "Karatsuba-8", [1 << k for k in range(5, 13)]),
-        lo, hi,
-    )
-    lo, hi = SLOPE_RANGES["modexp_opt"]
-    record("modexp_opt", slope_of("modexp", "LYYWindowedOpt", log_grid(8, 128)), lo, hi)
     dt = time.monotonic() - start
-    ok = ok and dt < 3600.0
     return _claim(
         "AC6",
         "Asymptotic T-count slopes over the 2^(1/4) grid: ripple adders in "
@@ -241,24 +226,16 @@ def _check_slopes(seed) -> ClaimCheck:
         "2^5..2^12) in [1.4, 1.95], windowed-opt ModExp (2^3..2^7) in "
         "[2.6, 3.3]; T-count is the logical proxy for the runtime slopes; "
         "sweep must finish inside an hour",
-        ok,
+        ok and dt < 3600.0,
         "; ".join(observed) + f" ({dt:.1f}s)",
     )
 
 
 def _check_tipping(seed) -> ClaimCheck:
     grid = [1 << k for k in range(3, 14)]
-    school = tuple(
-        (n, float(catalog.measure("multiplier", "Schoolbook", n).toffoli_count))
-        for n in grid
-    )
-    kara = tuple(
-        (n, float(catalog.measure("multiplier", "Karatsuba-8", n).toffoli_count))
-        for n in grid
-    )
-    n_star = find_tipping_point(
-        SweepSeries("Schoolbook", school), SweepSeries("Karatsuba-8", kara)
-    )
+    n_star = find_tipping_point(*(
+        _series("multiplier", algo, grid, "toffoli_count")
+        for algo in ("Schoolbook", "Karatsuba-8")))
     ok = n_star is not None and n_star <= (1 << 13)
     return _claim(
         "AC7",
@@ -320,22 +297,15 @@ def _check_design_space(seed) -> ClaimCheck:
     )
 
 
-def _frontier(op_class, algo, n, params):
-    counts = lower(catalog.build(op_class, algo, n))
-    return pareto_frontier(counts, params)
-
-
 def _check_pareto(seed, params) -> ClaimCheck:
     problems = []
-    fronts = {
-        ("multiplier", "Schoolbook", 32): None,
-        ("const_adder", "QFT", 32): None,
-        ("const_adder", "ViaInPlace(Gidney)", 32): None,
-        ("divider", "NonRestoring+TTK", 16): None,
-    }
-    for key in fronts:
-        front = _frontier(*key, params)
-        fronts[key] = front
+    fronts = {key: pareto_frontier(lower(catalog.build(*key)), params) for key in (
+        ("multiplier", "Schoolbook", 32),
+        ("const_adder", "QFT", 32),
+        ("const_adder", "ViaInPlace(Gidney)", 32),
+        ("divider", "NonRestoring+TTK", 16),
+    )}
+    for key, front in fronts.items():
         for prev, nxt in zip(front, front[1:]):
             if not (
                 nxt.runtime_seconds > prev.runtime_seconds
@@ -343,10 +313,8 @@ def _check_pareto(seed, params) -> ClaimCheck:
             ):
                 problems.append(f"{key}: dominated or unordered point")
                 break
-    ratio = {}
-    for key in (("const_adder", "QFT", 32), ("const_adder", "ViaInPlace(Gidney)", 32)):
-        front = fronts[key]
-        ratio[key[1]] = front[-1].runtime_seconds / front[0].runtime_seconds
+    ratio = {key[1]: front[-1].runtime_seconds / front[0].runtime_seconds
+             for key, front in fronts.items() if key[0] == "const_adder"}
     if not ratio["QFT"] > ratio["ViaInPlace(Gidney)"]:
         problems.append(
             f"QFT ratio {ratio['QFT']:.1f} not above Gidney "

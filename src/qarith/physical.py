@@ -11,7 +11,8 @@ non-goal; orderings and trade-off shapes are what this model is for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+import typing
+from dataclasses import asdict, dataclass, fields
 
 from .resources import LogicalCounts
 
@@ -46,9 +47,9 @@ class PhysicalParams:
     @classmethod
     def from_file(cls, path) -> "PhysicalParams":
         """Flat `key = value` configuration, keys matching the field names."""
+        hints = typing.get_type_hints(cls)
+        types = {f.name: hints[f.name] for f in fields(cls)}  # float, int, str
         values: dict = {}
-        floats = {"p_phys", "p_threshold", "prefactor_a", "t_cycle_factor",
-                  "error_budget"}
         with open(path) as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
@@ -58,14 +59,9 @@ class PhysicalParams:
                 key, val = key.strip(), val.strip()
                 if not sep or not val:
                     raise EstimationError(f"{path}:{line_no}: expected key = value")
-                if key in floats:
-                    values[key] = float(val)
-                elif key == "max_code_distance":
-                    values[key] = int(val)
-                elif key == "layout":
-                    values[key] = val
-                else:
+                if key not in types:
                     raise EstimationError(f"{path}:{line_no}: unknown key {key!r}")
+                values[key] = types[key](val)
         return cls(**values)
 
 

@@ -34,7 +34,6 @@ from .circuit import (
     Gate,
 )
 
-_SINGLE_CLIFFORD = frozenset({X, H, S, SDG})
 _T_KINDS = frozenset({T, TDG})
 _ROTATION_KINDS = frozenset({RZ, CPHASE})
 

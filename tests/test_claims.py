@@ -4,10 +4,12 @@ import json
 import pytest
 
 from qarith import claims
-from qarith.circuit import X, Gate
+from qarith.circuit import CCX, X, Gate
 from qarith.claims import (
     EXPECTED_CLAIM_IDS,
+    _check_adders,
     _check_design_space,
+    _check_dividers,
     _check_modexp,
     _check_multipliers,
     _check_non_reproduction,
@@ -27,6 +29,37 @@ def test_expected_claim_ids_closed():
 
 def test_structure_claim_passes():
     assert _check_structure(12345).status == "pass"
+
+
+def test_structure_claim_samples_wide_circuits(monkeypatch):
+    # Flip q0 only when q1 = 0 and q2 = 1: the 0, 1 and all-ones corners
+    # never reach it, a seeded sample does.
+    adjoint = claims.adjoint
+    hidden = (Gate(X, (1,)), Gate(CCX, (1, 2, 0)), Gate(X, (1,)))
+
+    def broken_when_wide(c):
+        adj = adjoint(c)
+        if c.num_qubits <= 16:
+            return adj
+        return dataclasses.replace(adj, gates=adj.gates + hidden)
+
+    monkeypatch.setattr(claims, "adjoint", broken_when_wide)
+    check = _check_structure(12345)
+    assert check.status == "fail"
+    assert "adjoint composition is not identity" in check.observed, check.observed
+
+
+@pytest.mark.parametrize("check, cases", [
+    (_check_adders, 57884),
+    (_check_multipliers, 2008),
+    (_check_dividers, 1848),
+    (_check_modexp, 624),
+], ids=["AC1", "AC2", "AC3", "AC4"])
+def test_oracle_claims_check_pinned_case_totals(check, cases):
+    # A spec list that drops a size or an algorithm changes the total.
+    result = check(12345)
+    assert result.status == "pass", result.observed
+    assert result.observed.startswith(f"{cases} cases"), result.observed
 
 
 def test_design_space_claim_passes():

@@ -85,6 +85,16 @@ def test_verify_below_class_minimum_exits_2(capsys, op_class, algo, n_max, n_min
     assert f"smallest verified {op_class} size {n_min}" in err
 
 
+def test_verify_unknown_op_class_exits_2(capsys):
+    # Named as unknown before any size check, as build names it.
+    code, out, err = run_cli(
+        ["verify", "--op-class", "Bogus", "--algo", "X", "--n-max", "0"], capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown op class 'Bogus'\n"
+
+
 def test_sweep_csv_schema(tmp_path, capsys):
     clear_block_cache()
     out_file = tmp_path / "adders.csv"

@@ -188,15 +188,21 @@ def test_params_from_file(tmp_path):
         "# comment line\n"
         "error_budget = 0.01\n"
         "max_code_distance = 41\n"
+        "layout = psspc\n"
     )
     p = PhysicalParams.from_file(cfg)
     assert p.p_phys == 2e-3
     assert p.error_budget == 0.01
-    assert p.max_code_distance == 41
+    assert p.max_code_distance == 41 and isinstance(p.max_code_distance, int)
+    assert p.layout == "psspc"
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 1\n")
     with pytest.raises(EstimationError):
         PhysicalParams.from_file(bad)
+    bad.write_text("max_code_distance = 4.5\n")  # a malformed number
+    with pytest.raises(ValueError) as err:
+        PhysicalParams.from_file(bad)
+    assert not isinstance(err.value, EstimationError)
 
 
 def test_params_validation():
