@@ -32,9 +32,7 @@ from .circuit import (
     Register,
     adjoint,
     circuit_to_text,
-    controlled,
     encode_register,
-    new_builder,
     register_value,
 )
 from .claims import ClaimCheck, run_claims
@@ -65,21 +63,14 @@ from .resources import (
     count_raw,
     lower_to_clifford_t,
 )
-from .sim import (
-    extract_basis,
-    permutation_table,
-    simulate_permutation,
-    simulate_statevector,
-)
+from .sim import simulate_permutation_batch, simulate_statevector
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Builder", "Circuit", "CircuitError", "Gate", "Register",
-    "adjoint", "controlled", "new_builder", "circuit_to_text",
-    "encode_register", "register_value",
-    "simulate_permutation", "permutation_table", "simulate_statevector",
-    "extract_basis",
+    "adjoint", "circuit_to_text", "encode_register", "register_value",
+    "simulate_permutation_batch", "simulate_statevector",
     "IN_PLACE_ADDERS", "OUT_OF_PLACE_ADDERS", "CONST_ADDERS",
     "build_inplace_adder", "build_outofplace_adder", "build_const_adder",
     "build_subtractor",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .circuit import Builder, CNOT, CircuitError, new_builder
+from .circuit import Builder, CNOT, CircuitError
 
 IN_PLACE_ADDERS = ("Gidney", "TTK", "CDKM", "DKRS", "QFT")
 OUT_OF_PLACE_ADDERS = ("Gidney", "DKRS")
@@ -334,7 +334,7 @@ def inplace_adder(bld: Builder, algo: str, width: int):
 def build_inplace_adder(algo: str, n: int, counting: bool = False):
     """|a>|b> -> |a>|(a+b) mod 2^n>."""
     _check_n(n)
-    bld = new_builder(counting, f"inplace_adder[{algo},{n}]")
+    bld = Builder(counting, f"inplace_adder[{algo},{n}]")
     a = bld.alloc_register(n, "a")
     b = bld.alloc_register(n, "b")
     inplace_adder(bld, algo, n)(a.qubits, b.qubits)
@@ -346,7 +346,7 @@ def build_outofplace_adder(algo: str, n: int, counting: bool = False):
     if algo not in OUT_OF_PLACE_ADDERS:
         raise CircuitError(f"unknown out-of-place adder {algo!r}")
     _check_n(n)
-    bld = new_builder(counting, f"outofplace_adder[{algo},{n}]")
+    bld = Builder(counting, f"outofplace_adder[{algo},{n}]")
     a = bld.alloc_register(n, "a")
     b = bld.alloc_register(n, "b")
     s = bld.alloc_register(n, "sum")
@@ -392,7 +392,7 @@ def build_const_adder(algo: str, n: int, constant: int, counting: bool = False):
     if not 0 <= constant < (1 << n):
         raise CircuitError(f"constant {constant} out of range for n={n}")
     kind, inner = parse_const_adder(algo)
-    bld = new_builder(counting, f"const_adder[{algo},{n}]")
+    bld = Builder(counting, f"const_adder[{algo},{n}]")
     b = bld.alloc_register(n, "b")
     if kind == "QFT":
         emit_qft_const_add(bld, b.qubits, constant)
@@ -408,7 +408,7 @@ def build_const_adder(algo: str, n: int, constant: int, counting: bool = False):
 def build_subtractor(algo: str, n: int, counting: bool = False):
     """|a>|b> -> |a>|(b - a) mod 2^n> via the complement trick around `algo`."""
     _check_n(n)
-    bld = new_builder(counting, f"subtractor[{algo},{n}]")
+    bld = Builder(counting, f"subtractor[{algo},{n}]")
     a = bld.alloc_register(n, "a")
     b = bld.alloc_register(n, "b")
     add = inplace_adder(bld, algo, n)

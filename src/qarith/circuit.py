@@ -4,7 +4,7 @@ All registers are little-endian: the least significant bit of an encoded
 integer lives in the first qubit of the register.  Circuits are purely
 unitary -- there is no measurement and no reset in the gate alphabet, and
 ancilla registers allocated through the builder are expected to return to
-|0> on every basis input (checked by the simulators).
+|0> on every basis input (checked by `catalog.check_oracle`).
 """
 from __future__ import annotations
 
@@ -385,10 +385,6 @@ class Builder:
         )
 
 
-def new_builder(counting: bool = False, name: str = "circuit") -> Builder:
-    return Builder(counting=counting, name=name)
-
-
 def adjoint(c: Circuit) -> Circuit:
     """Reverse the gate list, adjointing each gate."""
     return Circuit(
@@ -397,73 +393,6 @@ def adjoint(c: Circuit) -> Circuit:
         data_registers=c.data_registers,
         ancilla_registers=c.ancilla_registers,
         name=c.name + "_adj",
-    )
-
-
-def _controlled_gate(g: Gate, ctrl: int) -> list[Gate]:
-    """Lift one gate to its controlled version over the fixed alphabet."""
-    k, q = g.kind, g.qubits
-    if k == X:
-        return [Gate(CNOT, (ctrl, q[0]))]
-    if k == CNOT:
-        return [Gate(CCX, (ctrl, q[0], q[1]))]
-    if k in (CCX, MCX):
-        return [Gate(MCX, (ctrl,) + q)]
-    if k == SWAP:
-        a, b = q
-        return [Gate(CNOT, (b, a)), Gate(CCX, (ctrl, a, b)), Gate(CNOT, (b, a))]
-    if k == S:
-        return [Gate(CPHASE, (ctrl, q[0]), math.pi / 2)]
-    if k == SDG:
-        return [Gate(CPHASE, (ctrl, q[0]), -math.pi / 2)]
-    if k == T:
-        return [Gate(CPHASE, (ctrl, q[0]), math.pi / 4)]
-    if k == TDG:
-        return [Gate(CPHASE, (ctrl, q[0]), -math.pi / 4)]
-    if k == RZ:
-        # controlled-Rz(theta) = Rz(ctrl, -theta/2) . CPhase(ctrl, t, theta)
-        # up to global phase.
-        return [Gate(RZ, (ctrl,), -g.angle / 2), Gate(CPHASE, (ctrl, q[0]), g.angle)]
-    if k == CPHASE:
-        c, t = q
-        half = g.angle / 2
-        return [
-            Gate(CPHASE, (c, t), half),
-            Gate(CNOT, (ctrl, c)),
-            Gate(CPHASE, (c, t), -half),
-            Gate(CNOT, (ctrl, c)),
-            Gate(CPHASE, (ctrl, t), half),
-        ]
-    if k == H:
-        # Basis change Ry(pi/4) mapping Z to (X+Z)/sqrt(2) around CPhase(pi):
-        # CH = A . CZ . A^dagger with A = Ry(pi/4) = S H T H S^dagger.
-        t = q[0]
-        a_dag = [Gate(SDG, (t,)), Gate(H, (t,)), Gate(TDG, (t,)),
-                 Gate(H, (t,)), Gate(S, (t,))]
-        a_fwd = [Gate(SDG, (t,)), Gate(H, (t,)), Gate(T, (t,)),
-                 Gate(H, (t,)), Gate(S, (t,))]
-        return a_dag + [Gate(CPHASE, (ctrl, t), math.pi)] + a_fwd
-    raise CircuitError(f"cannot control gate kind {k!r}")
-
-
-def controlled(c: Circuit, control: int) -> Circuit:
-    """Circuit acting as identity when `control`=0 and as `c` when it is 1."""
-    if control < 0:
-        raise CircuitError("control qubit id must be non-negative")
-    used = {q for g in c.gates for q in g.qubits}
-    for reg in c.data_registers + c.ancilla_registers:
-        used.update(reg)
-    if control in used:
-        raise CircuitError(f"control qubit {control} collides with the circuit")
-    gates: list[Gate] = []
-    for g in c.gates:
-        gates.extend(_controlled_gate(g, control))
-    return Circuit(
-        num_qubits=max(c.num_qubits, control + 1),
-        gates=tuple(gates),
-        data_registers=c.data_registers,
-        ancilla_registers=c.ancilla_registers,
-        name=c.name + "_ctrl",
     )
 
 

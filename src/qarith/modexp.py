@@ -15,9 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .adders import emit_accumulate_add, emit_complement, emit_const_load, emit_copy
-from .circuit import CCX, CNOT, X, Builder, CircuitError, new_builder
-
-MODEXP_ALGOS = ("LYY", "LYYWindowed", "LYYWindowedOpt")
+from .circuit import CCX, CNOT, X, Builder, CircuitError
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ def build_table_lookup(table: LookupTable, m: int, counting: bool = False):
     for e in table.entries:
         if not 0 <= e < (1 << m):
             raise CircuitError(f"table entry {e} does not fit {m} bits")
-    bld = new_builder(counting, f"table_lookup[{table.address_bits},{m}]")
+    bld = Builder(counting, f"table_lookup[{table.address_bits},{m}]")
     addr = bld.alloc_register(table.address_bits, "addr")
     y = bld.alloc_register(m, "y")
     ancs = (
@@ -299,7 +297,7 @@ def build_modmul_const(c: int, N: int, n: int, counting: bool = False):
         raise CircuitError("need 0 < c < N")
     if math.gcd(c, N) != 1:
         raise CircuitError(f"gcd({c}, {N}) != 1; not invertible")
-    bld = new_builder(counting, f"modmul_const[{c},{N},{n}]")
+    bld = Builder(counting, f"modmul_const[{c},{N},{n}]")
     x = bld.alloc_register(n, "x")
     _ModN(bld, n, N).mul_const(x.qubits, c)
     return bld.finalize()
@@ -325,7 +323,7 @@ def build_modexp(algo: str, a: int, N: int, n: int, counting: bool = False):
     variant, w = parse_modexp(algo)
     if variant == "LYYWindowedOpt":
         w = optimal_window(n)
-    bld = new_builder(counting, f"modexp[{algo},a={a},N={N},{n}]")
+    bld = Builder(counting, f"modexp[{algo},a={a},N={N},{n}]")
     x = bld.alloc_register(n, "x")
     out = bld.alloc_register(n, "out")
 

@@ -22,7 +22,7 @@ from .adders import (
     emit_copy,
     inplace_adder,
 )
-from .circuit import Builder, CircuitError, new_builder
+from .circuit import Builder, CircuitError
 
 DEFAULT_PIECE_SIZE = 32
 KARATSUBA8_PIECE_SIZE = 8
@@ -57,14 +57,19 @@ def emit_schoolbook_acc(bld: Builder, a, b, acc, temp, carries) -> None:
     top of acc, which is exact whenever the true product fits in acc.
     """
     nb = len(b)
+
+    def iteration(i, width):
+        emit_copy(bld, b, temp, a[i])
+        emit_accumulate_add(bld, temp[:min(nb, width)], acc[i:i + width], carries)
+        emit_copy(bld, b, temp, a[i])
+
     for i in range(len(a)):
-        tgt = acc[i:i + nb + 1]
-        if not tgt:
+        width = min(nb + 1, len(acc) - i)
+        if width < 1:
             break
-        k = min(nb, len(tgt))
-        emit_copy(bld, b, temp, a[i])
-        emit_accumulate_add(bld, temp[:k], tgt, carries)
-        emit_copy(bld, b, temp, a[i])
+        # Every caller's temp is at least len(b) wide, so an iteration's
+        # tallies depend only on len(b) and its slice width.
+        bld.cached(("school_iter", nb, width), lambda i=i, w=width: iteration(i, w))
 
 
 # -- Karatsuba -------------------------------------------------------------------
@@ -157,23 +162,15 @@ def build_multiplier(algo: str, n: int, counting: bool = False):
     piece = parse_multiplier(algo)
     if n < 1:
         raise CircuitError("register size n must be >= 1")
-    bld = new_builder(counting, f"multiplier[{algo},{n}]")
+    bld = Builder(counting, f"multiplier[{algo},{n}]")
     a = bld.alloc_register(n, "a")
     b = bld.alloc_register(n, "b")
     prod = bld.alloc_register(2 * n, "prod")
     if piece is None or n <= piece:
         temp = bld.alloc_ancilla(n, "pp")
         carries = bld.alloc_ancilla(n, "carry")
-
-        def iteration(i):
-            emit_copy(bld, b.qubits, temp.qubits, a[i])
-            emit_accumulate_add(
-                bld, temp.qubits, prod.qubits[i:i + n + 1], carries.qubits
-            )
-            emit_copy(bld, b.qubits, temp.qubits, a[i])
-
-        for i in range(n):
-            bld.cached(("school_iter", n), lambda i=i: iteration(i))
+        emit_schoolbook_acc(bld, a.qubits, b.qubits, prod.qubits, temp.qubits,
+                            carries.qubits)
     else:
         npad = 1 << (n - 1).bit_length()
         aq, bq = list(a.qubits), list(b.qubits)
@@ -233,7 +230,7 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
         spec = parse_divider(spec)
     if n < 1:
         raise CircuitError("register size n must be >= 1")
-    bld = new_builder(counting, f"divider[{spec.name},{n}]")
+    bld = Builder(counting, f"divider[{spec.name},{n}]")
     a = bld.alloc_register(n, "a")
     b = bld.alloc_register(n, "b")
     q = bld.alloc_register(n, "q")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .resources import LogicalCounts
 
@@ -83,9 +83,6 @@ class PhysicalEstimate:
     runtime_seconds: float
     num_factories: int
     limiting_factor: str  # "depth-limited" | "t-limited"
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def packed_logical_qubits(q: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from operator import add, attrgetter
 
 from .circuit import (
@@ -31,7 +31,6 @@ from .circuit import (
     X,
     Circuit,
     CountSummary,
-    Gate,
 )
 
 _T_KINDS = frozenset({T, TDG})
@@ -68,9 +67,6 @@ class LogicalCounts:
     depth: int = 0
     t_depth: int = 0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 # Standard 7-T decomposition of CCX over roles (c1, c2, t); verified by a
 # statevector self-test in the test suite.
@@ -99,14 +95,6 @@ SWAP_TEMPLATE: tuple[tuple[str, tuple[int, ...]], ...] = (
     (CNOT, (1, 0)),
     (CNOT, (0, 1)),
 )
-
-
-def ccx_decomposition(c1: int, c2: int, t: int) -> list[Gate]:
-    roles = (c1, c2, t)
-    out = []
-    for kind, qs in CCX_TEMPLATE:
-        out.append(Gate(kind, tuple(roles[i] for i in qs)))
-    return out
 
 
 def count_raw(c: Circuit) -> LogicalCounts:

@@ -8,9 +8,8 @@ transposed into one bit plane per qubit: a Python int whose bit b is that
 qubit's value in state b.  X is then ``p[q] ^= ones``, CNOT/CCX/MCX are
 ``p[t] ^= p[c1] & ...`` and SWAP swaps two planes, each one big-int operation
 for the whole batch at any width.  `_apply_perm` is the only statement of
-these rules; `simulate_permutation`, `simulate_permutation_batch`,
-`permutation_table` and the statevector's permutation steps all go through
-it.
+these rules; `simulate_permutation_batch` and the statevector's permutation
+steps both go through it.
 
 `simulate_statevector` evolves a 2^n x B block of basis columns through the
 full alphabet (the QFT adders need H, S, T, RZ and CPHASE).  The gate list is
@@ -46,7 +45,6 @@ from .circuit import (
     Gate,
 )
 
-PERMUTATION_TABLE_LIMIT = 16
 STATEVECTOR_LIMIT = 22
 BLOCK_AMPLITUDES = 1 << 12  # statevector block size a batched check aims for
 _BASIS_TOL = 1e-9
@@ -123,17 +121,6 @@ def _run_perm(gates, planes: list[int], count: int) -> np.ndarray:
     return _transpose(planes, count)
 
 
-def _permute(gates, states, n: int) -> np.ndarray:
-    """Run permutation gates over a batch of n-qubit basis states."""
-    return _run_perm(gates, _transpose(states, n).tolist(), len(states))
-
-
-def simulate_permutation(c: Circuit, basis_in: int) -> int:
-    """Apply a permutation-only circuit to one basis state (any width)."""
-    n = c.num_qubits
-    return int(_permute(c.gates, _basis_states([basis_in], n), n)[0])
-
-
 def simulate_permutation_batch(c: Circuit, states) -> np.ndarray:
     """Apply a permutation-only circuit to many basis states at once.
 
@@ -141,20 +128,9 @@ def simulate_permutation_batch(c: Circuit, states) -> np.ndarray:
     array past that.
     """
     n = c.num_qubits
-    return _permute(c.gates, _basis_states(states, n), n).astype(basis_dtype(n))
-
-
-def permutation_table(c: Circuit) -> np.ndarray:
-    """Full truth table of a permutation circuit as an int array."""
-    if c.num_qubits > PERMUTATION_TABLE_LIMIT:
-        raise SimulationError(
-            f"{c.num_qubits} qubits exceeds table limit {PERMUTATION_TABLE_LIMIT}"
-        )
-    return simulate_permutation_batch(c, range(1 << c.num_qubits))
-
-
-def is_bijection(table: np.ndarray) -> bool:
-    return len(np.unique(table)) == len(table)
+    states = _basis_states(states, n)
+    out = _run_perm(c.gates, _transpose(states, n).tolist(), len(states))
+    return out.astype(basis_dtype(n))
 
 
 def _step_kind(g: Gate) -> str:
@@ -212,19 +188,15 @@ def _apply_step(block: np.ndarray, step) -> np.ndarray:
     return block
 
 
-def simulate_statevector(c: Circuit, basis_in) -> np.ndarray:
-    """Exact dense evolution of basis inputs through the full alphabet.
-
-    basis_in is one basis state, giving its 2^n statevector, or a sequence
-    of B of them, giving a 2^n x B array with one column per input.
-    """
+def simulate_statevector(c: Circuit, states) -> np.ndarray:
+    """Exact dense evolution of B basis states through the full alphabet:
+    a 2^n x B array with one column per input."""
     n = c.num_qubits
     if n > STATEVECTOR_LIMIT:
         raise SimulationError(
             f"{n} qubits exceeds statevector limit {STATEVECTOR_LIMIT}"
         )
-    single = np.ndim(basis_in) == 0
-    states = _basis_states([basis_in] if single else basis_in, n)
+    states = _basis_states(states, n)
     block = np.zeros((1 << n, len(states)), dtype=np.complex128)
     block[states, np.arange(len(states))] = 1.0
     for step in _statevector_steps(c):
@@ -233,7 +205,7 @@ def simulate_statevector(c: Circuit, basis_in) -> np.ndarray:
     drift = np.abs(norms - 1.0) > 1e-9
     if drift.any():
         raise SimulationError(f"norm drifted to {norms[drift][0]}")
-    return block[:, 0] if single else block
+    return block
 
 
 def basis_columns(states: np.ndarray):
@@ -243,19 +215,3 @@ def basis_columns(states: np.ndarray):
     idx = np.argmax(probs, axis=0)
     best = np.take_along_axis(probs, np.expand_dims(idx, 0), axis=0)[0]
     return idx, best >= 1.0 - _BASIS_TOL
-
-
-def extract_basis(state: np.ndarray) -> int:
-    """Index of the basis state the vector has collapsed to.
-
-    Raises if no basis amplitude carries probability >= 1 - _BASIS_TOL, which
-    signals a broken circuit rather than a tolerance issue.
-    """
-    idx, ok = basis_columns(state)
-    if not ok:
-        best = abs(state[idx]) ** 2
-        raise SimulationError(
-            f"state is not within {_BASIS_TOL} of a basis state "
-            f"(best |amp|^2 = {best:.6f} at {idx})"
-        )
-    return int(idx)

@@ -18,7 +18,7 @@ from qarith.adders import (
     spec_constant,
 )
 from qarith.catalog import check_oracle
-from qarith.circuit import CircuitError, new_builder
+from qarith.circuit import Builder, CircuitError
 from qarith.resources import lower_to_clifford_t
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_widths.json"
@@ -198,7 +198,7 @@ def test_counting_mode_tallies_match_recorded():
 
 
 def test_inplace_adder_handle_rejects_unknown_name_and_other_widths():
-    bld = new_builder(False, "handle")
+    bld = Builder(False, "handle")
     with pytest.raises(CircuitError, match="unknown in-place adder"):
         inplace_adder(bld, "Nope", 4)
     a = bld.alloc_register(4, "a").qubits

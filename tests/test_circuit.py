@@ -12,27 +12,21 @@ from qarith.circuit import (
     Gate,
     adjoint,
     circuit_to_text,
-    controlled,
     encode_register,
-    new_builder,
     register_value,
 )
-from qarith.sim import (
-    permutation_table,
-    simulate_permutation,
-    simulate_statevector,
-)
+from qarith.sim import simulate_permutation_batch
 
 
 def test_new_builder_empty():
-    bld = new_builder()
+    bld = Builder()
     c = bld.finalize()
     assert c.num_qubits == 0
     assert c.gates == ()
 
 
 def test_alloc_identity_circuit():
-    bld = new_builder()
+    bld = Builder()
     bld.alloc_register(3)
     c = bld.finalize()
     assert c.num_qubits == 3
@@ -40,7 +34,7 @@ def test_alloc_identity_circuit():
 
 
 def test_alloc_disjoint_registers():
-    bld = new_builder()
+    bld = Builder()
     r1 = bld.alloc_register(4)
     r2 = bld.alloc_register(4)
     assert r1.qubits == (0, 1, 2, 3)
@@ -50,7 +44,7 @@ def test_alloc_disjoint_registers():
 
 
 def test_alloc_zero_rejected():
-    bld = new_builder()
+    bld = Builder()
     with pytest.raises(CircuitError):
         bld.alloc_register(0)
     with pytest.raises(CircuitError):
@@ -58,7 +52,7 @@ def test_alloc_zero_rejected():
 
 
 def test_alloc_ancilla_ledger():
-    bld = new_builder()
+    bld = Builder()
     bld.alloc_register(6)
     anc = bld.alloc_ancilla(3)
     assert anc.qubits == (6, 7, 8)
@@ -68,13 +62,13 @@ def test_alloc_ancilla_ledger():
 
 
 def test_append_and_errors():
-    bld = new_builder()
+    bld = Builder()
     bld.alloc_register(1)
     bld.x(0)
     assert bld.gates == [Gate("X", (0,))]
     with pytest.raises(CircuitError):
         bld.cnot(0, 0)
-    bld2 = new_builder()
+    bld2 = Builder()
     bld2.alloc_register(3)
     with pytest.raises(CircuitError):
         bld2.ccx(0, 1, 5)
@@ -119,7 +113,7 @@ def test_gate_validation_reports_the_reference_fault():
 
 
 def test_adjoint_reverses_and_flips():
-    bld = new_builder()
+    bld = Builder()
     bld.alloc_register(2)
     bld.x(0)
     bld.cnot(0, 1)
@@ -130,7 +124,7 @@ def test_adjoint_reverses_and_flips():
 
 
 def test_adjoint_angle_and_dagger_gates():
-    bld = new_builder()
+    bld = Builder()
     bld.alloc_register(2)
     bld.s(0)
     bld.t(1)
@@ -145,7 +139,7 @@ def test_adjoint_angle_and_dagger_gates():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_adjoint_composition_identity(n, rng=np.random.default_rng(7)):
-    bld = new_builder()
+    bld = Builder()
     bld.alloc_register(n)
     for _ in range(30):
         kind = rng.choice(["X", "CNOT", "CCX", "SWAP"])
@@ -157,86 +151,12 @@ def test_adjoint_composition_identity(n, rng=np.random.default_rng(7)):
     combined = cir.Circuit(
         num_qubits=n, gates=c.gates + adjoint(c).gates
     )
-    table = permutation_table(combined)
+    table = simulate_permutation_batch(combined, range(1 << n))
     assert np.array_equal(table, np.arange(1 << n))
 
 
-def test_controlled_x_is_cnot():
-    bld = new_builder()
-    bld.alloc_register(1)
-    bld.x(0)
-    c = bld.finalize()
-    cc = controlled(c, 1)
-    assert cc.gates == (Gate("CNOT", (1, 0)),)
-
-
-def test_controlled_collision_rejected():
-    bld = new_builder()
-    bld.alloc_register(2)
-    bld.cnot(0, 1)
-    c = bld.finalize()
-    with pytest.raises(CircuitError):
-        controlled(c, 1)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_controlled_permutation_semantics(n):
-    rng = np.random.default_rng(3)
-    bld = new_builder()
-    bld.alloc_register(n)
-    for _ in range(20):
-        a, b = rng.choice(n, size=2, replace=False)
-        bld.cnot(int(a), int(b))
-        bld.x(int(a))
-    c = bld.finalize()
-    ctrl = n
-    cc = controlled(c, ctrl)
-    for basis in range(1 << n):
-        # control = 0: identity
-        assert simulate_permutation(cc, basis) == basis
-        # control = 1: acts as c
-        inp = basis | (1 << ctrl)
-        want = simulate_permutation(c, basis) | (1 << ctrl)
-        assert simulate_permutation(cc, inp) == want
-
-
-def _unitary(circ):
-    dim = 1 << circ.num_qubits
-    cols = [simulate_statevector(circ, b) for b in range(dim)]
-    return np.column_stack(cols)
-
-
-@pytest.mark.parametrize(
-    "emit",
-    [
-        lambda b: b.h(0),
-        lambda b: b.s(0),
-        lambda b: b.t(0),
-        lambda b: b.rz(0, 0.7),
-        lambda b: b.swap(0, 1),
-        lambda b: b.cphase(0, 1, 1.1),
-        lambda b: b.ccx(0, 1, 2),
-    ],
-)
-def test_controlled_matches_dense_control(emit):
-    bld = new_builder()
-    bld.alloc_register(3)
-    emit(bld)
-    c = bld.finalize()
-    cc = controlled(c, 3)
-    u = _unitary(c)
-    dim = u.shape[0]
-    want = np.eye(2 * dim, dtype=complex)
-    want[dim:, dim:] = u  # control is the top wire (qubit 3)
-    got = _unitary(cc)
-    # compare up to global phase
-    k = np.argmax(np.abs(want))
-    phase = got.flat[k] / want.flat[k]
-    assert np.allclose(got, phase * want, atol=1e-9)
-
-
 def test_circuit_dump_format():
-    bld = new_builder()
+    bld = Builder()
     bld.alloc_register(3)
     bld.x(0)
     bld.cnot(0, 1)
@@ -252,7 +172,7 @@ def test_circuit_dump_format():
 
 
 def test_register_encode_decode_roundtrip():
-    bld = new_builder()
+    bld = Builder()
     r1 = bld.alloc_register(3)
     r2 = bld.alloc_register(4)
     state = encode_register(5, r1) | encode_register(11, r2)
@@ -277,7 +197,7 @@ def test_recorded_gates_are_validated_once(monkeypatch):
     monkeypatch.setattr(
         cir, "_validate_gate", lambda *args: calls.append(args) or validate(*args)
     )
-    bld = new_builder()
+    bld = Builder()
     bld.alloc_register(3)
     bld.adjoint(lambda: (bld.t(0), bld.ccx(0, 1, 2)))
     bld.within(lambda: bld.cnot(0, 1), lambda _: bld.h(2))
@@ -290,20 +210,6 @@ def test_recorded_gates_are_validated_once(monkeypatch):
         dataclasses.replace(c, gates=c.gates + (Gate("CNOT", (1, 1)),))
 
 
-def test_controlled_mcx_gains_a_control():
-    bld = new_builder()
-    bld.alloc_register(4)
-    bld.mcx((0, 1, 2), 3)
-    c = bld.finalize()
-    cc = controlled(c, 4)
-    assert cc.gates == (Gate("MCX", (4, 0, 1, 2, 3)),)
-    for basis in range(16):
-        assert simulate_permutation(cc, basis) == basis  # control off
-        inp = basis | 16
-        want = simulate_permutation(c, basis) | 16
-        assert simulate_permutation(cc, inp) == want
-
-
 def test_counting_builder_matches_recording():
     def emit(bld):
         a = bld.alloc_register(3)
@@ -313,10 +219,10 @@ def test_counting_builder_matches_recording():
         bld.mcx((a[0], a[1], a[2], b[0]), b[1])
         bld.rz(a[0], 0.3)
 
-    rec = new_builder()
+    rec = Builder()
     emit(rec)
     c = rec.finalize()
-    cnt = new_builder(counting=True)
+    cnt = Builder(counting=True)
     emit(cnt)
     s = cnt.finalize()
     assert s.num_qubits == c.num_qubits == 5
@@ -331,7 +237,7 @@ def test_cached_blocks_replay_allocations():
         anc = bld.alloc_ancilla(2)
         bld.ccx(anc[0], anc[1], reg[0])
 
-    bld = new_builder(counting=True)
+    bld = Builder(counting=True)
     reg = bld.alloc_register(1)
     bld.cached(("blk", 1), lambda: block(bld))
     bld.cached(("blk", 1), lambda: block(bld))
@@ -341,7 +247,7 @@ def test_cached_blocks_replay_allocations():
 
 
 def test_builder_adjoint_daggers_in_reverse_order():
-    bld = new_builder()
+    bld = Builder()
     bld.alloc_register(2)
     bld.x(1)
     result = bld.adjoint(lambda: (bld.t(0), bld.s(1), bld.rz(0, 0.5), "r")[-1])
@@ -354,7 +260,7 @@ def test_builder_adjoint_daggers_in_reverse_order():
 
 
 def test_builder_adjoint_counts_forward():
-    bld = new_builder(counting=True)
+    bld = Builder(counting=True)
     bld.alloc_register(1)
     bld.adjoint(lambda: (bld.t(0), bld.s(0)))
     assert bld.finalize().kinds == {"T": 1, "S": 1}
@@ -380,7 +286,7 @@ def _within_blocks(bld, calls):
 
 def test_within_recording_appends_reversed_dagger_of_compute():
     calls: list = []
-    bld = new_builder()
+    bld = Builder()
     _within_blocks(bld, calls)
     c = bld.finalize()
     compute = (Gate("CCX", (0, 1, 2)), Gate("T", (2,)), Gate("MCX", (0, 1, 2, 3)))
@@ -392,7 +298,7 @@ def test_within_recording_appends_reversed_dagger_of_compute():
 
 def test_within_counting_tallies_compute_twice_without_rerunning_it():
     calls: list = []
-    bld = new_builder(counting=True)
+    bld = Builder(counting=True)
     _within_blocks(bld, calls)
     s = bld.finalize()
     assert calls == ["compute", "apply"]

@@ -16,7 +16,7 @@ from qarith.muldiv import (
     parse_multiplier,
 )
 from qarith.resources import count_raw, lower_summary
-from qarith.sim import permutation_table
+from qarith.sim import simulate_permutation_batch
 
 
 def test_parse_multiplier():
@@ -120,7 +120,7 @@ def test_divider_quotient_remainder_identity(oracle_runner):
 
 def test_divider_b_zero_is_deterministic_permutation():
     c = build_divider(DividerSpec("Restoring", "TTK"), 3)
-    table = permutation_table(c)
+    table = simulate_permutation_batch(c, range(1 << c.num_qubits))
     assert len(np.unique(table)) == len(table)
 
 

@@ -15,18 +15,17 @@ from qarith.circuit import (
     SWAP,
     T,
     TDG,
+    Builder,
     Circuit,
     Gate,
     _ARITY,
     clear_block_cache,
-    new_builder,
 )
 from qarith.resources import (
     CCX_TEMPLATE,
     LogicalCounts,
     SynthesisParams,
     _mcx_ladder,
-    ccx_decomposition,
     count_raw,
     lower_summary,
     lower_to_clifford_t,
@@ -35,7 +34,7 @@ from qarith.sim import simulate_statevector
 
 
 def _circ(n, emits):
-    bld = new_builder()
+    bld = Builder()
     bld.alloc_register(n)
     emits(bld)
     return bld.finalize()
@@ -66,18 +65,14 @@ def test_count_raw_sequential_layers():
 
 def test_ccx_decomposition_is_exact():
     # One-time semantic self-test of the 7-T template on all 8 basis states.
-    bld = new_builder()
-    bld.alloc_register(3)
-    for g in ccx_decomposition(0, 1, 2):
-        bld.append(g)
-    dec = bld.finalize()
+    dec = _circ(3, lambda b: [b.append(Gate(kind, qs)) for kind, qs in CCX_TEMPLATE])
     ref = _circ(3, lambda b: b.ccx(0, 1, 2))
+    v1 = simulate_statevector(dec, range(8))
+    v2 = simulate_statevector(ref, range(8))
     for basis in range(8):
-        v1 = simulate_statevector(dec, basis)
-        v2 = simulate_statevector(ref, basis)
-        k = int(np.argmax(np.abs(v2)))
-        phase = v1[k] / v2[k]
-        assert np.allclose(v1, phase * v2, atol=1e-9), basis
+        k = int(np.argmax(np.abs(v2[:, basis])))
+        phase = v1[k, basis] / v2[k, basis]
+        assert np.allclose(v1[:, basis], phase * v2[:, basis], atol=1e-9), basis
 
 
 def test_lower_single_ccx():
@@ -117,12 +112,12 @@ def test_mcx_ladder_costs():
 
 
 def test_monotonicity_appending_gates():
-    bld = new_builder()
+    bld = Builder()
     bld.alloc_register(3)
     bld.ccx(0, 1, 2)
     c1 = bld.finalize()
     low1 = lower_to_clifford_t(c1)
-    bld2 = new_builder()
+    bld2 = Builder()
     bld2.alloc_register(3)
     bld2.ccx(0, 1, 2)
     bld2.rz(0, 0.3)
@@ -270,7 +265,7 @@ def test_mcx_gates_serialise_on_shared_ladder_ancillas():
 def test_ccx_and_swap_serial_weights_come_from_their_expansions():
     ccx = _greedy_layers(CCX_TEMPLATE)
     swap = _greedy_layers(_expanded_stream(_circ(2, lambda b: b.swap(0, 1)), 0))
-    s = new_builder(counting=True)
+    s = Builder(counting=True)
     s.alloc_register(3)
     s.ccx(0, 1, 2)
     s.swap(0, 1)

@@ -35,42 +35,60 @@ def test_unused_import_detector_flags_dead_names():
     assert _unused_imports(tree) == ["line 1: json", "line 2: pi"]
 
 
-def _private_definitions(stmt: ast.stmt) -> list[str]:
+PACKAGE = Path(qarith.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public names that only tests read, kept on purpose: name -> reason.
+TEST_ONLY_PUBLIC = {
+    "resources.py: count_raw":
+        "raw-tally reference of the counting-vs-recorded tests",
+    "circuit.py: circuit_to_text": "the golden-file format",
+}
+
+
+def _definitions(stmt: ast.stmt) -> list[str]:
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [stmt.name]
-    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        names = [t.id for t in targets if isinstance(t, ast.Name)]
-    else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
 
 
-def _dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level `_name`s that no statement other than their own
-    definition reads, by bare name or as an attribute, in any of the
-    sources."""
+def _reads(stmt: ast.stmt) -> set[str]:
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _unread_names(sources: dict[str, str], private: bool,
+                  callers: dict[str, str] | None = None) -> list[str]:
+    """Module-level private (`_name`) or public names of the sources that no
+    statement other than their own definition reads, by bare name or as an
+    attribute, in any of the sources or the callers."""
     statements = [(module, stmt) for module, text in sources.items()
                   for stmt in ast.parse(text).body]
-    reads = []
-    for _, stmt in statements:
-        names = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-        reads.append(names)
+    reads = [_reads(stmt) for _, stmt in statements]
+    outside = set().union(*(_reads(stmt) for text in (callers or {}).values()
+                            for stmt in ast.parse(text).body))
     return [f"{module}: {name}"
             for k, (module, stmt) in enumerate(statements)
-            for name in _private_definitions(stmt)
-            if not any(name in r for j, r in enumerate(reads) if j != k)]
+            for name in _definitions(stmt)
+            if name.startswith("_") == private and not name.startswith("__")
+            and name not in outside
+            and not any(name in r for j, r in enumerate(reads) if j != k)]
+
+
+def _sources(paths) -> dict[str, str]:
+    return {p.name: p.read_text() for p in sorted(paths)}
 
 
 def test_no_dead_private_names():
-    package = Path(qarith.__file__).parent
-    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
-    assert _dead_private_names(sources) == []
+    assert _unread_names(_sources(PACKAGE.glob("*.py")), private=True) == []
 
 
 def test_dead_private_name_detector():
@@ -78,4 +96,30 @@ def test_dead_private_name_detector():
         "a.py": "_USED = 1\n_DEAD = 2\n\ndef _recurse(n):\n    return _recurse(n)\n",
         "b.py": "import a\nx = a._USED\n",
     }
-    assert _dead_private_names(sources) == ["a.py: _DEAD", "a.py: _recurse"]
+    assert _unread_names(sources, private=True) == ["a.py: _DEAD", "a.py: _recurse"]
+
+
+def test_no_test_only_public_names():
+    # The library's callers: the benchmark, and the acceptance gate.
+    callers = _sources([*(ROOT / "perfbench").glob("*.py"),
+                        ROOT / "tests" / "test_acceptance.py"])
+    unread = _unread_names(_sources(PACKAGE.glob("*.py")), private=False,
+                           callers=callers)
+    assert sorted(unread) == sorted(TEST_ONLY_PUBLIC)
+
+
+def test_test_only_public_name_detector():
+    sources = {
+        "a.py": "USED = 1\nDEAD = 2\n_private = 3\n\ndef walk(n):\n    return walk(n)\n",
+        "b.py": "import a\nx = a.USED\n\ndef called():\n    pass\n",
+    }
+    callers = {"bench.py": "import b\nb.called()\n"}
+    assert _unread_names(sources, private=False, callers=callers) == [
+        "a.py: DEAD", "a.py: walk", "b.py: x"]
+
+
+def test_all_lists_exactly_what_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(qarith.__all__) == sorted(imported)
