@@ -65,39 +65,45 @@ def emit_accumulate_add(bld: Builder, x, y, carries) -> None:
     Ripple with temporary AND carries in the style of the Gidney adder;
     `carries` must provide len(y)-1 clean ancilla qubits and is returned
     clean.  Used both as the Gidney in-place adder (equal widths) and as the
-    accumulator primitive inside multipliers and modular arithmetic.
+    accumulator primitive inside multipliers and modular arithmetic.  The
+    gates depend on the two widths alone, so a counting build tallies each
+    width pair once through the block cache.
     """
     k, m = len(x), len(y)
     if not 1 <= k <= m:
         raise CircuitError("need 1 <= len(x) <= len(y)")
-    if m == 1:
-        bld.cnot(x[0], y[0])
-        return
-    c = carries
-    for i in range(m - 1):
-        if i < k:
-            if i > 0:
-                bld.cnot(c[i - 1], x[i])
+
+    def ripple() -> None:
+        if m == 1:
+            bld.cnot(x[0], y[0])
+            return
+        c = carries
+        for i in range(m - 1):
+            if i < k:
+                if i > 0:
+                    bld.cnot(c[i - 1], x[i])
+                    bld.cnot(c[i - 1], y[i])
+                bld.ccx(x[i], y[i], c[i])
+                if i > 0:
+                    bld.cnot(c[i - 1], c[i])
+            else:
+                bld.ccx(c[i - 1], y[i], c[i])
+        bld.cnot(c[m - 2], y[m - 1])
+        if k == m:
+            bld.cnot(x[m - 1], y[m - 1])
+        for i in reversed(range(m - 1)):
+            if i < k:
+                if i > 0:
+                    bld.cnot(c[i - 1], c[i])
+                bld.ccx(x[i], y[i], c[i])
+                if i > 0:
+                    bld.cnot(c[i - 1], x[i])
+                bld.cnot(x[i], y[i])
+            else:
+                bld.ccx(c[i - 1], y[i], c[i])
                 bld.cnot(c[i - 1], y[i])
-            bld.ccx(x[i], y[i], c[i])
-            if i > 0:
-                bld.cnot(c[i - 1], c[i])
-        else:
-            bld.ccx(c[i - 1], y[i], c[i])
-    bld.cnot(c[m - 2], y[m - 1])
-    if k == m:
-        bld.cnot(x[m - 1], y[m - 1])
-    for i in reversed(range(m - 1)):
-        if i < k:
-            if i > 0:
-                bld.cnot(c[i - 1], c[i])
-            bld.ccx(x[i], y[i], c[i])
-            if i > 0:
-                bld.cnot(c[i - 1], x[i])
-            bld.cnot(x[i], y[i])
-        else:
-            bld.ccx(c[i - 1], y[i], c[i])
-            bld.cnot(c[i - 1], y[i])
+
+    bld.cached(("accadd", k, m), ripple)
 
 
 def emit_accumulate_sub(bld: Builder, x, y, carries) -> None:
@@ -184,23 +190,29 @@ def _emit_cla_tree(bld: Builder, prop, carry, bp) -> None:
     """Transform carry[e-1] from generate bits into carries c_e (e=1..M).
 
     prop[e-1] must hold the propagate bit feeding scan element e; bp is the
-    block-propagate ancilla pool (clean in, clean out).
+    block-propagate ancilla pool (clean in, clean out).  The gates depend on
+    M alone, so a counting build tallies each tree size once through the
+    block cache.
     """
     M = len(carry)
-    p_nodes, g_rounds, c_rounds = _cla_plan(M)
-    index = {node: bp[i] for i, node in enumerate(p_nodes)}
 
-    def bpq(lvl, j):
-        return prop[j - 1] if lvl == 0 else index[(lvl, j)]
+    def tree() -> None:
+        p_nodes, g_rounds, c_rounds = _cla_plan(M)
+        index = {node: bp[i] for i, node in enumerate(p_nodes)}
 
-    for lvl, j in p_nodes:
-        bld.ccx(bpq(lvl - 1, j - (1 << (lvl - 1))), bpq(lvl - 1, j), bpq(lvl, j))
-    for t, j in g_rounds:
-        bld.ccx(carry[j - (1 << (t - 1)) - 1], bpq(t - 1, j), carry[j - 1])
-    for t, j in c_rounds:
-        bld.ccx(carry[j - (1 << (t - 1)) - 1], bpq(t - 1, j), carry[j - 1])
-    for lvl, j in reversed(p_nodes):
-        bld.ccx(bpq(lvl - 1, j - (1 << (lvl - 1))), bpq(lvl - 1, j), bpq(lvl, j))
+        def bpq(lvl, j):
+            return prop[j - 1] if lvl == 0 else index[(lvl, j)]
+
+        for lvl, j in p_nodes:
+            bld.ccx(bpq(lvl - 1, j - (1 << (lvl - 1))), bpq(lvl - 1, j), bpq(lvl, j))
+        for t, j in g_rounds:
+            bld.ccx(carry[j - (1 << (t - 1)) - 1], bpq(t - 1, j), carry[j - 1])
+        for t, j in c_rounds:
+            bld.ccx(carry[j - (1 << (t - 1)) - 1], bpq(t - 1, j), carry[j - 1])
+        for lvl, j in reversed(p_nodes):
+            bld.ccx(bpq(lvl - 1, j - (1 << (lvl - 1))), bpq(lvl - 1, j), bpq(lvl, j))
+
+    bld.cached(("cla", M), tree)
 
 
 def emit_dkrs_inplace(bld: Builder, a, b, carry, bp) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,16 +47,23 @@ class CircuitError(ValueError):
     """Raised for malformed gates, registers or builder misuse."""
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
+    """One gate: its kind, operand qubits, and angle (RZ and CPHASE only)."""
+
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
 
     def adjoint(self) -> "Gate":
-        if self.kind in ANGLE_KINDS:
-            return Gate(self.kind, self.qubits, -self.angle)
-        return Gate(_ADJOINT_KIND.get(self.kind, self.kind), self.qubits)
+        kind, qubits, angle = self
+        if kind in ANGLE_KINDS:
+            return _new_gate(Gate, (kind, qubits, -angle))
+        return _new_gate(Gate, (_ADJOINT_KIND.get(kind, kind), qubits, None))
+
+
+# Gate(...) runs a Python-level __new__; recording builds make a Gate per
+# gate, so their hot paths build one from its three fields with this.
+_new_gate = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,7 @@ class Circuit:
 
 
 def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
-    kind, qs = g.kind, g.qubits
+    kind, qs, angle = g
     n = len(qs)
     # A well-formed gate passes this one test, which builds no set for one-
     # and two-qubit gates (min() and max() cost more than the loop on three
@@ -122,31 +130,35 @@ def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
     # name its first fault.
     if ((n == _ARITY.get(kind) or kind == MCX and n >= 4)
             and (n == 1 or (qs[0] != qs[1] if n == 2 else len(set(qs)) == n))
-            and (kind not in ANGLE_KINDS
-                 or g.angle is not None and math.isfinite(g.angle))):
+            and (angle is None) != (kind in ANGLE_KINDS)
+            and (angle is None or math.isfinite(angle))):
         for q in qs:
             if not 0 <= q < num_qubits:
                 break
         else:
             return
     where = "" if index is None else f" at gate {index}"
-    if g.kind not in ALL_KINDS:
-        raise CircuitError(f"unknown gate kind {g.kind!r}{where}")
-    if len(set(g.qubits)) != len(g.qubits):
-        raise CircuitError(f"duplicate operand in {g.kind}{g.qubits}{where}")
-    for q in g.qubits:
+    if kind not in ALL_KINDS:
+        raise CircuitError(f"unknown gate kind {kind!r}{where}")
+    if len(set(qs)) != n:
+        raise CircuitError(f"duplicate operand in {kind}{qs}{where}")
+    for q in qs:
         if not 0 <= q < num_qubits:
             raise CircuitError(
                 f"operand {q} out of range for {num_qubits} qubits{where}"
             )
-    if g.kind in ANGLE_KINDS:
-        if g.angle is None or not math.isfinite(g.angle):
-            raise CircuitError(f"{g.kind} needs a finite angle{where}")
-    if g.kind == MCX:
-        if len(g.qubits) < 4:
+    if kind in ANGLE_KINDS:
+        if angle is None or not math.isfinite(angle):
+            raise CircuitError(f"{kind} needs a finite angle{where}")
+    elif angle is not None:
+        # circuit_to_text prints no angle for these kinds, so two circuits
+        # that print alike would compare unequal.
+        raise CircuitError(f"{kind} takes no angle{where}")
+    if kind == MCX:
+        if n < 4:
             raise CircuitError(f"MCX needs >= 3 controls{where}")
-    elif len(g.qubits) != _ARITY[g.kind]:
-        raise CircuitError(f"{g.kind} takes {_ARITY[g.kind]} operands{where}")
+    elif n != _ARITY[kind]:
+        raise CircuitError(f"{kind} takes {_ARITY[kind]} operands{where}")
 
 
 @dataclass
@@ -192,10 +204,13 @@ class Builder:
     and MCX control counts, never builds a Gate, and ``finalize`` returns a
     CountSummary; its ``cached`` blocks are memoised by key, so repeated
     structures cost O(1) after the first emission, which keeps sweep-scale
-    builds (n ~ 2^13) tractable.  Two helpers tally in closed form through
-    ``bulk`` instead of emitting gate by gate: the unary-iteration lookup
-    (``modexp.emit_lookup``) and the uncontrolled CNOT fan of
-    ``adders.emit_copy``.
+    builds (n ~ 2^13) tractable.  The cached blocks range from the Gidney-
+    style ripple accumulator (``adders.emit_accumulate_add``, keyed by its
+    two widths) and the DKRS carry-lookahead tree (keyed by its size) up to
+    whole multiplier, divider and modular-arithmetic steps.  Two helpers
+    tally in closed form through ``bulk`` instead of emitting gate by gate:
+    the unary-iteration lookup (``modexp.emit_lookup``) and the uncontrolled
+    CNOT fan of ``adders.emit_copy``.
 
     Uncomputation has two primitives, named after Q#'s ``Adjoint`` and
     ``within ... apply``: ``adjoint(emit)`` emits the adjoint of a block, and
@@ -249,7 +264,7 @@ class Builder:
                 mcx = self._summary.mcx_controls
                 mcx[k] = mcx.get(k, 0) + 1
             return
-        gate = Gate(kind, qubits, angle)
+        gate = _new_gate(Gate, (kind, qubits, angle))
         _validate_gate(gate, self.num_qubits)
         self.gates.append(gate)
 

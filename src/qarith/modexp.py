@@ -137,10 +137,7 @@ class _ModN:
         self.carry = bld.alloc_ancilla(n, "carry").qubits
 
     def _accumulate(self, x, y) -> None:
-        self.bld.cached(
-            ("cgacc", len(x), len(y)),
-            lambda: emit_accumulate_add(self.bld, x, y, self.carry),
-        )
+        emit_accumulate_add(self.bld, x, y, self.carry)
 
     def _reduce(self, t, ctrls) -> None:
         """(t, hi) -= N under `ctrls`, then t += N back where that borrowed into hi."""

@@ -236,8 +236,7 @@ def _greedy_depth(
     t_layers: set[int] = set()
     expanded = frozenset() if per_rot is None else _EXPANDED_KINDS
     ancillas = tuple(range(c.num_qubits, width))
-    for g in c.gates:
-        kind, qs = g.kind, g.qubits
+    for kind, qs, _ in c.gates:
         if kind not in expanded:
             layer = max(map(at, qs)) + 1
             for q in qs:

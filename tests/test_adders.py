@@ -14,12 +14,15 @@ from qarith.adders import (
     build_inplace_adder,
     build_outofplace_adder,
     build_subtractor,
+    emit_accumulate_add,
+    emit_accumulate_sub,
     inplace_adder,
     spec_constant,
 )
 from qarith.catalog import check_oracle
-from qarith.circuit import Builder, CircuitError
-from qarith.resources import lower_to_clifford_t
+from qarith.circuit import Builder, CircuitError, clear_block_cache
+from qarith.muldiv import build_multiplier
+from qarith.resources import count_raw, lower_to_clifford_t
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_widths.json"
 
@@ -182,9 +185,6 @@ def test_ripple_t_count_linearity():
 
 
 def test_counting_mode_tallies_match_recorded():
-    from qarith.circuit import clear_block_cache
-    from qarith.resources import count_raw
-
     clear_block_cache()
     for algo in IN_PLACE_ADDERS:
         rec = build_inplace_adder(algo, 5)
@@ -210,3 +210,97 @@ def test_inplace_adder_handle_rejects_unknown_name_and_other_widths():
         add(a, b[:3])
     add(a, b)
     assert bld.finalize().gates
+
+
+def _assert_tallies_match(cnt, rec, what) -> None:
+    """A counting build's tallies and width equal count_raw of the recorded one."""
+    raw, kinds = count_raw(rec), cnt.kinds
+    got = {kind: kinds.get(kind, 0) for kind in ("CCX", "MCX", "CNOT", "SWAP",
+                                                  "T", "TDG", "RZ", "CPHASE")}
+    assert (
+        got["CCX"] + got["MCX"], got["CNOT"] + got["SWAP"], got["T"] + got["TDG"],
+        got["RZ"] + got["CPHASE"], sum(kinds.values()) - sum(got.values()),
+        cnt.num_qubits,
+    ) == (
+        raw.toffoli_count, raw.cnot_count, raw.t_count, raw.rotation_count,
+        raw.single_qubit_clifford, raw.qubits,
+    ), what
+
+
+def _accumulate_build(emit, k, m, offset, counting):
+    bld = Builder(counting)
+    if offset:
+        bld.alloc_register(offset, "pad")
+    x = bld.alloc_register(k, "x").qubits
+    y = bld.alloc_register(m, "y").qubits
+    carries = bld.alloc_ancilla(m - 1, "c").qubits if m > 1 else ()
+    emit(bld, x, y, carries)
+    return bld.finalize()
+
+
+def test_cached_adder_blocks_tally_as_recorded():
+    # The ripple accumulator is cached by (len(x), len(y)) and the DKRS tree
+    # by its size; a key that left out a width would let one shape's
+    # tallies stand in for another's, first on the cold pass and again warm.
+    clear_block_cache()
+    for warm in (False, True):
+        for m in range(1, 13):
+            for k in range(1, m + 1):
+                for emit in (emit_accumulate_add, emit_accumulate_sub):
+                    for offset in (0, 3):
+                        what = (emit.__name__, k, m, offset, warm)
+                        _assert_tallies_match(
+                            _accumulate_build(emit, k, m, offset, True),
+                            _accumulate_build(emit, k, m, offset, False), what)
+        # n = 1..40 covers every tree size M = n - 1 = 0..39.
+        for n in range(1, 41):
+            _assert_tallies_match(build_inplace_adder("DKRS", n, counting=True),
+                                  build_inplace_adder("DKRS", n), ("in", n, warm))
+            _assert_tallies_match(build_outofplace_adder("DKRS", n, counting=True),
+                                  build_outofplace_adder("DKRS", n), ("out", n, warm))
+
+
+def test_accumulate_refuses_bad_widths_before_the_block_cache():
+    # A refused call emits nothing and leaves the builder as it was, in
+    # both modes: the width check runs before the cached block starts.
+    for counting in (False, True):
+        built = []
+        for refuse in (False, True):
+            bld = Builder(counting)
+            x = bld.alloc_register(3, "x").qubits
+            y = bld.alloc_register(3, "y").qubits
+            carries = bld.alloc_ancilla(2, "c").qubits
+            emit_accumulate_add(bld, x, y, carries)
+            if refuse:
+                with pytest.raises(CircuitError, match="1 <= len"):
+                    emit_accumulate_add(bld, x, y[:2], carries)
+                with pytest.raises(CircuitError, match="1 <= len"):
+                    emit_accumulate_sub(bld, (), y, carries)
+            emit_accumulate_sub(bld, x, y, carries)
+            built.append(bld.finalize())
+        assert built[0] == built[1], counting
+
+
+def test_counting_builds_emit_each_cached_block_once(monkeypatch):
+    # Exact work, not seconds: the number of gates a cold counting build
+    # emits one by one, against the gates it tallies.  The ripple
+    # accumulator and the DKRS tree are emitted once per distinct shape.
+    emitted = 0
+    emit = Builder._emit
+
+    def counted(self, *gate):
+        nonlocal emitted
+        emitted += 1
+        emit(self, *gate)
+
+    monkeypatch.setattr(Builder, "_emit", counted)
+    work = {}
+    for what, build in (
+        ("Karatsuba-8", lambda: build_multiplier("Karatsuba-8", 1024, counting=True)),
+        ("DKRS", lambda: build_inplace_adder("DKRS", 4096, counting=True)),
+    ):
+        clear_block_cache()
+        emitted = 0
+        summary = build()
+        work[what] = (emitted, sum(summary.kinds.values()))
+    assert work == {"Karatsuba-8": (122_103, 6_583_323), "DKRS": (49_069, 65_379)}

@@ -85,6 +85,8 @@ def _reference_validate(g, num_qubits):
             raise CircuitError(f"operand {q} out of range for {num_qubits} qubits")
     if g.kind in cir.ANGLE_KINDS and (g.angle is None or not math.isfinite(g.angle)):
         raise CircuitError(f"{g.kind} needs a finite angle")
+    if g.kind not in cir.ANGLE_KINDS and g.angle is not None:
+        raise CircuitError(f"{g.kind} takes no angle")
     if g.kind == "MCX":
         if len(g.qubits) < 4:
             raise CircuitError("MCX needs >= 3 controls")
@@ -110,6 +112,25 @@ def test_gate_validation_reports_the_reference_fault():
                     g = Gate(kind, qubits, angle)
                     assert (_error(cir._validate_gate, g, 3)
                             == _error(_reference_validate, g, 3)), g
+
+
+def test_stray_angle_is_refused():
+    # circuit_to_text prints no angle for an X, so an X with one would print
+    # like a plain X and still compare unequal to it.
+    bld = Builder()
+    bld.alloc_register(2)
+    with pytest.raises(CircuitError, match="X takes no angle"):
+        bld.append(Gate("X", (0,), 0.5))
+    with pytest.raises(CircuitError, match="CNOT takes no angle at gate 1"):
+        cir.Circuit(num_qubits=2, gates=(Gate("X", (0,)), Gate("CNOT", (0, 1), 0.0)))
+
+
+def test_gate_is_a_named_tuple():
+    g = Gate("RZ", (1,), 0.5)
+    assert g == ("RZ", (1,), 0.5) and tuple(g.adjoint()) == ("RZ", (1,), -0.5)
+    assert Gate("T", (0,)).adjoint() == Gate("TDG", (0,), None)
+    kind, qubits, angle = Gate("X", (2,))
+    assert (kind, qubits, angle) == ("X", (2,), None)
 
 
 def test_adjoint_reverses_and_flips():
