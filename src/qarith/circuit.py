@@ -36,6 +36,8 @@ ALL_KINDS = frozenset(
 )
 
 _ADJOINT_KIND = {S: SDG, SDG: S, T: TDG, TDG: T}
+# Kinds that are their own adjoint; an adjoint block keeps these gates as is.
+_SELF_ADJOINT = PERMUTATION_KINDS | {H}
 # Operand count of every kind but MCX, which takes three or more controls.
 _ARITY = {X: 1, CNOT: 2, CCX: 3, SWAP: 2, H: 1, S: 1, SDG: 1,
           T: 1, TDG: 1, RZ: 1, CPHASE: 2}
@@ -64,6 +66,11 @@ class Gate(NamedTuple):
 # Gate(...) runs a Python-level __new__; recording builds make a Gate per
 # gate, so their hot paths build one from its three fields with this.
 _new_gate = tuple.__new__
+
+
+def _reversed_adjoint(gates) -> list[Gate]:
+    """The adjoint of a gate sequence: reversed, each gate daggered."""
+    return [g if g.kind in _SELF_ADJOINT else g.adjoint() for g in reversed(gates)]
 
 
 @dataclass(frozen=True)
@@ -332,7 +339,7 @@ class Builder:
             return emit()
         start = len(self.gates)
         result = emit()
-        self.gates[start:] = [g.adjoint() for g in reversed(self.gates[start:])]
+        self.gates[start:] = _reversed_adjoint(self.gates[start:])
         return result
 
     def within(self, compute, apply) -> None:
@@ -351,16 +358,19 @@ class Builder:
         result = compute()
         end = len(self.gates)
         apply(result)
-        self.gates.extend(g.adjoint() for g in reversed(self.gates[start:end]))
+        self.gates.extend(_reversed_adjoint(self.gates[start:end]))
 
     def _tally(self, emit):
         """Run `emit` on a counting builder; return (tally delta, qubits
         allocated, emit's result)."""
         outer, self._summary = self._summary, CountSummary()
         qubits = self.num_qubits
-        result = emit()
-        delta, self._summary = self._summary, outer
-        outer.merge(delta)
+        try:
+            result = emit()
+        finally:
+            # A raising block keeps what it emitted, as a recording build does.
+            delta, self._summary = self._summary, outer
+            outer.merge(delta)
         return delta, self.num_qubits - qubits, result
 
     def cached(self, key: tuple, emit) -> None:
@@ -404,7 +414,7 @@ def adjoint(c: Circuit) -> Circuit:
     """Reverse the gate list, adjointing each gate."""
     return Circuit(
         num_qubits=c.num_qubits,
-        gates=tuple(g.adjoint() for g in reversed(c.gates)),
+        gates=tuple(_reversed_adjoint(c.gates)),
         data_registers=c.data_registers,
         ancilla_registers=c.ancilla_registers,
         name=c.name + "_adj",

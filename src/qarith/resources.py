@@ -2,10 +2,13 @@
 
 `count_raw` tallies a circuit without decomposition.  `lower_to_clifford_t`
 expands Toffoli-class and rotation gates into Clifford+T and recomputes depth
-on the expanded stream with greedy as-soon-as-possible layering, taken one
-recorded gate at a time through each kind's `LayeringProfile`.  For
-counting-mode builds (no materialised gate list) `lower_summary` applies the
-same tallies with serial depth composition, mirroring the conservative
+on the expanded stream with greedy as-soon-as-possible layering.  Every depth
+comes from one `LayeringProfile` per gate kind (and arity): a single layer
+in `count_raw`, the gate's Clifford+T expansion when lowering.  Each profile
+is compiled on first use into a straight-line applier, and `_greedy_depth`
+makes one applier call per recorded gate.  For counting-mode builds (no
+materialised gate list) `lower_summary` applies the same tallies and
+composes the profiles' depths serially, mirroring the conservative
 scheduling stance of the estimation methodology this model follows.
 """
 from __future__ import annotations
@@ -14,7 +17,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, attrgetter
+from operator import attrgetter
 
 from .circuit import (
     CCX,
@@ -29,6 +32,7 @@ from .circuit import (
     T,
     TDG,
     X,
+    _ARITY,
     Circuit,
     CountSummary,
 )
@@ -48,6 +52,8 @@ class SynthesisParams:
     def __post_init__(self):
         if not 0.0 < self.epsilon_syn < 1.0:
             raise ValueError("epsilon_syn must lie in (0, 1)")
+        if self.t_per_rotation() < 1:
+            raise ValueError("a rotation must cost at least one T gate")
 
     def t_per_rotation(self) -> int:
         return math.ceil(
@@ -139,14 +145,17 @@ _UNREACHED = -(1 << 62)
 
 @dataclass(frozen=True)
 class LayeringProfile:
-    """Greedy ASAP layering of one gate's Clifford+T expansion, as a function
-    of the frontiers of its roles on entry.
+    """Greedy ASAP layering of one gate's events (its Clifford+T expansion,
+    or the gate itself as one layer), as a function of the frontiers of its
+    roles on entry.
 
-    Every frontier the expansion produces is a max-plus expression
+    Every frontier the events produce is a max-plus expression
     ``max over roles r of (f[r] + offset[r])`` of the entry frontiers ``f``.
     Expressions equal up to a constant share one ``shape`` (the offsets per
     role); ``outs`` gives each role's exit frontier and ``t_layers`` each
     distinct layer holding a T or T-dagger as (shape index, shift).
+    `_applier` compiles a profile into code; `lower_summary` reads its
+    ``depth`` and ``t_depth``.
     """
 
     shapes: tuple[tuple[int, ...], ...]
@@ -201,68 +210,78 @@ def _expand_ccx(events):
             yield kind, qs
 
 
-_CCX_PROFILE = LayeringProfile.of(CCX_TEMPLATE, 3)
-_SWAP_PROFILE = LayeringProfile.of(SWAP_TEMPLATE, 2)
+@functools.cache
+def _profile(kind: str, arity: int, per_rot: int | None) -> LayeringProfile:
+    """Profile of one gate of `kind` on `arity` operands.
+
+    With `per_rot` None the gate is one layer on its operands.  Otherwise it
+    is its Clifford+T expansion: CCX and SWAP from their templates, a
+    rotation as a serial ladder of `per_rot` T gates on its operands (the
+    Clifford interleaving of the synthesis is not scheduled), and a
+    k-control MCX as its ancilla ladder over roles (controls, target, k-1
+    ladder ancillas).
+    """
+    roles = tuple(range(arity))
+    events = ((kind, roles),)
+    if per_rot is not None:
+        if kind in _ROTATION_KINDS:
+            events = ((T, roles),) * per_rot
+        elif kind == MCX:
+            ladder = _mcx_ladder(roles[:-1], arity - 1, arity)
+            return LayeringProfile.of(_expand_ccx(ladder), 2 * arity - 2)
+        events = {CCX: CCX_TEMPLATE, SWAP: SWAP_TEMPLATE}.get(kind, events)
+    return LayeringProfile.of(events, arity)
 
 
 @functools.cache
-def _mcx_profile(k: int) -> LayeringProfile:
-    """Profile of a k-control MCX over roles (controls, target, k-1 ladder
-    ancillas), the order `_greedy_depth` maps them onto qubits in."""
-    ladder = _mcx_ladder(tuple(range(k)), k, k + 1)
-    return LayeringProfile.of(_expand_ccx(ladder), 2 * k)
-
-
-# Kinds laid out as more than one layer when lowered; every other gate, and
-# every gate in `count_raw`, is a single layer on its own qubits.
-_EXPANDED_KINDS = frozenset({CCX, MCX, SWAP}) | _ROTATION_KINDS
+def _applier(kind: str, arity: int, per_rot: int | None):
+    """`apply(front, qs, t_update)`: lay one gate out on the frontiers
+    `front` of its qubits `qs` and pass its T layers to `t_update`, as
+    straight-line code compiled from the gate's `_profile`."""
+    prof = _profile(kind, arity, per_rot)
+    roles = range(len(prof.outs))
+    lines = ["def apply(front, qs, t_update):",
+             "    " + "".join(f"q{r}, " for r in roles) + "= qs",
+             *(f"    f{r} = front[q{r}]" for r in roles)]
+    for i, shape in enumerate(prof.shapes):
+        # v_i = max over reachable roles r of f_r + shape[r], without a call.
+        terms = [f"f{r} + {o}" for r, o in enumerate(shape) if o != _UNREACHED]
+        lines += [f"    v{i} = {terms[0]}",
+                  *(f"    if (m := {t}) > v{i}: v{i} = m" for t in terms[1:])]
+    targets: dict[tuple[int, int], str] = {}
+    for r, out in zip(roles, prof.outs):
+        targets[out] = targets.get(out, "") + f"front[q{r}] = "
+    lines += [f"    {lhs}v{i} + {d}" for (i, d), lhs in targets.items()]
+    if prof.t_layers:
+        lines.append("    t_update((" + "".join(
+            f"v{i} + {d}, " for i, d in prof.t_layers) + "))")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["apply"]
 
 
 def _greedy_depth(
     c: Circuit, width: int, per_rot: int | None = None
 ) -> tuple[int, int]:
-    """Greedy ASAP layering of `c`, one step per recorded gate.
+    """Greedy ASAP layering of `c`, one compiled applier call per gate.
 
     Returns (depth, t_depth) where t_depth counts layers containing at least
-    one T or T-dagger.  With `per_rot` None every gate is one layer; otherwise
-    each gate is laid out as its Clifford+T expansion (CCX and SWAP from their
-    templates, MCX as an ancilla ladder on qubits ``c.num_qubits ...``,
-    rotations as a serial ladder of `per_rot` T gates), with the same depths
-    as layering that expanded stream event by event.  `width` covers every
+    one T or T-dagger.  Each gate is laid out through its kind's `_profile`
+    (every gate one layer with `per_rot` None, else its Clifford+T
+    expansion, an MCX ladder on the ancillas ``c.num_qubits ...``), with the
+    same depths as layering that stream event by event.  `width` covers every
     qubit the layout touches.
     """
     front = [0] * width
-    at = front.__getitem__
     t_layers: set[int] = set()
-    expanded = frozenset() if per_rot is None else _EXPANDED_KINDS
+    t_update = t_layers.update
     ancillas = tuple(range(c.num_qubits, width))
+    apply = {kind: _applier(kind, n, per_rot) for kind, n in _ARITY.items()}
+    # An MCX applier per control count; only a lowered one has ancillas.
+    apply[MCX] = lambda front, qs, t_update: _applier(MCX, len(qs), per_rot)(
+        front, qs + ancillas[:len(qs) - 2], t_update)
     for kind, qs, _ in c.gates:
-        if kind not in expanded:
-            layer = max(map(at, qs)) + 1
-            for q in qs:
-                front[q] = layer
-            if kind in _T_KINDS:
-                t_layers.add(layer)
-            continue
-        if kind in _ROTATION_KINDS:
-            # Synthesized as a serial T ladder on the gate's qubits: the
-            # Clifford interleaving of the synthesis is not scheduled.
-            start = max(map(at, qs))
-            for q in qs:
-                front[q] = start + per_rot
-            t_layers.update(range(start + 1, start + per_rot + 1))
-            continue
-        if kind == MCX:
-            k = len(qs) - 1
-            prof = _mcx_profile(k)
-            qs += ancillas[:k - 1]
-        else:
-            prof = _CCX_PROFILE if kind == CCX else _SWAP_PROFILE
-        f = tuple(map(at, qs))
-        v = [max(map(add, f, shape)) for shape in prof.shapes]
-        for q, (i, d) in zip(qs, prof.outs):
-            front[q] = v[i] + d
-        t_layers.update([v[i] + d for i, d in prof.t_layers])
+        apply[kind](front, qs, t_update)
     return max(front, default=0), len(t_layers)
 
 
@@ -331,29 +350,18 @@ def lower_summary(
     params = params or SynthesisParams()
     out = _lowered_tallies(s.kinds, s.mcx_controls, s.num_qubits, params)
     per_rot = params.t_per_rotation()
-    ccx_depth, ccx_t_depth = _CCX_PROFILE.depth, _CCX_PROFILE.t_depth
-    depth_weights = {
-        X: 1, H: 1, S: 1, SDG: 1, T: 1, TDG: 1, CNOT: 1,
-        SWAP: _SWAP_PROFILE.depth, CCX: ccx_depth, RZ: per_rot, CPHASE: per_rot,
-    }
-    t_weights = {
-        T: 1, TDG: 1, CCX: ccx_t_depth, RZ: per_rot, CPHASE: per_rot,
-    }
-    depth = 0
-    t_depth = 0
     for kind, count in s.kinds.items():
-        if kind == MCX:
-            continue
-        depth += depth_weights[kind] * count
-        t_depth += t_weights.get(kind, 0) * count
+        if kind != MCX:
+            prof = _profile(kind, _ARITY[kind], per_rot)
+            out.depth += prof.depth * count
+            out.t_depth += prof.t_depth * count
     # An MCX is composed serially as its 2(k-1) Toffolis and one CNOT, like
     # every gate here: without qubit assignments the summary cannot credit
     # the overlap of consecutive ladder Toffolis that greedy layering finds.
+    ccx = _profile(CCX, 3, per_rot)
     for k, count in s.mcx_controls.items():
-        depth += (2 * (k - 1) * ccx_depth + 1) * count
-        t_depth += 2 * (k - 1) * ccx_t_depth * count
-    out.depth = depth
-    out.t_depth = t_depth
+        out.depth += (2 * (k - 1) * ccx.depth + 1) * count
+        out.t_depth += 2 * (k - 1) * ccx.t_depth * count
     return out
 
 

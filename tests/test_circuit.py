@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -326,3 +327,24 @@ def test_within_counting_tallies_compute_twice_without_rerunning_it():
     assert s.kinds == {"CCX": 2, "T": 2, "MCX": 2, "CNOT": 1}
     assert s.mcx_controls == {3: 2}
     assert s.num_qubits == 4
+
+
+@pytest.mark.parametrize("counting", [False, True])
+def test_a_raising_block_keeps_the_tallies_emitted_before_it(counting):
+    cir.clear_block_cache()
+
+    def boom(bld):
+        bld.ccx(0, 1, 2)
+        raise RuntimeError("refused")
+
+    for block in (lambda b: b.cached(("raising",), lambda: boom(b)),
+                  lambda b: b.within(lambda: boom(b), lambda _: None)):
+        bld = Builder(counting=counting)
+        bld.alloc_register(3)
+        bld.cnot(0, 1)
+        with pytest.raises(RuntimeError, match="refused"):
+            block(bld)
+        bld.x(2)
+        out = bld.finalize()
+        kinds = out.kinds if counting else collections.Counter(g.kind for g in out.gates)
+        assert kinds == {"CNOT": 1, "CCX": 1, "X": 1}

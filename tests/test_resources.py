@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qarith import catalog, cli
 from qarith.adders import build_inplace_adder
 from qarith.circuit import (
     ALL_KINDS,
@@ -151,6 +152,13 @@ def test_t_depth_counts_t_layers():
 def test_synthesis_params_validation():
     with pytest.raises(ValueError):
         SynthesisParams(epsilon_syn=0.0)
+    # A rotation priced below one T would lower one RZ and one T to a
+    # negative T-count, and its T ladder would have no layer to lay out.
+    for offset in (-3.0, 0.0):
+        with pytest.raises(ValueError, match="at least one T"):
+            SynthesisParams(t_per_rotation_slope=0.0, t_per_rotation_offset=offset)
+    assert SynthesisParams(t_per_rotation_slope=0.0,
+                           t_per_rotation_offset=0.5).t_per_rotation() == 1
     assert SynthesisParams().t_per_rotation() == math.ceil(0.53 * math.log2(1e10) + 5.3)
 
 
@@ -271,3 +279,28 @@ def test_ccx_and_swap_serial_weights_come_from_their_expansions():
     s.swap(0, 1)
     low = lower_summary(s.finalize())
     assert (low.depth, low.t_depth) == (ccx[0] + swap[0], ccx[1] + swap[1])
+
+
+@pytest.mark.parametrize("op, algo", [(op, algo) for op, algo, _ in catalog.catalog()])
+def test_catalog_layering_matches_reference(op, algo):
+    _assert_layering_matches_reference(catalog.build(op, algo, 3))
+
+
+# Greedy (depth, t_depth) of the Pareto instances at their recorded limits,
+# the largest sizes `pareto` lowers from a recorded circuit.
+# `golden_circuits.json` pins depths at n <= 5 only.
+RECORDED_LIMIT_DEPTHS = {
+    ("multiplier", "Schoolbook"): (103929, 57959),
+    ("multiplier", "Karatsuba-8"): (216562, 108847),
+    ("divider", "NonRestoring+TTK"): (94572, 42772),
+    ("modexp", "LYYWindowedOpt"): (252830, 114260),
+    ("modmul_const", "LYY"): (106646, 52327),
+    ("const_adder", "QFT"): (5777, 5774),
+}
+
+
+@pytest.mark.parametrize("op, algo", sorted(RECORDED_LIMIT_DEPTHS))
+def test_depths_at_the_recorded_limits(op, algo):
+    n = cli.RECORDED_LIMITS.get(op, cli.DEFAULT_RECORDED_LIMIT)
+    low = lower_to_clifford_t(catalog.build(op, algo, n))
+    assert (low.depth, low.t_depth) == RECORDED_LIMIT_DEPTHS[op, algo]
