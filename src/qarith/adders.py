@@ -273,12 +273,17 @@ def emit_dkrs_outofplace(bld: Builder, a, b, s, carry, bp) -> None:
 # -- QFT adder -------------------------------------------------------------------
 
 def emit_qft(bld: Builder, reg) -> None:
-    """QFT without the final swap layer; angles are exact pi/2^k."""
+    """QFT without the final swap layer; angles are exact pi/2^k.
+
+    The angles are scaled with `math.ldexp`, so they stay floats at any n:
+    from k = 1077 they underflow to 0.0, and those rotations are still
+    emitted and counted.
+    """
     n = len(reg)
     for j in reversed(range(n)):
         bld.h(reg[j])
         for k in reversed(range(j)):
-            bld.cphase(reg[k], reg[j], math.pi / (1 << (j - k)))
+            bld.cphase(reg[k], reg[j], math.ldexp(math.pi, k - j))
 
 
 def emit_inverse_qft(bld: Builder, reg) -> None:
@@ -291,7 +296,7 @@ def emit_qft_inplace_add(bld: Builder, a, b) -> None:
     n = len(b)
     for j in range(len(a)):
         for k in range(n - j):
-            bld.cphase(a[j], b[j + k], math.pi / (1 << k))
+            bld.cphase(a[j], b[j + k], math.ldexp(math.pi, -k))
     emit_inverse_qft(bld, b)
 
 
@@ -301,7 +306,7 @@ def emit_qft_const_add(bld: Builder, b, constant: int) -> None:
     for j in range(len(b)):
         c = constant % (1 << (j + 1))
         if c:
-            bld.rz(b[j], math.pi * c / (1 << j))
+            bld.rz(b[j], math.pi * (c / (1 << j)))
     emit_inverse_qft(bld, b)
 
 

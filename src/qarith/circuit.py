@@ -214,7 +214,10 @@ class Builder:
     builds (n ~ 2^13) tractable.  The cached blocks range from the Gidney-
     style ripple accumulator (``adders.emit_accumulate_add``, keyed by its
     two widths) and the DKRS carry-lookahead tree (keyed by its size) up to
-    whole multiplier, divider and modular-arithmetic steps.  Two helpers
+    whole multiplier, divider and modular-arithmetic steps; a windowed
+    modexp caches each window's multiply-accumulate (keyed by n and N) and
+    each table lookup (keyed by the base, N and the two widths that define
+    its table, so a hit builds no table).  Two helpers
     tally in closed form through ``bulk`` instead of emitting gate by gate:
     the unary-iteration lookup (``modexp.emit_lookup``) and the uncontrolled
     CNOT fan of ``adders.emit_copy``.

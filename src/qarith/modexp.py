@@ -62,14 +62,19 @@ def emit_lookup(bld: Builder, addr, target, entries, ancs) -> None:
     Counting builders tally the tree in closed form (Babbush et al. 2018):
     an a-bit address has 2^a - 2 controlled internal nodes of 2 X, 2 CCX and
     1 CNOT each, the uncontrolled top level adds 2 X, and every leaf is a
-    CNOT load of its entry.
+    CNOT load of its entry's low len(target) bits.  When every entry fits
+    the target, the loads are one popcount pass over the table.
     """
     if bld.counting and addr:
         nodes = (1 << len(addr)) - 2
-        mask = (1 << len(target)) - 1
+        if min(entries) >= 0 and not max(entries) >> len(target):
+            loads = sum(map(int.bit_count, entries))
+        else:
+            mask = (1 << len(target)) - 1
+            loads = sum((e & mask).bit_count() for e in entries)
         bld.bulk(X, 2 * nodes + 2)
         bld.bulk(CCX, 2 * nodes)
-        bld.bulk(CNOT, nodes + sum((e & mask).bit_count() for e in entries))
+        bld.bulk(CNOT, nodes + loads)
         return
 
     def rec(ctrls, bits, tab, depth):
@@ -257,14 +262,19 @@ class _ModN:
                 bld.cnot(t[i], x[i])
         bld.adjoint(lambda: acc(pow(c, -1, N)))
 
-    def mul_table(self, out, addr, entries, entries_inv, a_reg, lk) -> None:
-        """out -> entries[v]*out mod N where v is the value of the addr
-        register; the looked-up multiplicand goes to the clean n-qubit
-        `a_reg`, and `lk` holds the lookup's len(addr) - 1 ancillas."""
-        bld, n = self.bld, len(out)
+    def mul_table(self, out, addr, c: int, a_reg, lk) -> None:
+        """out -> c^v*out mod N where v is the value of the addr register.
 
-        def acc(tab):
-            emit_lookup(bld, addr, a_reg, tab, lk)
+        The looked-up multiplicand c^v goes to the clean n-qubit `a_reg`, and
+        `lk` holds the lookup's len(addr) - 1 ancillas.  In counting mode each
+        lookup is a cached block keyed by the base, N and the two widths that
+        define its table, which is built only on a miss; the multiply-
+        accumulate between a lookup and its uncompute is one block keyed by
+        (n, N) alone, since it does not depend on the table.
+        """
+        bld, n, N = self.bld, len(out), self.N
+
+        def mulacc():
             for i in range(n):
                 self.add(a_reg, (out[i],))
                 self.double(a_reg)
@@ -274,12 +284,21 @@ class _ModN:
                     self.double(a_reg)
 
             bld.adjoint(doublings)
-            emit_lookup(bld, addr, a_reg, tab, lk)
 
-        acc(entries)
+        def acc(base):
+            key = ("lookup", base, N, len(addr), len(a_reg))
+
+            def lookup():
+                emit_lookup(bld, addr, a_reg, _powers(base, N, 1 << len(addr)), lk)
+
+            bld.cached(key, lookup)
+            bld.cached(("mulacc", n, N), mulacc)
+            bld.cached(key, lookup)
+
+        acc(c)
         for i in range(n):
             bld.swap(out[i], self.acc[i])
-        bld.adjoint(lambda: acc(entries_inv))
+        bld.adjoint(lambda: acc(pow(c, -1, N)))
 
 
 # -- public builders -----------------------------------------------------------------
@@ -342,7 +361,6 @@ def build_modexp(algo: str, a: int, N: int, n: int, counting: bool = False):
         bld.x(out[0])
         for off in range(0, n, w):
             wj = min(w, n - off)
-            c = pow(a, 1 << off, N)
-            mod.mul_table(out.qubits, x.qubits[off:off + wj], _powers(c, N, 1 << wj),
-                          _powers(pow(c, -1, N), N, 1 << wj), a_reg, lk)
+            mod.mul_table(out.qubits, x.qubits[off:off + wj], pow(a, 1 << off, N),
+                          a_reg, lk)
     return bld.finalize()

@@ -109,6 +109,16 @@ def test_qft_const_adder_zero_is_identity(oracle_runner):
     oracle_runner(c, {"b": range(8)}, lambda b: {})
 
 
+def test_qft_adders_build_past_1024_bits():
+    # pi/2^k with k >= 1024 cannot go through float(1 << k); the angles are
+    # scaled instead, and every rotation is still counted.
+    n = 1025
+    add = build_inplace_adder("QFT", n, counting=True)
+    assert add.kinds == {"H": 2 * n, "CPHASE": n * (n - 1) + n * (n + 1) // 2}
+    const = build_const_adder("QFT", n, spec_constant(n), counting=True)
+    assert const.kinds["CPHASE"] == n * (n - 1)
+
+
 def test_const_adder_range_check():
     with pytest.raises(CircuitError):
         build_const_adder("ViaInPlace(TTK)", 3, 8)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qarith import catalog, sim
+from qarith import catalog, modexp, sim
 from qarith import circuit as cir
 from qarith.circuit import (
     CNOT,
@@ -103,6 +103,41 @@ def test_counting_builds_construct_no_gate(monkeypatch):
     monkeypatch.setattr(cir, "Gate", no_gate)
     for op, algo, _ in catalog.catalog():
         assert catalog.build(op, algo, 13, counting=True).kinds, (op, algo)
+
+
+class _MissingBlockCache(dict):
+    """A block cache that misses every lookup and keeps, per key, each
+    (kinds, MCX controls, allocation) that a miss stored under it."""
+
+    def get(self, key, default=None):
+        return None
+
+    def __setitem__(self, key, value):
+        delta, alloc = value
+        self.setdefault(key, []).append((delta.kinds, delta.mcx_controls, alloc))
+
+
+def test_equal_block_cache_keys_tally_equally(monkeypatch):
+    # Every cached block is emitted, so every key is checked against each
+    # emission it stands for: a key missing a field that changes the block's
+    # tallies or allocation shows as two different stored deltas.
+    audit = _MissingBlockCache()
+    monkeypatch.setattr(cir, "_BLOCK_CACHE", audit)
+    for n in (5, 8, 13):
+        for op, algo, _ in catalog.catalog():
+            catalog.build(op, algo, n, counting=True)
+    # Two bases from one N and one from another, full and ragged windows:
+    # the lookup keys differ by base, N and window width, the multiply-
+    # accumulate key by N alone.
+    (a, N), b = catalog.modexp_constants(8), 7
+    for w in (1, 3, 5, 8):
+        for base, mod in ((a, N), (b, N), (b, 251)):
+            modexp.build_modexp(f"LYYWindowed({w})", base, mod, 8, counting=True)
+    clashes = [key for key, deltas in audit.items()
+               if any(d != deltas[0] for d in deltas)]
+    assert clashes == []
+    assert len(audit[("mulacc", 8, N)]) > 2 * len(audit[("lookup", b, N, 3, 8)])
+    assert ("lookup", pow(b, 1 << 6, N), N, 2, 8) in audit  # w = 3, last window
 
 
 def test_modexp_constants_coprime():

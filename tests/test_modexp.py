@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qarith import circuit, modexp
+from qarith.catalog import modexp_constants
 from qarith.circuit import Builder, CircuitError, clear_block_cache
 from qarith.modexp import (
     LookupTable,
@@ -175,6 +177,37 @@ def test_counting_matches_recording_modexp():
         ), algo
         assert cnt.kinds.get("X", 0) == raw.single_qubit_clifford, algo
         assert cnt.num_qubits == rec.num_qubits, algo
+
+
+def test_counting_windowed_modexp_walks_each_table_once(monkeypatch):
+    # Exact work, not seconds: a cold counting build walks each window's two
+    # tables once (the uncompute lookup is a block-cache hit), and the
+    # multiply-accumulate between the lookups is one cached block.
+    class HitCounting(dict):
+        hits = 0
+
+        def get(self, key, default=None):
+            value = super().get(key, default)
+            self.hits += value is not None
+            return value
+
+    walks = 0
+    lookup = modexp.emit_lookup
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        lookup(*args)
+
+    cache = HitCounting()
+    monkeypatch.setattr(circuit, "_BLOCK_CACHE", cache)
+    monkeypatch.setattr(modexp, "emit_lookup", counted)
+    a, N = modexp_constants(64)
+    build_modexp("LYYWindowedOpt", a, N, 64, counting=True)
+    # 6 windows (w = 12, the last of 4 bits).  Hits: 12 uncompute lookups,
+    # 11 repeats of the multiply-accumulate, and inside its one emission 63
+    # repeated controlled adds, 127 repeated doublings and 3 ripple adders.
+    assert (walks, cache.hits) == (12, 12 + 11 + 63 + 127 + 3)
 
 
 def test_counting_matches_recording_modmul():
