@@ -60,7 +60,6 @@ from .physical import (
 from .resources import (
     LogicalCounts,
     SynthesisParams,
-    count_raw,
     lower_to_clifford_t,
 )
 from .sim import simulate_permutation_batch, simulate_statevector
@@ -77,7 +76,7 @@ __all__ = [
     "build_multiplier", "build_divider", "DividerSpec", "divider_design_space",
     "build_modexp", "build_modmul_const", "build_table_lookup", "LookupTable",
     "optimal_window",
-    "LogicalCounts", "SynthesisParams", "count_raw", "lower_to_clifford_t",
+    "LogicalCounts", "SynthesisParams", "lower_to_clifford_t",
     "PhysicalParams", "PhysicalEstimate", "FactorySpec",
     "required_code_distance", "estimate", "pareto_frontier",
     "SweepSeries", "WindowSample", "log_grid", "fit_power_law",

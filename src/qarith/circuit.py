@@ -15,34 +15,29 @@ from typing import NamedTuple
 import numpy as np
 
 # Gate kinds.  Permutation gates first, then Clifford/T single-qubit gates,
-# then parameterised phase gates.
+# then parameterised phase gates.  The constructions emit every kind but T
+# and TDG, which the Clifford+T lowering of a CCX uses.
 X = "X"
 CNOT = "CNOT"
 CCX = "CCX"
-MCX = "MCX"
 SWAP = "SWAP"
 H = "H"
-S = "S"
-SDG = "SDG"
 T = "T"
 TDG = "TDG"
 RZ = "RZ"
 CPHASE = "CPHASE"
 
-PERMUTATION_KINDS = frozenset({X, CNOT, CCX, MCX, SWAP})
+PERMUTATION_KINDS = frozenset({X, CNOT, CCX, SWAP})
 ANGLE_KINDS = frozenset({RZ, CPHASE})
-ALL_KINDS = frozenset(
-    {X, CNOT, CCX, MCX, SWAP, H, S, SDG, T, TDG, RZ, CPHASE}
-)
+ALL_KINDS = frozenset({X, CNOT, CCX, SWAP, H, T, TDG, RZ, CPHASE})
 
-_ADJOINT_KIND = {S: SDG, SDG: S, T: TDG, TDG: T}
+_ADJOINT_KIND = {T: TDG, TDG: T}
 # Kinds that are their own adjoint; an adjoint block keeps these gates as is.
 _SELF_ADJOINT = PERMUTATION_KINDS | {H}
-# Operand count of every kind but MCX, which takes three or more controls.
-_ARITY = {X: 1, CNOT: 2, CCX: 3, SWAP: 2, H: 1, S: 1, SDG: 1,
-          T: 1, TDG: 1, RZ: 1, CPHASE: 2}
-# Kind of an X gate by its number of controls; three or more make an MCX.
-_CONTROLLED_X = {0: X, 1: CNOT, 2: CCX}
+# Operand count of every kind.
+_ARITY = {X: 1, CNOT: 2, CCX: 3, SWAP: 2, H: 1, T: 1, TDG: 1, RZ: 1, CPHASE: 2}
+# Kind of an X gate by its number of controls.
+_CONTROLLED_X = (X, CNOT, CCX)
 
 
 class CircuitError(ValueError):
@@ -135,7 +130,7 @@ def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
     # and two-qubit gates (min() and max() cost more than the loop on three
     # operands or fewer); a malformed one falls through to the checks that
     # name its first fault.
-    if ((n == _ARITY.get(kind) or kind == MCX and n >= 4)
+    if (n == _ARITY.get(kind)
             and (n == 1 or (qs[0] != qs[1] if n == 2 else len(set(qs)) == n))
             and (angle is None) != (kind in ANGLE_KINDS)
             and (angle is None or math.isfinite(angle))):
@@ -161,10 +156,7 @@ def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
         # circuit_to_text prints no angle for these kinds, so two circuits
         # that print alike would compare unequal.
         raise CircuitError(f"{kind} takes no angle{where}")
-    if kind == MCX:
-        if n < 4:
-            raise CircuitError(f"MCX needs >= 3 controls{where}")
-    elif n != _ARITY[kind]:
+    if n != _ARITY[kind]:
         raise CircuitError(f"{kind} takes {_ARITY[kind]} operands{where}")
 
 
@@ -172,14 +164,12 @@ def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
 class CountSummary:
     """Raw gate tallies from a counting-mode build (no gate list kept).
 
-    ``kinds`` maps gate kind to count; MCX gates are additionally broken out
-    by control count in ``mcx_controls``.  ``num_qubits`` is the peak width
+    ``kinds`` maps gate kind to count.  ``num_qubits`` is the peak width
     including every allocated ancilla.
     """
 
     num_qubits: int = 0
     kinds: dict[str, int] = field(default_factory=dict)
-    mcx_controls: dict[int, int] = field(default_factory=dict)
     name: str = "circuit"
 
     def add_kind(self, kind: str, count: int = 1) -> None:
@@ -188,8 +178,6 @@ class CountSummary:
     def merge(self, other: "CountSummary", times: int = 1) -> None:
         for k, v in other.kinds.items():
             self.kinds[k] = self.kinds.get(k, 0) + v * times
-        for k, v in other.mcx_controls.items():
-            self.mcx_controls[k] = self.mcx_controls.get(k, 0) + v * times
 
 
 # Cache of CountSummary deltas for cached() blocks, shared across builders.
@@ -207,9 +195,9 @@ class Builder:
 
     Every gate method goes through one emission path, ``_emit``.  A recording
     builder (the default) builds, validates and keeps each gate, and
-    ``finalize`` returns a Circuit.  A counting builder only tallies kinds
-    and MCX control counts, never builds a Gate, and ``finalize`` returns a
-    CountSummary; its ``cached`` blocks are memoised by key, so repeated
+    ``finalize`` returns a Circuit.  A counting builder only tallies gate
+    kinds, never builds a Gate, and ``finalize`` returns a CountSummary;
+    its ``cached`` blocks are memoised by key, so repeated
     structures cost O(1) after the first emission, which keeps sweep-scale
     builds (n ~ 2^13) tractable.  The cached blocks range from the Gidney-
     style ripple accumulator (``adders.emit_accumulate_add``, keyed by its
@@ -269,10 +257,6 @@ class Builder:
         if self.counting:
             kinds = self._summary.kinds
             kinds[kind] = kinds.get(kind, 0) + 1
-            if kind == MCX:
-                k = len(qubits) - 1
-                mcx = self._summary.mcx_controls
-                mcx[k] = mcx.get(k, 0) + 1
             return
         gate = _new_gate(Gate, (kind, qubits, angle))
         _validate_gate(gate, self.num_qubits)
@@ -291,21 +275,17 @@ class Builder:
         self._emit(CCX, (c1, c2, t))
 
     def mcx(self, controls, t: int) -> None:
-        """X on `t` under any number of controls: X, CNOT, CCX or MCX."""
+        """X on `t` under up to two controls: X, CNOT or CCX."""
         controls = tuple(controls)
-        self._emit(_CONTROLLED_X.get(len(controls), MCX), controls + (t,))
+        if len(controls) > 2:
+            raise CircuitError(f"X takes at most 2 controls, got {len(controls)}")
+        self._emit(_CONTROLLED_X[len(controls)], controls + (t,))
 
     def swap(self, a: int, b: int) -> None:
         self._emit(SWAP, (a, b))
 
     def h(self, t: int) -> None:
         self._emit(H, (t,))
-
-    def s(self, t: int) -> None:
-        self._emit(S, (t,))
-
-    def sdg(self, t: int) -> None:
-        self._emit(SDG, (t,))
 
     def t(self, q: int) -> None:
         self._emit(T, (q,))
@@ -320,7 +300,7 @@ class Builder:
         self._emit(CPHASE, (c, t), angle)
 
     def bulk(self, kind: str, count: int) -> None:
-        """Tally `count` gates of `kind` (not MCX) without emitting them.
+        """Tally `count` gates of `kind` without emitting them.
 
         Only legal in counting mode; recording builders must emit real gates.
         """
@@ -396,7 +376,7 @@ class Builder:
 
     # -- finalization --------------------------------------------------------
 
-    def finalize(self, name: str | None = None) -> Circuit | CountSummary:
+    def finalize(self) -> Circuit | CountSummary:
         """End the build: the recorded Circuit, or a counting build's tallies."""
         self._finalized = True
         if self.counting:
@@ -409,7 +389,7 @@ class Builder:
             gates=tuple(self.gates),
             data_registers=tuple(self._data_regs),
             ancilla_registers=tuple(self._anc_regs),
-            name=name or self.name,
+            name=self.name,
         )
 
 

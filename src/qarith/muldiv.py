@@ -78,11 +78,6 @@ def _trunc(qubits, maxv: int):
     return list(qubits[: max(1, maxv.bit_length())])
 
 
-# Register width of each product-tree node, keyed like the block cache, so
-# counting-mode cache hits can hand back a correctly sized placeholder.
-_WIDTH_MEMO: dict[tuple, int] = {}
-
-
 def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, carries):
     """Compute a*b into a fresh clean register; returns (qubits, max value).
 
@@ -93,28 +88,31 @@ def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, carries):
     a = _trunc(a, amax)
     b = _trunc(b, bmax)
     wmax = amax * bmax
-    key = ("ktree", len(a), len(b), amax, bmax, piece)
+    s = max(len(a), len(b))
+    leaf = s <= max(piece, 3)
+    h = (s + 1) // 2
+    alo_max = min(amax, (1 << h) - 1)
+    blo_max = min(bmax, (1 << h) - 1)
+    ahi_max = amax >> h
+    bhi_max = bmax >> h
+    sa_max = alo_max + ahi_max
+    sb_max = blo_max + bhi_max
+    # The node's register holds lo + (mid << h) + (hi << 2h) at its largest.
+    peak = wmax if leaf else (alo_max * blo_max + (sa_max * sb_max << h)
+                              + (ahi_max * bhi_max << (2 * h)))
+    width = max(1, peak.bit_length())
     out: list = []
 
     def emit():
-        s = max(len(a), len(b))
-        if s <= max(piece, 3):
-            w = bld.alloc_ancilla(max(1, wmax.bit_length()), "kw")
+        if leaf:
+            w = bld.alloc_ancilla(width, "kw")
             emit_schoolbook_acc(bld, a, b, w.qubits, temp, carries)
             out.append(list(w.qubits))
-            _WIDTH_MEMO[key] = len(w.qubits)
             return
-        h = (s + 1) // 2
         a_lo, a_hi = a[:h], a[h:]
         b_lo, b_hi = b[:h], b[h:]
-        alo_max = min(amax, (1 << h) - 1)
-        blo_max = min(bmax, (1 << h) - 1)
-        ahi_max = amax >> h
-        bhi_max = bmax >> h
-        w_lo, lo_max = _tree_product(bld, a_lo, alo_max, b_lo, blo_max, piece, temp, carries)
-        w_hi, hi_max = _tree_product(bld, a_hi, ahi_max, b_hi, bhi_max, piece, temp, carries)
-        sa_max = alo_max + ahi_max
-        sb_max = blo_max + bhi_max
+        w_lo, _ = _tree_product(bld, a_lo, alo_max, b_lo, blo_max, piece, temp, carries)
+        w_hi, _ = _tree_product(bld, a_hi, ahi_max, b_hi, bhi_max, piece, temp, carries)
         sa = bld.alloc_ancilla(max(1, sa_max.bit_length()), "ksa")
         sb = bld.alloc_ancilla(max(1, sb_max.bit_length()), "ksb")
         ta = _trunc(a_lo, alo_max)
@@ -125,26 +123,22 @@ def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, carries):
         emit_copy(bld, tb, sb.qubits[: len(tb)])
         if b_hi and bhi_max:
             emit_accumulate_add(bld, _trunc(b_hi, bhi_max), sb.qubits, carries)
-        w_mid, mid_max = _tree_product(bld, sa.qubits, sa_max, sb.qubits, sb_max, piece, temp, carries)
-        peak = lo_max + (mid_max << h) + (hi_max << (2 * h))
-        w = bld.alloc_ancilla(max(1, peak.bit_length()), "kw")
+        w_mid, _ = _tree_product(bld, sa.qubits, sa_max, sb.qubits, sb_max, piece, temp, carries)
+        w = bld.alloc_ancilla(width, "kw")
         wq = list(w.qubits)
         emit_copy(bld, w_lo, wq[: len(w_lo)])
         emit_copy(bld, w_hi, wq[2 * h: 2 * h + len(w_hi)])
         # w_mid can be wider than wq[h:]; its top qubits stay |0> because
-        # the middle product is at most mid_max and peak >= mid_max << h.
+        # the middle product is at most sa_max * sb_max and peak >= that << h.
         emit_accumulate_add(bld, w_mid[: len(wq) - h], wq[h:], carries)
         emit_accumulate_sub(bld, w_lo, wq[h:], carries)
         emit_accumulate_sub(bld, w_hi, wq[h:], carries)
         out.append(wq)
-        _WIDTH_MEMO[key] = len(wq)
 
-    bld.cached(key, emit)
-    if not out:
-        # Counting-mode cache hit: qubit identities are irrelevant, only the
-        # memoised register width matters to the caller.
-        out.append([0] * _WIDTH_MEMO[key])
-    return out[-1], wmax
+    bld.cached(("ktree", len(a), len(b), amax, bmax, piece), emit)
+    # A counting-mode cache hit emits nothing: qubit identities are
+    # irrelevant there, only the register width matters to the caller.
+    return (out[0] if out else [0] * width), wmax
 
 
 def emit_karatsuba_multiply(bld: Builder, a, b, prod, piece, temp, carries) -> None:

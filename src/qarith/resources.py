@@ -1,15 +1,14 @@
 """Clifford+T accounting.
 
-`count_raw` tallies a circuit without decomposition.  `lower_to_clifford_t`
-expands Toffoli-class and rotation gates into Clifford+T and recomputes depth
-on the expanded stream with greedy as-soon-as-possible layering.  Every depth
-comes from one `LayeringProfile` per gate kind (and arity): a single layer
-in `count_raw`, the gate's Clifford+T expansion when lowering.  Each profile
-is compiled on first use into a straight-line applier, and `_greedy_depth`
-makes one applier call per recorded gate.  For counting-mode builds (no
-materialised gate list) `lower_summary` applies the same tallies and
-composes the profiles' depths serially, mirroring the conservative
-scheduling stance of the estimation methodology this model follows.
+`lower_to_clifford_t` expands Toffoli, SWAP and rotation gates into
+Clifford+T and recomputes depth on the expanded stream with greedy
+as-soon-as-possible layering.  Every depth comes from one `LayeringProfile`
+per gate kind: the gate's Clifford+T expansion.  Each profile is compiled on
+first use into a straight-line applier, and `_greedy_depth` makes one
+applier call per recorded gate.  For counting-mode builds (no materialised
+gate list) `lower_summary` applies the same tallies and composes the
+profiles' depths serially, mirroring the conservative scheduling stance of
+the estimation methodology this model follows.
 """
 from __future__ import annotations
 
@@ -24,10 +23,7 @@ from .circuit import (
     CNOT,
     CPHASE,
     H,
-    MCX,
     RZ,
-    S,
-    SDG,
     SWAP,
     T,
     TDG,
@@ -103,41 +99,6 @@ SWAP_TEMPLATE: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-def count_raw(c: Circuit) -> LogicalCounts:
-    """Tally gates by class without decomposition.
-
-    MCX gates land in `toffoli_count` (multi-controlled class) and SWAP in
-    `cnot_count` (two-qubit Clifford class).
-    """
-    out = LogicalCounts(qubits=c.num_qubits)
-    for g in c.gates:
-        k = g.kind
-        if k in _T_KINDS:
-            out.t_count += 1
-        elif k in (CCX, MCX):
-            out.toffoli_count += 1
-        elif k in (CNOT, SWAP):
-            out.cnot_count += 1
-        elif k in _ROTATION_KINDS:
-            out.rotation_count += 1
-        else:
-            out.single_qubit_clifford += 1
-    out.depth, out.t_depth = _greedy_depth(c, c.num_qubits)
-    return out
-
-
-def _mcx_ladder(controls: tuple[int, ...], target: int, anc_base: int):
-    """Ancilla-ladder MCX expansion: k-1 Toffolis each way plus one CNOT."""
-    k = len(controls)
-    ancs = list(range(anc_base, anc_base + k - 1))
-    ups = [(CCX, (controls[0], controls[1], ancs[0]))]
-    for j in range(2, k):
-        ups.append((CCX, (ancs[j - 2], controls[j], ancs[j - 1])))
-    yield from ups
-    yield (CNOT, (ancs[-1], target))
-    yield from reversed(ups)
-
-
 # An offset for a role whose entry frontier cannot reach an expression.
 # Frontiers never exceed the number of events laid out, so it never wins a max.
 _UNREACHED = -(1 << 62)
@@ -145,9 +106,8 @@ _UNREACHED = -(1 << 62)
 
 @dataclass(frozen=True)
 class LayeringProfile:
-    """Greedy ASAP layering of one gate's events (its Clifford+T expansion,
-    or the gate itself as one layer), as a function of the frontiers of its
-    roles on entry.
+    """Greedy ASAP layering of one gate's events (its Clifford+T expansion)
+    as a function of the frontiers of its roles on entry.
 
     Every frontier the events produce is a max-plus expression
     ``max over roles r of (f[r] + offset[r])`` of the entry frontiers ``f``.
@@ -201,44 +161,28 @@ class LayeringProfile:
         return len({max(self.shapes[i]) + d for i, d in self.t_layers})
 
 
-def _expand_ccx(events):
-    for kind, qs in events:
-        if kind == CCX:
-            for sub, roles in CCX_TEMPLATE:
-                yield sub, tuple(qs[i] for i in roles)
-        else:
-            yield kind, qs
-
-
 @functools.cache
-def _profile(kind: str, arity: int, per_rot: int | None) -> LayeringProfile:
-    """Profile of one gate of `kind` on `arity` operands.
+def _profile(kind: str, per_rot: int) -> LayeringProfile:
+    """Profile of one gate of `kind`: its Clifford+T expansion.
 
-    With `per_rot` None the gate is one layer on its operands.  Otherwise it
-    is its Clifford+T expansion: CCX and SWAP from their templates, a
-    rotation as a serial ladder of `per_rot` T gates on its operands (the
-    Clifford interleaving of the synthesis is not scheduled), and a
-    k-control MCX as its ancilla ladder over roles (controls, target, k-1
-    ladder ancillas).
+    CCX and SWAP expand by their templates, a rotation as a serial ladder of
+    `per_rot` T gates on its operands (the Clifford interleaving of the
+    synthesis is not scheduled), and every other kind is one event.
     """
-    roles = tuple(range(arity))
-    events = ((kind, roles),)
-    if per_rot is not None:
-        if kind in _ROTATION_KINDS:
-            events = ((T, roles),) * per_rot
-        elif kind == MCX:
-            ladder = _mcx_ladder(roles[:-1], arity - 1, arity)
-            return LayeringProfile.of(_expand_ccx(ladder), 2 * arity - 2)
-        events = {CCX: CCX_TEMPLATE, SWAP: SWAP_TEMPLATE}.get(kind, events)
-    return LayeringProfile.of(events, arity)
+    roles = tuple(range(_ARITY[kind]))
+    if kind in _ROTATION_KINDS:
+        events = ((T, roles),) * per_rot
+    else:
+        events = {CCX: CCX_TEMPLATE, SWAP: SWAP_TEMPLATE}.get(kind, ((kind, roles),))
+    return LayeringProfile.of(events, len(roles))
 
 
 @functools.cache
-def _applier(kind: str, arity: int, per_rot: int | None):
+def _applier(kind: str, per_rot: int):
     """`apply(front, qs, t_update)`: lay one gate out on the frontiers
     `front` of its qubits `qs` and pass its T layers to `t_update`, as
     straight-line code compiled from the gate's `_profile`."""
-    prof = _profile(kind, arity, per_rot)
+    prof = _profile(kind, per_rot)
     roles = range(len(prof.outs))
     lines = ["def apply(front, qs, t_update):",
              "    " + "".join(f"q{r}, " for r in roles) + "= qs",
@@ -260,43 +204,30 @@ def _applier(kind: str, arity: int, per_rot: int | None):
     return namespace["apply"]
 
 
-def _greedy_depth(
-    c: Circuit, width: int, per_rot: int | None = None
-) -> tuple[int, int]:
-    """Greedy ASAP layering of `c`, one compiled applier call per gate.
+def _greedy_depth(c: Circuit, per_rot: int) -> tuple[int, int]:
+    """Greedy ASAP layering of `c`'s Clifford+T expansion, one compiled
+    applier call per gate.
 
     Returns (depth, t_depth) where t_depth counts layers containing at least
-    one T or T-dagger.  Each gate is laid out through its kind's `_profile`
-    (every gate one layer with `per_rot` None, else its Clifford+T
-    expansion, an MCX ladder on the ancillas ``c.num_qubits ...``), with the
-    same depths as layering that stream event by event.  `width` covers every
-    qubit the layout touches.
+    one T or T-dagger.  Each gate is laid out through its kind's `_profile`,
+    with the same depths as layering the expanded stream event by event.
     """
-    front = [0] * width
+    front = [0] * c.num_qubits
     t_layers: set[int] = set()
     t_update = t_layers.update
-    ancillas = tuple(range(c.num_qubits, width))
-    apply = {kind: _applier(kind, n, per_rot) for kind, n in _ARITY.items()}
-    # An MCX applier per control count; only a lowered one has ancillas.
-    apply[MCX] = lambda front, qs, t_update: _applier(MCX, len(qs), per_rot)(
-        front, qs + ancillas[:len(qs) - 2], t_update)
+    apply = {kind: _applier(kind, per_rot) for kind in _ARITY}
     for kind, qs, _ in c.gates:
         apply[kind](front, qs, t_update)
     return max(front, default=0), len(t_layers)
 
 
 def _lowered_tallies(
-    kinds: dict[str, int], mcx_controls: dict[int, int], num_qubits: int,
-    params: SynthesisParams,
+    kinds: dict[str, int], num_qubits: int, params: SynthesisParams
 ) -> LogicalCounts:
-    """Clifford+T tallies of raw gate tallies; `qubits` adds the ancillas of
-    the widest MCX ladder to `num_qubits`."""
-    max_k = max(mcx_controls, default=0)
-    out = LogicalCounts(qubits=num_qubits + (max_k - 1 if max_k else 0))
+    """Clifford+T tallies of raw gate tallies."""
+    out = LogicalCounts(qubits=num_qubits)
     per_rot = params.t_per_rotation()
     ccx_total = kinds.get(CCX, 0)
-    for k, count in mcx_controls.items():
-        ccx_total += 2 * (k - 1) * count
     rotations = kinds.get(RZ, 0) + kinds.get(CPHASE, 0)
     out.toffoli_count = ccx_total
     out.rotation_count = rotations
@@ -310,13 +241,10 @@ def _lowered_tallies(
         kinds.get(CNOT, 0)
         + 3 * kinds.get(SWAP, 0)
         + 6 * ccx_total
-        + sum(mcx_controls.values())  # one CNOT per MCX ladder
     )
     out.single_qubit_clifford = (
         kinds.get(X, 0)
         + kinds.get(H, 0)
-        + kinds.get(S, 0)
-        + kinds.get(SDG, 0)
         + 2 * ccx_total  # two H per expanded Toffoli
     )
     return out
@@ -327,14 +255,10 @@ def lower_to_clifford_t(
 ) -> LogicalCounts:
     """Lower a recorded circuit; depth recomputed on the expanded sequence."""
     params = params or SynthesisParams()
-    kinds = Counter(map(attrgetter("kind"), c.gates))
-    mcx: Counter[int] = Counter()
-    if kinds[MCX]:
-        mcx.update(len(g.qubits) - 1 for g in c.gates if g.kind == MCX)
-    out = _lowered_tallies(kinds, mcx, c.num_qubits, params)
-    out.depth, out.t_depth = _greedy_depth(
-        c, out.qubits, params.t_per_rotation()
+    out = _lowered_tallies(
+        Counter(map(attrgetter("kind"), c.gates)), c.num_qubits, params
     )
+    out.depth, out.t_depth = _greedy_depth(c, params.t_per_rotation())
     return out
 
 
@@ -348,20 +272,12 @@ def lower_summary(
     greedy layering, since no gate list exists).
     """
     params = params or SynthesisParams()
-    out = _lowered_tallies(s.kinds, s.mcx_controls, s.num_qubits, params)
+    out = _lowered_tallies(s.kinds, s.num_qubits, params)
     per_rot = params.t_per_rotation()
     for kind, count in s.kinds.items():
-        if kind != MCX:
-            prof = _profile(kind, _ARITY[kind], per_rot)
-            out.depth += prof.depth * count
-            out.t_depth += prof.t_depth * count
-    # An MCX is composed serially as its 2(k-1) Toffolis and one CNOT, like
-    # every gate here: without qubit assignments the summary cannot credit
-    # the overlap of consecutive ladder Toffolis that greedy layering finds.
-    ccx = _profile(CCX, 3, per_rot)
-    for k, count in s.mcx_controls.items():
-        out.depth += (2 * (k - 1) * ccx.depth + 1) * count
-        out.t_depth += 2 * (k - 1) * ccx.t_depth * count
+        prof = _profile(kind, per_rot)
+        out.depth += prof.depth * count
+        out.t_depth += prof.t_depth * count
     return out
 
 

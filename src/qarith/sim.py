@@ -3,19 +3,20 @@
 Both simulators run a whole batch of basis states per pass, with one Python
 step per gate rather than one per gate and state.
 
-Permutation gates (X, CNOT, CCX, MCX, SWAP) run bit-sliced.  The batch is
+Permutation gates (X, CNOT, CCX, SWAP) run bit-sliced.  The batch is
 transposed into one bit plane per qubit: a Python int whose bit b is that
-qubit's value in state b.  X is then ``p[q] ^= ones``, CNOT/CCX/MCX are
+qubit's value in state b.  X is then ``p[q] ^= ones``, CNOT/CCX are
 ``p[t] ^= p[c1] & ...`` and SWAP swaps two planes, each one big-int operation
 for the whole batch at any width.  `_apply_perm` is the only statement of
 these rules; `simulate_permutation_batch` and the statevector's permutation
 steps both go through it.
 
 `simulate_statevector` evolves a 2^n x B block of basis columns through the
-full alphabet (the QFT adders need H, S, T, RZ and CPHASE).  The gate list is
-first fused into steps: a run of consecutive permutation gates becomes one
-row-index array (the kernel applied to every basis index), a run of
-consecutive diagonal gates one phase vector, and each H a step of its own.
+full alphabet (the QFT adders emit H, CPHASE and RZ, and the QFT subtractor
+X as well).  The gate list is first fused into steps: a run of consecutive
+permutation gates becomes one row-index array (the kernel applied to every
+basis index), a run of consecutive diagonal gates one phase vector, and each
+H a step of its own.
 Callers that check many cases pass about BLOCK_AMPLITUDES amplitudes' worth
 of columns per call, which bounds the memory a check needs.
 
@@ -35,8 +36,6 @@ from .circuit import (
     H,
     PERMUTATION_KINDS,
     RZ,
-    S,
-    SDG,
     SWAP,
     T,
     TDG,
@@ -49,7 +48,7 @@ STATEVECTOR_LIMIT = 22
 BLOCK_AMPLITUDES = 1 << 12  # statevector block size a batched check aims for
 _BASIS_TOL = 1e-9
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_PHASES = {S: math.pi / 2, SDG: -math.pi / 2, T: math.pi / 4, TDG: -math.pi / 4}
+_PHASES = {T: math.pi / 4, TDG: -math.pi / 4}
 _DIAGONAL_KINDS = frozenset(_PHASES) | {RZ, CPHASE}
 
 
@@ -72,7 +71,7 @@ def _apply_perm(g: Gate, planes: list[int], ones: int) -> None:
     elif g.kind == SWAP:
         a, b = q
         planes[a], planes[b] = planes[b], planes[a]
-    else:  # CNOT, CCX, MCX: flip the last qubit where all the others are set
+    else:  # CNOT, CCX: flip the last qubit where all the others are set
         hit = planes[q[0]]
         for c in q[1:-1]:
             hit &= planes[c]

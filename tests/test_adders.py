@@ -22,7 +22,9 @@ from qarith.adders import (
 from qarith.catalog import check_oracle
 from qarith.circuit import Builder, CircuitError, clear_block_cache
 from qarith.muldiv import build_multiplier
-from qarith.resources import count_raw, lower_to_clifford_t
+from qarith.resources import lower_to_clifford_t
+
+from conftest import assert_tallies_equal
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_widths.json"
 
@@ -199,12 +201,7 @@ def test_counting_mode_tallies_match_recorded():
     for algo in IN_PLACE_ADDERS:
         rec = build_inplace_adder(algo, 5)
         cnt = build_inplace_adder(algo, 5, counting=True)
-        raw = count_raw(rec)
-        kinds = cnt.kinds
-        assert kinds.get("CCX", 0) == raw.toffoli_count
-        assert cnt.num_qubits == rec.num_qubits
-        assert kinds.get("CNOT", 0) + kinds.get("SWAP", 0) == raw.cnot_count
-        assert kinds.get("RZ", 0) + kinds.get("CPHASE", 0) == raw.rotation_count
+        assert_tallies_equal(cnt, rec)
 
 
 def test_inplace_adder_handle_rejects_unknown_name_and_other_widths():
@@ -220,21 +217,6 @@ def test_inplace_adder_handle_rejects_unknown_name_and_other_widths():
         add(a, b[:3])
     add(a, b)
     assert bld.finalize().gates
-
-
-def _assert_tallies_match(cnt, rec, what) -> None:
-    """A counting build's tallies and width equal count_raw of the recorded one."""
-    raw, kinds = count_raw(rec), cnt.kinds
-    got = {kind: kinds.get(kind, 0) for kind in ("CCX", "MCX", "CNOT", "SWAP",
-                                                  "T", "TDG", "RZ", "CPHASE")}
-    assert (
-        got["CCX"] + got["MCX"], got["CNOT"] + got["SWAP"], got["T"] + got["TDG"],
-        got["RZ"] + got["CPHASE"], sum(kinds.values()) - sum(got.values()),
-        cnt.num_qubits,
-    ) == (
-        raw.toffoli_count, raw.cnot_count, raw.t_count, raw.rotation_count,
-        raw.single_qubit_clifford, raw.qubits,
-    ), what
 
 
 def _accumulate_build(emit, k, m, offset, counting):
@@ -259,15 +241,15 @@ def test_cached_adder_blocks_tally_as_recorded():
                 for emit in (emit_accumulate_add, emit_accumulate_sub):
                     for offset in (0, 3):
                         what = (emit.__name__, k, m, offset, warm)
-                        _assert_tallies_match(
+                        assert_tallies_equal(
                             _accumulate_build(emit, k, m, offset, True),
                             _accumulate_build(emit, k, m, offset, False), what)
         # n = 1..40 covers every tree size M = n - 1 = 0..39.
         for n in range(1, 41):
-            _assert_tallies_match(build_inplace_adder("DKRS", n, counting=True),
-                                  build_inplace_adder("DKRS", n), ("in", n, warm))
-            _assert_tallies_match(build_outofplace_adder("DKRS", n, counting=True),
-                                  build_outofplace_adder("DKRS", n), ("out", n, warm))
+            assert_tallies_equal(build_inplace_adder("DKRS", n, counting=True),
+                                 build_inplace_adder("DKRS", n), ("in", n, warm))
+            assert_tallies_equal(build_outofplace_adder("DKRS", n, counting=True),
+                                 build_outofplace_adder("DKRS", n), ("out", n, warm))
 
 
 def test_accumulate_refuses_bad_widths_before_the_block_cache():

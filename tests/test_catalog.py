@@ -25,6 +25,8 @@ from qarith.circuit import (
 from qarith.sim import simulate_permutation_batch, simulate_statevector
 from qarith.resources import LogicalCounts, lower, lower_to_clifford_t
 
+from conftest import assert_tallies_equal
+
 
 def test_every_listed_algorithm_builds_and_verifies():
     for op, algo, _ in catalog.catalog():
@@ -79,6 +81,12 @@ def test_counting_build_matches_recorded_build_wide(n):
         recorded = lower_to_clifford_t(catalog.build(op, algo, n))
         assert ({f: getattr(counted, f) for f in fields}
                 == {f: getattr(recorded, f) for f in fields}), (op, algo, n)
+    # Entries wider than the address: the counting lookup's closed-form load
+    # count against the recorded walk.  The catalog's tables are n by n.
+    rng = np.random.default_rng(n)
+    table = modexp.LookupTable(5, tuple(int(v) for v in rng.integers(0, 1 << n, 32)))
+    assert_tallies_equal(modexp.build_table_lookup(table, n, counting=True),
+                         modexp.build_table_lookup(table, n))
 
 
 @pytest.mark.parametrize("op", ["modexp", "modmul_const"])
@@ -107,14 +115,14 @@ def test_counting_builds_construct_no_gate(monkeypatch):
 
 class _MissingBlockCache(dict):
     """A block cache that misses every lookup and keeps, per key, each
-    (kinds, MCX controls, allocation) that a miss stored under it."""
+    (kinds, allocation) that a miss stored under it."""
 
     def get(self, key, default=None):
         return None
 
     def __setitem__(self, key, value):
         delta, alloc = value
-        self.setdefault(key, []).append((delta.kinds, delta.mcx_controls, alloc))
+        self.setdefault(key, []).append((delta.kinds, alloc))
 
 
 def test_equal_block_cache_keys_tally_equally(monkeypatch):

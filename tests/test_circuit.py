@@ -88,10 +88,7 @@ def _reference_validate(g, num_qubits):
         raise CircuitError(f"{g.kind} needs a finite angle")
     if g.kind not in cir.ANGLE_KINDS and g.angle is not None:
         raise CircuitError(f"{g.kind} takes no angle")
-    if g.kind == "MCX":
-        if len(g.qubits) < 4:
-            raise CircuitError("MCX needs >= 3 controls")
-    elif len(g.qubits) != cir._ARITY[g.kind]:
+    if len(g.qubits) != cir._ARITY[g.kind]:
         raise CircuitError(f"{g.kind} takes {cir._ARITY[g.kind]} operands")
 
 
@@ -113,6 +110,33 @@ def test_gate_validation_reports_the_reference_fault():
                     g = Gate(kind, qubits, angle)
                     assert (_error(cir._validate_gate, g, 3)
                             == _error(_reference_validate, g, 3)), g
+
+
+@pytest.mark.parametrize("gate", [Gate("MCX", (0, 1, 2, 3)), Gate("S", (0,)),
+                                  Gate("SDG", (0,))], ids=lambda g: g.kind)
+def test_kinds_outside_the_alphabet_are_unknown(gate):
+    # No construction emits a multi-controlled X, S or S-dagger.
+    bld = Builder()
+    bld.alloc_register(4)
+    with pytest.raises(CircuitError, match=f"unknown gate kind '{gate.kind}'"):
+        bld.append(gate)
+    with pytest.raises(CircuitError, match="unknown gate kind .* at gate 0"):
+        cir.Circuit(num_qubits=4, gates=(gate,))
+
+
+@pytest.mark.parametrize("counting", [False, True])
+def test_mcx_refuses_three_or_more_controls(counting):
+    bld = Builder(counting)
+    bld.alloc_register(5)
+    bld.mcx((), 0)
+    bld.mcx((0,), 1)
+    bld.mcx((0, 1), 2)
+    for controls in ((0, 1, 2), (0, 1, 2, 3)):
+        with pytest.raises(CircuitError, match="at most 2 controls"):
+            bld.mcx(controls, 4)
+    out = bld.finalize()
+    kinds = out.kinds if counting else collections.Counter(g.kind for g in out.gates)
+    assert kinds == {"X": 1, "CNOT": 1, "CCX": 1}
 
 
 def test_stray_angle_is_refused():
@@ -148,13 +172,13 @@ def test_adjoint_reverses_and_flips():
 def test_adjoint_angle_and_dagger_gates():
     bld = Builder()
     bld.alloc_register(2)
-    bld.s(0)
+    bld.tdg(0)
     bld.t(1)
     bld.rz(0, 0.5)
     bld.cphase(0, 1, 0.25)
     c = bld.finalize()
     kinds = [g.kind for g in adjoint(c).gates]
-    assert kinds == ["CPHASE", "RZ", "TDG", "SDG"]
+    assert kinds == ["CPHASE", "RZ", "TDG", "T"]
     assert adjoint(c).gates[0].angle == -0.25
     assert adjoint(c).gates[1].angle == -0.5
 
@@ -238,7 +262,10 @@ def test_counting_builder_matches_recording():
         b = bld.alloc_ancilla(2)
         bld.ccx(a[0], a[1], b[0])
         bld.cnot(a[0], b[1])
-        bld.mcx((a[0], a[1], a[2], b[0]), b[1])
+        bld.mcx((a[2], b[0]), b[1])
+        bld.swap(a[1], a[2])
+        bld.h(b[0])
+        bld.tdg(a[2])
         bld.rz(a[0], 0.3)
 
     rec = Builder()
@@ -248,8 +275,8 @@ def test_counting_builder_matches_recording():
     emit(cnt)
     s = cnt.finalize()
     assert s.num_qubits == c.num_qubits == 5
-    assert s.kinds == {"CCX": 1, "CNOT": 1, "MCX": 1, "RZ": 1}
-    assert s.mcx_controls == {4: 1}
+    assert s.kinds == {"CCX": 2, "CNOT": 1, "SWAP": 1, "H": 1, "TDG": 1, "RZ": 1}
+    assert s.kinds == collections.Counter(g.kind for g in c.gates)
 
 
 def test_cached_blocks_replay_allocations():
@@ -272,11 +299,11 @@ def test_builder_adjoint_daggers_in_reverse_order():
     bld = Builder()
     bld.alloc_register(2)
     bld.x(1)
-    result = bld.adjoint(lambda: (bld.t(0), bld.s(1), bld.rz(0, 0.5), "r")[-1])
+    result = bld.adjoint(lambda: (bld.t(0), bld.tdg(1), bld.rz(0, 0.5), "r")[-1])
     assert result == "r"
     c = bld.finalize()
     assert c.gates == (
-        Gate("X", (1,)), Gate("RZ", (0,), -0.5), Gate("SDG", (1,)),
+        Gate("X", (1,)), Gate("RZ", (0,), -0.5), Gate("T", (1,)),
         Gate("TDG", (0,)),
     )
 
@@ -284,8 +311,8 @@ def test_builder_adjoint_daggers_in_reverse_order():
 def test_builder_adjoint_counts_forward():
     bld = Builder(counting=True)
     bld.alloc_register(1)
-    bld.adjoint(lambda: (bld.t(0), bld.s(0)))
-    assert bld.finalize().kinds == {"T": 1, "S": 1}
+    bld.adjoint(lambda: (bld.t(0), bld.h(0)))
+    assert bld.finalize().kinds == {"T": 1, "H": 1}
 
 
 def _within_blocks(bld, calls):
@@ -296,7 +323,7 @@ def _within_blocks(bld, calls):
         anc = bld.alloc_ancilla(2)
         bld.ccx(reg[0], reg[1], anc[0])
         bld.t(anc[0])
-        bld.mcx((reg[0], reg[1], anc[0]), anc[1])
+        bld.swap(anc[0], anc[1])
         return anc[1]
 
     def apply(flag):
@@ -311,7 +338,7 @@ def test_within_recording_appends_reversed_dagger_of_compute():
     bld = Builder()
     _within_blocks(bld, calls)
     c = bld.finalize()
-    compute = (Gate("CCX", (0, 1, 2)), Gate("T", (2,)), Gate("MCX", (0, 1, 2, 3)))
+    compute = (Gate("CCX", (0, 1, 2)), Gate("T", (2,)), Gate("SWAP", (2, 3)))
     apply = (Gate("CNOT", (3, 1)),)
     assert c.gates == compute + apply + tuple(g.adjoint() for g in reversed(compute))
     assert calls == ["compute", "apply"]
@@ -324,8 +351,7 @@ def test_within_counting_tallies_compute_twice_without_rerunning_it():
     _within_blocks(bld, calls)
     s = bld.finalize()
     assert calls == ["compute", "apply"]
-    assert s.kinds == {"CCX": 2, "T": 2, "MCX": 2, "CNOT": 1}
-    assert s.mcx_controls == {3: 2}
+    assert s.kinds == {"CCX": 2, "T": 2, "SWAP": 2, "CNOT": 1}
     assert s.num_qubits == 4
 
 

@@ -56,7 +56,6 @@ def counting_summaries(op: str, algo: str) -> dict[str, dict]:
         out[str(n)] = {
             "num_qubits": s.num_qubits,
             "kinds": dict(s.kinds),
-            "mcx_controls": {str(k): v for k, v in s.mcx_controls.items()},
         }
     return out
 

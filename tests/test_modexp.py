@@ -18,8 +18,9 @@ from qarith.modexp import (
     optimal_window,
     parse_modexp,
 )
-from qarith.resources import count_raw
 from qarith.sim import simulate_permutation_batch
+
+from conftest import assert_tallies_equal
 
 
 def test_lookup_table_validation():
@@ -170,13 +171,7 @@ def test_counting_matches_recording_modexp():
     for algo, a, N, n in cases:
         rec = build_modexp(algo, a, N, n)
         cnt = build_modexp(algo, a, N, n, counting=True)
-        raw = count_raw(rec)
-        assert cnt.kinds.get("CCX", 0) == raw.toffoli_count, algo
-        assert (
-            cnt.kinds.get("CNOT", 0) + cnt.kinds.get("SWAP", 0) == raw.cnot_count
-        ), algo
-        assert cnt.kinds.get("X", 0) == raw.single_qubit_clifford, algo
-        assert cnt.num_qubits == rec.num_qubits, algo
+        assert_tallies_equal(cnt, rec)
 
 
 def test_counting_windowed_modexp_walks_each_table_once(monkeypatch):
@@ -214,10 +209,7 @@ def test_counting_matches_recording_modmul():
     clear_block_cache()
     rec = build_modmul_const(7, 15, 4)
     cnt = build_modmul_const(7, 15, 4, counting=True)
-    raw = count_raw(rec)
-    assert cnt.kinds.get("CCX", 0) == raw.toffoli_count
-    assert cnt.kinds.get("CNOT", 0) + cnt.kinds.get("SWAP", 0) == raw.cnot_count
-    assert cnt.num_qubits == rec.num_qubits
+    assert_tallies_equal(cnt, rec)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,8 +15,10 @@ from qarith.muldiv import (
     parse_divider,
     parse_multiplier,
 )
-from qarith.resources import count_raw, lower_summary
+from qarith.resources import lower_summary
 from qarith.sim import simulate_permutation_batch
+
+from conftest import assert_tallies_equal
 
 
 def test_parse_multiplier():
@@ -162,11 +164,7 @@ def test_counting_matches_recording_multiplier():
     for algo in ("Schoolbook", "Karatsuba(2)"):
         rec = build_multiplier(algo, 4)
         cnt = build_multiplier(algo, 4, counting=True)
-        raw = count_raw(rec)
-        assert cnt.kinds.get("CCX", 0) == raw.toffoli_count
-        assert cnt.kinds.get("CNOT", 0) + cnt.kinds.get("SWAP", 0) == raw.cnot_count
-        assert cnt.kinds.get("X", 0) == raw.single_qubit_clifford
-        assert cnt.num_qubits == rec.num_qubits
+        assert_tallies_equal(cnt, rec)
 
 
 def test_counting_matches_recording_karatsuba_deep():
@@ -176,11 +174,7 @@ def test_counting_matches_recording_karatsuba_deep():
         clear_block_cache()
         rec = build_multiplier(algo, n)
         cnt = build_multiplier(algo, n, counting=True)
-        raw = count_raw(rec)
-        assert cnt.kinds.get("CCX", 0) == raw.toffoli_count, algo
-        assert cnt.kinds.get("CNOT", 0) + cnt.kinds.get("SWAP", 0) == raw.cnot_count
-        assert cnt.kinds.get("X", 0) == raw.single_qubit_clifford
-        assert cnt.num_qubits == rec.num_qubits
+        assert_tallies_equal(cnt, rec)
         # warm-cache rebuild must give identical tallies
         cnt2 = build_multiplier(algo, n, counting=True)
         assert cnt2.kinds == cnt.kinds and cnt2.num_qubits == cnt.num_qubits
@@ -208,10 +202,4 @@ def test_counting_matches_recording_divider():
     for kind in DIVIDER_KINDS:
         rec = build_divider(DividerSpec(kind, "Gidney"), 3)
         cnt = build_divider(DividerSpec(kind, "Gidney"), 3, counting=True)
-        raw = count_raw(rec)
-        assert cnt.kinds.get("CCX", 0) == raw.toffoli_count
-        assert (
-            cnt.kinds.get("CNOT", 0) + cnt.kinds.get("SWAP", 0) == raw.cnot_count
-        )
-        assert cnt.kinds.get("X", 0) == raw.single_qubit_clifford
-        assert cnt.num_qubits == rec.num_qubits
+        assert_tallies_equal(cnt, rec)

@@ -12,7 +12,6 @@ from qarith.circuit import (
     ANGLE_KINDS,
     CCX,
     CNOT,
-    MCX,
     SWAP,
     T,
     TDG,
@@ -26,8 +25,6 @@ from qarith.resources import (
     CCX_TEMPLATE,
     LogicalCounts,
     SynthesisParams,
-    _mcx_ladder,
-    count_raw,
     lower_summary,
     lower_to_clifford_t,
 )
@@ -41,27 +38,20 @@ def _circ(n, emits):
     return bld.finalize()
 
 
-def test_count_raw_empty():
+def test_lower_empty():
     c = _circ(1, lambda b: None)
-    counts = count_raw(c)
+    counts = lower_to_clifford_t(c)
     assert counts.t_count == counts.toffoli_count == counts.depth == 0
 
 
-def test_count_raw_ccx():
-    c = _circ(3, lambda b: b.ccx(0, 1, 2))
-    counts = count_raw(c)
-    assert counts.toffoli_count == 1
-    assert counts.depth == 1
-
-
-def test_count_raw_disjoint_same_layer():
+def test_lower_disjoint_same_layer():
     c = _circ(4, lambda b: (b.cnot(0, 1), b.cnot(2, 3)))
-    assert count_raw(c).depth == 1
+    assert lower_to_clifford_t(c).depth == 1
 
 
-def test_count_raw_sequential_layers():
+def test_lower_sequential_layers():
     c = _circ(3, lambda b: (b.cnot(0, 1), b.cnot(1, 2), b.x(0)))
-    assert count_raw(c).depth == 2
+    assert lower_to_clifford_t(c).depth == 2
 
 
 def test_ccx_decomposition_is_exact():
@@ -103,15 +93,6 @@ def test_permutation_only_t_is_7x_toffoli():
     assert low.t_count == 7 * low.toffoli_count
 
 
-def test_mcx_ladder_costs():
-    c = _circ(5, lambda b: b.mcx((0, 1, 2, 3), 4))
-    low = lower_to_clifford_t(c)
-    # k=4 controls: 2(k-1) = 6 Toffolis plus one CNOT; 3 ladder ancillas.
-    assert low.toffoli_count == 6
-    assert low.t_count == 42
-    assert low.qubits == 5 + 3
-
-
 def test_monotonicity_appending_gates():
     bld = Builder()
     bld.alloc_register(3)
@@ -143,7 +124,7 @@ def test_lower_summary_tallies_match_exact():
 
 def test_t_depth_counts_t_layers():
     c = _circ(2, lambda b: (b.t(0), b.t(1), b.h(0), b.t(0)))
-    counts = count_raw(c)
+    counts = lower_to_clifford_t(c)
     # layer 1 holds both leading Ts, layer 3 the trailing one
     assert counts.t_depth == 2
     assert counts.depth == 3
@@ -182,19 +163,11 @@ def _greedy_layers(stream) -> tuple[int, int]:
 
 def _expanded_stream(c: Circuit, t_per_rotation: int):
     """The Clifford+T events `lower_to_clifford_t` lays out, in order."""
-    anc_base = c.num_qubits
     for g in c.gates:
         k = g.kind
         if k == CCX:
             for kind, qs in CCX_TEMPLATE:
                 yield (kind, tuple(g.qubits[i] for i in qs))
-        elif k == MCX:
-            for sub in _mcx_ladder(g.qubits[:-1], g.qubits[-1], anc_base):
-                if sub[0] == CCX:
-                    for kind, qs in CCX_TEMPLATE:
-                        yield (kind, tuple(sub[1][i] for i in qs))
-                else:
-                    yield sub
         elif k == SWAP:
             a, b = g.qubits
             yield (CNOT, (a, b))
@@ -222,7 +195,7 @@ def _random_circuits(draw):
     gates = []
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(sorted(ALL_KINDS)))
-        arity = draw(st.integers(4, 6)) if kind == MCX else _ARITY[kind]
+        arity = _ARITY[kind]
         qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity,
                                      max_size=arity, unique=True)))
         angle = draw(st.floats(-3, 3)) if kind in ANGLE_KINDS else None
@@ -231,10 +204,6 @@ def _random_circuits(draw):
 
 
 def _assert_layering_matches_reference(c: Circuit) -> None:
-    raw = count_raw(c)
-    assert (raw.depth, raw.t_depth) == _greedy_layers(
-        (g.kind, g.qubits) for g in c.gates
-    )
     for params in _PARAMS:
         low = lower_to_clifford_t(c, params)
         assert (low.depth, low.t_depth) == _greedy_layers(
@@ -248,26 +217,20 @@ def test_per_gate_layering_matches_per_event_reference(c):
     _assert_layering_matches_reference(c)
 
 
-def test_mcx_gates_serialise_on_shared_ladder_ancillas():
+def test_mixed_gates_layering_matches_reference():
     def emit(b):
         b.t(0)
         b.tdg(5)
-        b.mcx((0, 1, 2), 3)
-        b.mcx((1, 2, 3, 4, 5), 0)
+        b.ccx(0, 1, 2)
         b.ccx(4, 5, 6)
-        b.mcx((4, 5, 6, 0), 1)
+        b.h(3)
         b.swap(2, 6)
         b.t(6)
         b.cphase(2, 3, 0.3)
+        b.rz(0, -0.7)
         b.tdg(3)
 
-    c = _circ(7, emit)
-    _assert_layering_matches_reference(c)
-    # Ladders on disjoint operands still queue on their two shared ancillas.
-    c = _circ(8, lambda b: (b.mcx((0, 1, 2), 3), b.mcx((4, 5, 6), 7)))
-    one = lower_to_clifford_t(_circ(4, lambda b: b.mcx((0, 1, 2), 3)))
-    assert lower_to_clifford_t(c).depth > one.depth
-    _assert_layering_matches_reference(c)
+    _assert_layering_matches_reference(_circ(7, emit))
 
 
 def test_ccx_and_swap_serial_weights_come_from_their_expansions():

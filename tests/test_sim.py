@@ -9,15 +9,12 @@ from qarith.circuit import (
     CCX,
     CNOT,
     CPHASE,
-    MCX,
     RZ,
-    SDG,
     SWAP,
     TDG,
     Builder,
     Gate,
     H,
-    S,
     T,
     X,
 )
@@ -79,7 +76,7 @@ def test_out_of_range_states_rejected(bad):
 def test_wide_batch_matches_single(width):
     top = width - 1
     c = _circ(width, [Gate("X", (top,)), Gate("CCX", (top, 3, top - 3)),
-                      Gate("SWAP", (top - 3, 1)), Gate("MCX", (0, 1, top, 5))])
+                      Gate("SWAP", (top - 3, 1)), Gate("CCX", (0, top, 5))])
     states = [0, 1 << 3, (1 << width) - 1, 0b1011]
     batch = simulate_permutation_batch(c, states)
     assert [int(o) for o in batch] == [_reference_permutation(c.gates, s)
@@ -174,7 +171,7 @@ def _reference_statevector(c, basis: int) -> np.ndarray:
     idx = np.arange(1 << n)
     state = np.zeros(1 << n, dtype=complex)
     state[basis] = 1.0
-    phase = {S: math.pi / 2, SDG: -math.pi / 2, T: math.pi / 4, TDG: -math.pi / 4}
+    phase = {T: math.pi / 4, TDG: -math.pi / 4}
     for g in c.gates:
         q = g.qubits
         on = (idx >> q[0]) & 1 == 1
@@ -197,14 +194,14 @@ def _reference_statevector(c, basis: int) -> np.ndarray:
 
 def _random_gate(rng, kind, n):
     picks = [int(q) for q in rng.choice(n, size=min(n, 5), replace=False)]
-    operands = {X: 1, H: 1, S: 1, SDG: 1, T: 1, TDG: 1, RZ: 1,
-                CNOT: 2, SWAP: 2, CPHASE: 2, CCX: 3, MCX: 4 + (n > 4)}[kind]
+    operands = {X: 1, H: 1, T: 1, TDG: 1, RZ: 1,
+                CNOT: 2, SWAP: 2, CPHASE: 2, CCX: 3}[kind]
     angle = float(rng.uniform(-3, 3)) if kind in (RZ, CPHASE) else None
     return Gate(kind, tuple(picks[:operands]), angle)
 
 
-PERM = (X, CNOT, CCX, MCX, SWAP)
-DIAG = (S, SDG, T, TDG, RZ, CPHASE)
+PERM = (X, CNOT, CCX, SWAP)
+DIAG = (T, TDG, RZ, CPHASE)
 
 
 def _random_full_circuit(rng, n, reverse):
@@ -235,7 +232,7 @@ def test_batched_statevector_matches_single_columns(seed):
 
 
 def _random_permutation_circuit(rng, width, length=40):
-    kinds = PERM if width >= 5 else PERM[:3] if width >= 3 else (X, CNOT, SWAP)[:width]
+    kinds = PERM if width >= 3 else (X, CNOT, SWAP)[:width]
     return _circ(width, [_random_gate(rng, kinds[int(rng.integers(len(kinds)))], width)
                          for _ in range(length)])
 

@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 import qarith
+from qarith import catalog
+from qarith.circuit import ALL_KINDS
+from qarith.resources import CCX_TEMPLATE, SWAP_TEMPLATE
 
 MODULES = sorted(
     p for p in Path(qarith.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -40,8 +43,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Public names that only tests read, kept on purpose: name -> reason.
 TEST_ONLY_PUBLIC = {
-    "resources.py: count_raw":
-        "raw-tally reference of the counting-vs-recorded tests",
     "circuit.py: circuit_to_text": "the golden-file format",
 }
 
@@ -116,6 +117,17 @@ def test_test_only_public_name_detector():
     callers = {"bench.py": "import b\nb.called()\n"}
     assert _unread_names(sources, private=False, callers=callers) == [
         "a.py: DEAD", "a.py: walk", "b.py: x"]
+
+
+def test_every_gate_kind_has_a_producer():
+    # A gate kind that no construction emits and no lowering template names
+    # costs every builder, cache merge and lowering a branch for nothing.
+    produced = {kind for template in (CCX_TEMPLATE, SWAP_TEMPLATE)
+                for kind, _ in template}
+    for op, algo, _ in catalog.catalog():
+        for n in (2, 3) if op in ("modexp", "modmul_const") else (3,):
+            produced.update(g.kind for g in catalog.build(op, algo, n).gates)
+    assert sorted(ALL_KINDS - produced) == []
 
 
 def test_all_lists_exactly_what_init_imports():
