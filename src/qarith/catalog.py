@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,6 +196,14 @@ def _input_space(op_class: str, n: int, seed: int):
     raise CircuitError(f"unknown op class {op_class!r}")
 
 
+def _space_size(space) -> int:
+    """Number of values in a range or sequence; a range's len() overflows
+    past 2^63, so its size is taken from its bounds."""
+    if isinstance(space, range):
+        return max(0, -((space.start - space.stop) // space.step))
+    return len(space)
+
+
 @dataclass(frozen=True)
 class OracleCheck:
     cases: int
@@ -206,9 +215,11 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
                  seed: int = DEFAULT_SEED) -> OracleCheck:
     """Check a circuit against a classical oracle on basis inputs.
 
-    inputs maps register names to the values to try; the cases are their
-    cartesian product, exhaustive up to RANDOM_CASE_LIMIT and a seeded sample
-    of RANDOM_SAMPLES above it.  Every value must fit its register.
+    inputs maps register names to the values to try (a range or a sequence,
+    never empty); the cases are their cartesian product, exhaustive up to
+    RANDOM_CASE_LIMIT and above it RANDOM_SAMPLES cases drawn by index from
+    each space's bounds with `random.Random(seed)`, so only sampled values
+    are made.  Every value must fit its register.
     oracle(**values) returns {register: value} for the registers it sets;
     every other data register must come out as it went in (0 if not named in
     inputs) and every ancilla clean.  Circuits with non-permutation gates are
@@ -220,16 +231,20 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
     numpy finds the first failing case, and only that case is explained.
     """
     names = list(inputs)
-    spaces = [np.array([int(v) for v in inputs[name]], dtype=object)
-              for name in names]
-    sizes = [len(s) for s in spaces]
+    sizes = [_space_size(inputs[name]) for name in names]
+    for name, size in zip(names, sizes):
+        if size < 1:
+            raise CircuitError(f"register {name} has no values to try")
     exhaustive = math.prod(sizes) <= RANDOM_CASE_LIMIT
     if exhaustive:  # itertools.product order
+        spaces = [inputs[name] for name in names]
         picks = np.indices(sizes).reshape(len(sizes), math.prod(sizes))
-    else:
-        rng = np.random.default_rng(seed)
-        picks = np.array([[rng.integers(k) for k in sizes]
-                          for _ in range(RANDOM_SAMPLES)]).T
+    else:  # each space shrinks to its sampled column; no other value is made
+        rng = random.Random(seed)
+        draws = zip(*([rng.randrange(k) for k in sizes] for _ in range(RANDOM_SAMPLES)))
+        spaces = [[inputs[name][i] for i in col] for name, col in zip(names, draws)]
+        picks = np.tile(np.arange(RANDOM_SAMPLES), (len(names), 1))
+    spaces = [np.array([int(v) for v in space], dtype=object) for space in spaces]
     count = picks.shape[1]
     regs = {r.name: r for r in circuit.data_registers}
     anc_mask = sum(1 << q for q in circuit.ancilla_qubits)

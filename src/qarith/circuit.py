@@ -29,13 +29,13 @@ CPHASE = "CPHASE"
 
 PERMUTATION_KINDS = frozenset({X, CNOT, CCX, SWAP})
 ANGLE_KINDS = frozenset({RZ, CPHASE})
-ALL_KINDS = frozenset({X, CNOT, CCX, SWAP, H, T, TDG, RZ, CPHASE})
+# Operand count of every kind.
+_ARITY = {X: 1, CNOT: 2, CCX: 3, SWAP: 2, H: 1, T: 1, TDG: 1, RZ: 1, CPHASE: 2}
+ALL_KINDS = frozenset(_ARITY)
 
 _ADJOINT_KIND = {T: TDG, TDG: T}
 # Kinds that are their own adjoint; an adjoint block keeps these gates as is.
 _SELF_ADJOINT = PERMUTATION_KINDS | {H}
-# Operand count of every kind.
-_ARITY = {X: 1, CNOT: 2, CCX: 3, SWAP: 2, H: 1, T: 1, TDG: 1, RZ: 1, CPHASE: 2}
 # Kind of an X gate by its number of controls.
 _CONTROLLED_X = (X, CNOT, CCX)
 
@@ -196,19 +196,20 @@ class Builder:
     Every gate method goes through one emission path, ``_emit``.  A recording
     builder (the default) builds, validates and keeps each gate, and
     ``finalize`` returns a Circuit.  A counting builder only tallies gate
-    kinds, never builds a Gate, and ``finalize`` returns a CountSummary;
-    its ``cached`` blocks are memoised by key, so repeated
-    structures cost O(1) after the first emission, which keeps sweep-scale
-    builds (n ~ 2^13) tractable.  The cached blocks range from the Gidney-
-    style ripple accumulator (``adders.emit_accumulate_add``, keyed by its
-    two widths) and the DKRS carry-lookahead tree (keyed by its size) up to
-    whole multiplier, divider and modular-arithmetic steps; a windowed
-    modexp caches each window's multiply-accumulate (keyed by n and N) and
-    each table lookup (keyed by the base, N and the two widths that define
-    its table, so a hit builds no table).  Two helpers
-    tally in closed form through ``bulk`` instead of emitting gate by gate:
-    the unary-iteration lookup (``modexp.emit_lookup``) and the uncontrolled
-    CNOT fan of ``adders.emit_copy``.
+    kinds and ``finalize`` returns a CountSummary; it builds no Gate, but
+    ``append`` and ``bulk`` refuse what a recording builder refuses.  Its
+    ``cached`` blocks are memoised by key, so repeated structures cost O(1)
+    after the first emission, which keeps sweep-scale builds (n ~ 2^13)
+    tractable.  The cached blocks range from the Gidney-style ripple
+    accumulator (``adders.emit_accumulate_add``, keyed by its two widths)
+    and the DKRS carry-lookahead tree (keyed by its size) up to whole
+    multiplier, divider and modular-arithmetic steps; a windowed modexp
+    caches each window's multiply-accumulate (keyed by n and N) and each
+    table lookup (keyed by the base, N and the two widths that define its
+    table, so a hit builds no table).  Two helpers tally in closed form
+    through ``bulk`` instead of emitting gate by gate: the unary-iteration
+    lookup (``modexp.emit_lookup``) and the uncontrolled CNOT fan of
+    ``adders.emit_copy``.
 
     Uncomputation has two primitives, named after Q#'s ``Adjoint`` and
     ``within ... apply``: ``adjoint(emit)`` emits the adjoint of a block, and
@@ -263,6 +264,8 @@ class Builder:
         self.gates.append(gate)
 
     def append(self, gate: Gate) -> None:
+        if self.counting:  # a recording build validates in _emit
+            _validate_gate(gate, self.num_qubits)
         self._emit(gate.kind, gate.qubits, gate.angle)
 
     def x(self, t: int) -> None:
@@ -302,10 +305,13 @@ class Builder:
     def bulk(self, kind: str, count: int) -> None:
         """Tally `count` gates of `kind` without emitting them.
 
-        Only legal in counting mode; recording builders must emit real gates.
+        Only legal in counting mode, for a kind in ALL_KINDS; recording
+        builders must emit real gates.
         """
         if not self.counting:
             raise CircuitError("bulk tallies are only valid in counting mode")
+        if kind not in ALL_KINDS:
+            raise CircuitError(f"unknown gate kind {kind!r}")
         if count:
             self._summary.add_kind(kind, count)
 

@@ -239,11 +239,12 @@ def main(argv=None) -> int:
             for report in catalog.verify_range(
                 args.op_class, args.algo, args.n_max, args.seed
             ):
-                mode = "exhaustive" if report.exhaustive else "random"
+                mode = ("exhaustive cases" if report.exhaustive
+                        else f"random cases, seed {args.seed}")
                 if report.ok:
                     print(
                         f"PASS {report.op_class}/{report.algorithm} n={report.n} "
-                        f"({report.cases} {mode} cases)"
+                        f"({report.cases} {mode})"
                     )
                 else:
                     failures += 1

@@ -1,14 +1,14 @@
 """Clifford+T accounting.
 
-`lower_to_clifford_t` expands Toffoli, SWAP and rotation gates into
-Clifford+T and recomputes depth on the expanded stream with greedy
-as-soon-as-possible layering.  Every depth comes from one `LayeringProfile`
-per gate kind: the gate's Clifford+T expansion.  Each profile is compiled on
-first use into a straight-line applier, and `_greedy_depth` makes one
-applier call per recorded gate.  For counting-mode builds (no materialised
-gate list) `lower_summary` applies the same tallies and composes the
-profiles' depths serially, mirroring the conservative scheduling stance of
-the estimation methodology this model follows.
+One table, `_expansion`, states what each gate kind lowers to: the CCX and
+SWAP templates, a rotation's T ladder, or the gate itself.  The T, CNOT and
+Clifford tallies and both depths derive from it.  `lower_to_clifford_t` lays
+a recorded circuit out with greedy as-soon-as-possible layering through one
+`LayeringProfile` per kind, compiled on first use into a straight-line
+applier (one call per gate in `_greedy_depth`).  For counting-mode builds
+(no gate list) `lower_summary` composes the profiles' depths serially,
+mirroring the conservative scheduling stance of the estimation methodology
+this model follows.
 """
 from __future__ import annotations
 
@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .circuit import (
+    ANGLE_KINDS,
     CCX,
     CNOT,
-    CPHASE,
     H,
-    RZ,
     SWAP,
     T,
     TDG,
@@ -34,7 +33,6 @@ from .circuit import (
 )
 
 _T_KINDS = frozenset({T, TDG})
-_ROTATION_KINDS = frozenset({RZ, CPHASE})
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,8 @@ class LayeringProfile:
     Expressions equal up to a constant share one ``shape`` (the offsets per
     role); ``outs`` gives each role's exit frontier and ``t_layers`` each
     distinct layer holding a T or T-dagger as (shape index, shift).
-    `_applier` compiles a profile into code; `lower_summary` reads its
-    ``depth`` and ``t_depth``.
+    `_applier` compiles a profile into code; `_row` reads its ``depth`` and
+    ``t_depth``.
     """
 
     shapes: tuple[tuple[int, ...], ...]
@@ -162,19 +160,33 @@ class LayeringProfile:
 
 
 @functools.cache
-def _profile(kind: str, per_rot: int) -> LayeringProfile:
-    """Profile of one gate of `kind`: its Clifford+T expansion.
+def _expansion(kind: str, per_rot: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The Clifford+T events (kind, role indices) one gate of `kind` lowers to.
 
     CCX and SWAP expand by their templates, a rotation as a serial ladder of
     `per_rot` T gates on its operands (the Clifford interleaving of the
     synthesis is not scheduled), and every other kind is one event.
     """
     roles = tuple(range(_ARITY[kind]))
-    if kind in _ROTATION_KINDS:
-        events = ((T, roles),) * per_rot
-    else:
-        events = {CCX: CCX_TEMPLATE, SWAP: SWAP_TEMPLATE}.get(kind, ((kind, roles),))
-    return LayeringProfile.of(events, len(roles))
+    if kind in ANGLE_KINDS:
+        return ((T, roles),) * per_rot
+    return {CCX: CCX_TEMPLATE, SWAP: SWAP_TEMPLATE}.get(kind, ((kind, roles),))
+
+
+@functools.cache
+def _profile(kind: str, per_rot: int) -> LayeringProfile:
+    """Layering profile of one gate of `kind`: its `_expansion` laid out."""
+    return LayeringProfile.of(_expansion(kind, per_rot), _ARITY[kind])
+
+
+@functools.cache
+def _row(kind: str, per_rot: int) -> tuple[int, int, int, int, int]:
+    """(T, CNOT, single-qubit Clifford, depth, T-depth) of one gate of `kind`:
+    its `_expansion`'s events by kind, and its profile laid out alone."""
+    events = Counter(k for k, _ in _expansion(kind, per_rot))
+    prof = _profile(kind, per_rot)
+    return (events[T] + events[TDG], events[CNOT], events[X] + events[H],
+            prof.depth, prof.t_depth)
 
 
 @functools.cache
@@ -222,43 +234,30 @@ def _greedy_depth(c: Circuit, per_rot: int) -> tuple[int, int]:
 
 
 def _lowered_tallies(
-    kinds: dict[str, int], num_qubits: int, params: SynthesisParams
+    kinds: dict[str, int], num_qubits: int, per_rot: int
 ) -> LogicalCounts:
-    """Clifford+T tallies of raw gate tallies."""
-    out = LogicalCounts(qubits=num_qubits)
-    per_rot = params.t_per_rotation()
-    ccx_total = kinds.get(CCX, 0)
-    rotations = kinds.get(RZ, 0) + kinds.get(CPHASE, 0)
-    out.toffoli_count = ccx_total
-    out.rotation_count = rotations
-    out.t_count = (
-        7 * ccx_total
-        + per_rot * rotations
-        + kinds.get(T, 0)
-        + kinds.get(TDG, 0)
+    """Clifford+T tallies of raw gate tallies, each kind's `_row` times its
+    count; depths composed serially."""
+    rows = [[v * count for v in _row(kind, per_rot)] for kind, count in kinds.items()]
+    # The zero row keeps an empty tally at zero.
+    t, cnot, clifford, depth, t_depth = map(sum, zip((0,) * 5, *rows))
+    return LogicalCounts(
+        qubits=num_qubits, t_count=t, toffoli_count=kinds.get(CCX, 0),
+        cnot_count=cnot, single_qubit_clifford=clifford,
+        rotation_count=sum(kinds.get(k, 0) for k in ANGLE_KINDS),
+        depth=depth, t_depth=t_depth,
     )
-    out.cnot_count = (
-        kinds.get(CNOT, 0)
-        + 3 * kinds.get(SWAP, 0)
-        + 6 * ccx_total
-    )
-    out.single_qubit_clifford = (
-        kinds.get(X, 0)
-        + kinds.get(H, 0)
-        + 2 * ccx_total  # two H per expanded Toffoli
-    )
-    return out
 
 
 def lower_to_clifford_t(
     c: Circuit, params: SynthesisParams | None = None
 ) -> LogicalCounts:
     """Lower a recorded circuit; depth recomputed on the expanded sequence."""
-    params = params or SynthesisParams()
+    per_rot = (params or SynthesisParams()).t_per_rotation()
     out = _lowered_tallies(
-        Counter(map(attrgetter("kind"), c.gates)), c.num_qubits, params
+        Counter(map(attrgetter("kind"), c.gates)), c.num_qubits, per_rot
     )
-    out.depth, out.t_depth = _greedy_depth(c, params.t_per_rotation())
+    out.depth, out.t_depth = _greedy_depth(c, per_rot)
     return out
 
 
@@ -271,14 +270,8 @@ def lower_summary(
     construction; only depth/t_depth differ (serial upper bound instead of
     greedy layering, since no gate list exists).
     """
-    params = params or SynthesisParams()
-    out = _lowered_tallies(s.kinds, s.num_qubits, params)
-    per_rot = params.t_per_rotation()
-    for kind, count in s.kinds.items():
-        prof = _profile(kind, per_rot)
-        out.depth += prof.depth * count
-        out.t_depth += prof.t_depth * count
-    return out
+    per_rot = (params or SynthesisParams()).t_per_rotation()
+    return _lowered_tallies(s.kinds, s.num_qubits, per_rot)
 
 
 def lower(obj, params: SynthesisParams | None = None) -> LogicalCounts:

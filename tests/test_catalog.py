@@ -165,6 +165,26 @@ def test_verify_random_sampling_for_large_spaces():
     assert report.cases == catalog.RANDOM_SAMPLES
 
 
+# One entry per family at a size `sweep` prices, far past the exhaustive
+# limit: sampling draws from the range bounds, so no input space is made.
+SWEEP_SCALE = [
+    ("inplace_adder", "Gidney", 256), ("inplace_adder", "DKRS", 256),
+    ("const_adder", "ViaInPlace(CDKM)", 256), ("subtractor", "TTK", 256),
+    ("outofplace_adder", "Gidney", 256), ("multiplier", "Schoolbook", 64),
+    ("multiplier", "Karatsuba-8", 64), ("divider", "NonRestoring+Gidney", 64),
+    ("modexp", "LYYWindowedOpt", 24), ("table_lookup", "UnaryIteration", 12),
+]
+
+
+@pytest.mark.parametrize("op, algo, n", SWEEP_SCALE)
+def test_sweep_scale_entries_verify_and_tally_as_recorded(op, algo, n):
+    report = catalog.verify(op, algo, n)
+    assert report.ok, report.failure
+    assert (report.cases, report.exhaustive) == (catalog.RANDOM_SAMPLES, False)
+    assert_tallies_equal(catalog.build(op, algo, n, counting=True),
+                         catalog.build(op, algo, n))
+
+
 def _mutant(op, algo, n, gates_for):
     """catalog.build(op, algo, n) with gates appended; gates_for maps the
     register dict {name: Register} to the tuple of gates."""
@@ -256,6 +276,34 @@ def test_check_oracle_refuses_values_that_do_not_fit():
     with pytest.raises(CircuitError, match="value 16 does not fit register of 4"):
         catalog.check_oracle(c, {"a": range(17), "b": range(16)},
                              lambda a, b: {"b": (a + b) % 16})
+
+
+@pytest.mark.parametrize("empty", [range(0), range(8, 0), range(0, 8, -1), []])
+def test_check_oracle_refuses_an_empty_value_space(empty):
+    # Zero cases would pass any oracle, this wrong one included.
+    c = catalog.build("inplace_adder", "TTK", 3)
+    with pytest.raises(CircuitError, match="register a has no values to try"):
+        catalog.check_oracle(c, {"a": empty, "b": range(8)}, lambda a, b: {"b": 0})
+
+
+def test_sampled_cases_come_from_the_given_spaces():
+    # 1,366 stepped values times 3 is past the exhaustive limit.
+    c = catalog.build("inplace_adder", "TTK", 12)
+    spaces = {"a": range(4095, -1, -3), "b": [3, 1000, 4095]}
+    seen = []
+
+    def oracle(a, b):
+        seen.append((a, b))
+        return {"b": (a + b) % 4096}
+
+    check = catalog.check_oracle(c, spaces, oracle, seed=5)
+    assert (check.failure, check.cases, check.exhaustive) == (None, 1000, False)
+    assert all(a in spaces["a"] and b in spaces["b"] for a, b in seen)
+    assert len({b for _, b in seen}) == 3 and len({a for a, _ in seen}) > 500
+    # Sizes come from the bounds, also where len() would overflow.
+    for r in (spaces["a"], range(1, 10, 4), range(8, 0), range(0, 8, -1)):
+        assert catalog._space_size(r) == len(r), r
+    assert catalog._space_size(range(3, 1 << 100, 7)) == ((1 << 100) - 3 + 6) // 7
 
 
 def test_verification_takes_one_step_per_gate_per_batch(monkeypatch):

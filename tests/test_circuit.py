@@ -102,24 +102,37 @@ def _error(check, *args):
 
 def test_gate_validation_reports_the_reference_fault():
     # Every kind and operand tuple of up to four qubit ids in -1..3 on a
-    # three-qubit circuit.
+    # three-qubit circuit, checked directly and through `append` of a
+    # recording and a counting builder.
+    builders = [Builder(counting) for counting in (False, True)]
+    for bld in builders:
+        bld.alloc_register(3)
     for kind in sorted(cir.ALL_KINDS) + ["BOGUS"]:
         for n in range(5):
             for qubits in itertools.product(range(-1, 4), repeat=n):
                 for angle in (None, 0.5, math.nan, math.inf):
                     g = Gate(kind, qubits, angle)
-                    assert (_error(cir._validate_gate, g, 3)
-                            == _error(_reference_validate, g, 3)), g
+                    want = _error(_reference_validate, g, 3)
+                    assert _error(cir._validate_gate, g, 3) == want, g
+                    for bld in builders:
+                        assert _error(bld.append, g) == want, (g, bld.counting)
 
 
-@pytest.mark.parametrize("gate", [Gate("MCX", (0, 1, 2, 3)), Gate("S", (0,)),
-                                  Gate("SDG", (0,))], ids=lambda g: g.kind)
-def test_kinds_outside_the_alphabet_are_unknown(gate):
-    # No construction emits a multi-controlled X, S or S-dagger.
-    bld = Builder()
+@pytest.mark.parametrize("gate, counting", [
+    pytest.param(g, counting, id=g.kind + ("-counting" if counting else ""))
+    for counting in (False, True)
+    for g in (Gate("MCX", (0, 1, 2, 3)), Gate("S", (0,)), Gate("SDG", (0,)))])
+def test_kinds_outside_the_alphabet_are_unknown(gate, counting):
+    # No construction emits a multi-controlled X, S or S-dagger, and a
+    # counting builder refuses them as a recording one does.
+    bld = Builder(counting)
     bld.alloc_register(4)
     with pytest.raises(CircuitError, match=f"unknown gate kind '{gate.kind}'"):
         bld.append(gate)
+    if counting:
+        with pytest.raises(CircuitError, match=f"unknown gate kind '{gate.kind}'"):
+            bld.bulk(gate.kind, 3)
+        assert bld.finalize().kinds == {}
     with pytest.raises(CircuitError, match="unknown gate kind .* at gate 0"):
         cir.Circuit(num_qubits=4, gates=(gate,))
 

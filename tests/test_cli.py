@@ -34,6 +34,17 @@ def test_verify_pass(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("seed", [None, 99])
+def test_verify_names_the_seed_of_a_sampled_check(capsys, seed):
+    argv = ["verify", "--op-class", "inplace_adder", "--algo", "TTK", "--n-max", "7"]
+    code, out, _ = run_cli(argv + (["--seed", str(seed)] if seed else []), capsys)
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "PASS inplace_adder/TTK n=6 (4096 exhaustive cases)",
+        f"PASS inplace_adder/TTK n=7 (1000 random cases, seed {seed or 12345})",
+    ]
+
+
 def test_verify_divider_and_modexp(capsys):
     code, out, _ = run_cli(
         ["verify", "--op-class", "divider", "--algo", "Restoring+TTK", "--n-max", "3"],

@@ -233,7 +233,22 @@ def test_mixed_gates_layering_matches_reference():
     _assert_layering_matches_reference(_circ(7, emit))
 
 
-def test_ccx_and_swap_serial_weights_come_from_their_expansions():
+def test_serial_weights_of_every_kind_come_from_its_expansion():
+    # A one-gate counting summary lowers to the tallies of the one-gate
+    # recorded circuit, and its serial (depth, t_depth) is that circuit's
+    # greedy layering of the expanded events.
+    for params in _PARAMS:
+        for kind, arity in _ARITY.items():
+            gate = Gate(kind, tuple(range(arity)), 0.3 if kind in ANGLE_KINDS else None)
+            rec = _circ(arity, lambda b: b.append(gate))
+            cnt = Builder(counting=True)
+            cnt.alloc_register(arity)
+            cnt.append(gate)
+            low = lower_summary(cnt.finalize(), params)
+            assert low == lower_to_clifford_t(rec, params), (kind, params)
+            assert (low.depth, low.t_depth) == _greedy_layers(
+                _expanded_stream(rec, params.t_per_rotation())), (kind, params)
+    # Serial depths add up over the gates of a summary.
     ccx = _greedy_layers(CCX_TEMPLATE)
     swap = _greedy_layers(_expanded_stream(_circ(2, lambda b: b.swap(0, 1)), 0))
     s = Builder(counting=True)
