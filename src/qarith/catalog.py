@@ -36,52 +36,30 @@ RANDOM_SAMPLES = 1000
 STATEVECTOR_N_MAX = 5  # statevector-verified sizes stop here
 PHASE_TOL = 1e-9  # statevector outputs must share one phase to this tolerance
 
-OP_CLASSES = (
-    "inplace_adder",
-    "outofplace_adder",
-    "const_adder",
-    "subtractor",
-    "multiplier",
-    "divider",
-    "modexp",
-    "modmul_const",
-    "table_lookup",
-)
-
-_LISTED_ALGORITHMS: dict[str, tuple[str, ...]] = {
-    "inplace_adder": adders.IN_PLACE_ADDERS,
-    "outofplace_adder": adders.OUT_OF_PLACE_ADDERS,
-    "const_adder": adders.CONST_ADDERS,
-    "subtractor": adders.IN_PLACE_ADDERS,
-    "multiplier": ("Schoolbook", "Karatsuba", "Karatsuba-8"),
-    "divider": tuple(
-        f"{k}+{a}" for k in muldiv.DIVIDER_KINDS for a in muldiv.DIVIDER_ADDERS
-    ),
-    "modexp": ("LYY", "LYYWindowed(1)", "LYYWindowed(11)", "LYYWindowedOpt"),
-    "modmul_const": ("LYY",),
-    "table_lookup": ("UnaryIteration",),
+# op class -> (listed algorithms, parameter slots, smallest verified size)
+_LISTED: dict[str, tuple[tuple[str, ...], str, int]] = {
+    "inplace_adder": (adders.IN_PLACE_ADDERS, "n", 1),
+    "outofplace_adder": (adders.OUT_OF_PLACE_ADDERS, "n", 1),
+    "const_adder": (adders.CONST_ADDERS,
+                    "n (constant: sum of 4^i, i <= ceil(n/2))", 1),
+    "subtractor": (adders.IN_PLACE_ADDERS, "n", 1),
+    "multiplier": (("Schoolbook", "Karatsuba", "Karatsuba-8"),
+                   "n (also Karatsuba(piece_size))", 1),
+    "divider": (tuple(f"{k}+{a}" for k in muldiv.DIVIDER_KINDS
+                      for a in muldiv.DIVIDER_ADDERS), "n", 1),
+    "modexp": (("LYY", "LYYWindowed(1)", "LYYWindowed(11)", "LYYWindowedOpt"),
+               "n (N = 2^n - 1; also LYYWindowed(w))", 2),
+    "modmul_const": (("LYY",), "n (N = 2^n - 1)", 2),
+    "table_lookup": (("UnaryIteration",),
+                     "n (n address bits, n data bits, seeded random table)", 1),
 }
-
-_PARAM_SLOTS: dict[str, str] = {
-    "inplace_adder": "n",
-    "outofplace_adder": "n",
-    "const_adder": "n (constant: sum of 4^i, i <= ceil(n/2))",
-    "subtractor": "n",
-    "multiplier": "n (also Karatsuba(piece_size))",
-    "divider": "n",
-    "modexp": "n (N = 2^n - 1; also LYYWindowed(w))",
-    "modmul_const": "n (N = 2^n - 1)",
-    "table_lookup": "n (n address bits, n data bits, seeded random table)",
-}
+OP_CLASSES = tuple(_LISTED)
 
 
 def catalog() -> list[tuple[str, str, str]]:
     """(op_class, algorithm, parameter slots) rows in stable order."""
-    rows = []
-    for op in OP_CLASSES:
-        for algo in _LISTED_ALGORITHMS[op]:
-            rows.append((op, algo, _PARAM_SLOTS[op]))
-    return rows
+    return [(op, algo, slots)
+            for op, (algos, slots, _) in _LISTED.items() for algo in algos]
 
 
 def modexp_constants(n: int) -> tuple[int, int]:
@@ -93,40 +71,63 @@ def modexp_constants(n: int) -> tuple[int, int]:
     return a, N
 
 
-def _lookup_table(n: int, seed: int) -> modexp.LookupTable:
-    rng = np.random.default_rng(seed)
-    entries = tuple(int(v) for v in rng.integers(0, 1 << n, size=1 << n))
-    return modexp.LookupTable(n, entries)
+def modexp_space(a: int, N: int, n: int):
+    """(register value ranges, oracle) of |x>|0> -> |x>|a^x mod N> on n-bit
+    registers."""
+    return {"x": range(1 << n), "out": [0]}, (lambda x, out: {"out": pow(a, x, N)})
+
+
+def _instance(op_class: str, algorithm: str, n: int, seed: int):
+    """(builder, its arguments before `counting`, register value ranges,
+    oracle) for one op instance."""
+    size = 1 << max(n, 0)  # a negative n is the builder's to refuse
+    pair = {"a": range(size), "b": range(size)}
+    if op_class == "inplace_adder":
+        return (adders.build_inplace_adder, (algorithm, n), pair,
+                lambda a, b: {"b": (a + b) % size})
+    if op_class == "outofplace_adder":
+        return (adders.build_outofplace_adder, (algorithm, n), {**pair, "sum": [0]},
+                lambda a, b, sum: {"sum": (a + b) % size})
+    if op_class == "const_adder":
+        k = adders.spec_constant(n)
+        return (adders.build_const_adder, (algorithm, n, k), {"b": range(size)},
+                lambda b: {"b": (b + k) % size})
+    if op_class == "subtractor":
+        return (adders.build_subtractor, (algorithm, n), pair,
+                lambda a, b: {"b": (b - a) % size})
+    if op_class == "multiplier":
+        return (muldiv.build_multiplier, (algorithm, n), {**pair, "prod": [0]},
+                lambda a, b, prod: {"prod": a * b})
+    if op_class == "divider":
+        return (muldiv.build_divider, (algorithm, n),
+                {"a": range(size), "b": range(1, size), "q": [0]},
+                lambda a, b, q: {"a": a % b, "q": a // b})
+    if op_class == "modexp":
+        a, N = modexp_constants(n)
+        return (modexp.build_modexp, (algorithm, a, N, n), *modexp_space(a, N, n))
+    if op_class == "modmul_const":
+        if algorithm != "LYY":
+            raise CircuitError(f"unknown modmul algorithm {algorithm!r}")
+        a, N = modexp_constants(n)
+        return (modexp.build_modmul_const, (a, N, n), {"x": range(N)},
+                lambda x: {"x": a * x % N})
+    if op_class == "table_lookup":
+        if algorithm != "UnaryIteration":
+            raise CircuitError(f"unknown lookup algorithm {algorithm!r}")
+        rng = np.random.default_rng(seed)
+        table = modexp.LookupTable(
+            n, tuple(int(v) for v in rng.integers(0, size, size=size)))
+        return (modexp.build_table_lookup, (table, n),
+                {"addr": range(size), "y": range(size)},
+                lambda addr, y: {"y": y ^ table.entries[addr]})
+    raise CircuitError(f"unknown op class {op_class!r}")
 
 
 def build(op_class: str, algorithm: str, n: int, counting: bool = False,
           seed: int = DEFAULT_SEED):
     """Construct the named operation at size n (Circuit or CountSummary)."""
-    if op_class == "inplace_adder":
-        return adders.build_inplace_adder(algorithm, n, counting)
-    if op_class == "outofplace_adder":
-        return adders.build_outofplace_adder(algorithm, n, counting)
-    if op_class == "const_adder":
-        return adders.build_const_adder(algorithm, n, adders.spec_constant(n), counting)
-    if op_class == "subtractor":
-        return adders.build_subtractor(algorithm, n, counting)
-    if op_class == "multiplier":
-        return muldiv.build_multiplier(algorithm, n, counting)
-    if op_class == "divider":
-        return muldiv.build_divider(algorithm, n, counting)
-    if op_class == "modexp":
-        a, N = modexp_constants(n)
-        return modexp.build_modexp(algorithm, a, N, n, counting)
-    if op_class == "modmul_const":
-        if algorithm != "LYY":
-            raise CircuitError(f"unknown modmul algorithm {algorithm!r}")
-        a, N = modexp_constants(n)
-        return modexp.build_modmul_const(a, N, n, counting)
-    if op_class == "table_lookup":
-        if algorithm != "UnaryIteration":
-            raise CircuitError(f"unknown lookup algorithm {algorithm!r}")
-        return modexp.build_table_lookup(_lookup_table(n, seed), n, counting)
-    raise CircuitError(f"unknown op class {op_class!r}")
+    builder, args, _, _ = _instance(op_class, algorithm, n, seed)
+    return builder(*args, counting)
 
 
 def measure(op_class: str, algorithm: str, n: int,
@@ -152,48 +153,6 @@ def _uses_statevector(op_class: str, algorithm: str) -> bool:
     return algorithm == "QFT" and op_class in (
         "inplace_adder", "const_adder", "subtractor"
     )
-
-
-def _input_space(op_class: str, n: int, seed: int):
-    """(register value ranges, oracle) for one op instance."""
-    size = 1 << n
-    if op_class in ("inplace_adder",):
-        return {"a": range(size), "b": range(size)}, (
-            lambda a, b: {"b": (a + b) % size}
-        )
-    if op_class == "subtractor":
-        return {"a": range(size), "b": range(size)}, (
-            lambda a, b: {"b": (b - a) % size}
-        )
-    if op_class == "outofplace_adder":
-        return {"a": range(size), "b": range(size), "sum": [0]}, (
-            lambda a, b, sum: {"sum": (a + b) % size}
-        )
-    if op_class == "const_adder":
-        k = adders.spec_constant(n)
-        return {"b": range(size)}, (lambda b: {"b": (b + k) % size})
-    if op_class == "multiplier":
-        return {"a": range(size), "b": range(size), "prod": [0]}, (
-            lambda a, b, prod: {"prod": a * b}
-        )
-    if op_class == "divider":
-        return {"a": range(size), "b": range(1, size), "q": [0]}, (
-            lambda a, b, q: {"a": a % b, "q": a // b}
-        )
-    if op_class == "modexp":
-        a, N = modexp_constants(n)
-        return {"x": range(size), "out": [0]}, (
-            lambda x, out: {"out": pow(a, x, N)}
-        )
-    if op_class == "modmul_const":
-        a, N = modexp_constants(n)
-        return {"x": range(N)}, (lambda x: {"x": a * x % N})
-    if op_class == "table_lookup":
-        table = _lookup_table(n, seed)
-        return {"addr": range(size), "y": range(size)}, (
-            lambda addr, y: {"y": y ^ table.entries[addr]}
-        )
-    raise CircuitError(f"unknown op class {op_class!r}")
 
 
 def _space_size(space) -> int:
@@ -303,7 +262,7 @@ def verify(op_class: str, algorithm: str, n: int,
     """Check one operation instance against its classical oracle
     (check_oracle), exhaustively when the case count permits."""
     circuit = build(op_class, algorithm, n, seed=seed)
-    inputs, oracle = _input_space(op_class, n, seed)
+    _, _, inputs, oracle = _instance(op_class, algorithm, n, seed)
     check = check_oracle(circuit, inputs, oracle, seed)
     return VerifyReport(op_class, algorithm, n, check.cases,
                         check.failure is None, check.failure, check.exhaustive)
@@ -323,7 +282,7 @@ def verify_range(op_class: str, algorithm: str, n_max: int,
     n_max below the class minimum, which would check nothing, is refused."""
     if op_class not in OP_CLASSES:
         raise CircuitError(f"unknown op class {op_class!r}")
-    n_min = 2 if op_class in ("modexp", "modmul_const") else 1
+    n_min = _LISTED[op_class][2]
     if n_max < n_min:
         raise CircuitError(
             f"n_max {n_max} is below the smallest verified {op_class} size {n_min}"

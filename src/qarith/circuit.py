@@ -172,12 +172,9 @@ class CountSummary:
     kinds: dict[str, int] = field(default_factory=dict)
     name: str = "circuit"
 
-    def add_kind(self, kind: str, count: int = 1) -> None:
-        self.kinds[kind] = self.kinds.get(kind, 0) + count
-
-    def merge(self, other: "CountSummary", times: int = 1) -> None:
+    def merge(self, other: "CountSummary") -> None:
         for k, v in other.kinds.items():
-            self.kinds[k] = self.kinds.get(k, 0) + v * times
+            self.kinds[k] = self.kinds.get(k, 0) + v
 
 
 # Cache of CountSummary deltas for cached() blocks, shared across builders.
@@ -313,7 +310,8 @@ class Builder:
         if kind not in ALL_KINDS:
             raise CircuitError(f"unknown gate kind {kind!r}")
         if count:
-            self._summary.add_kind(kind, count)
+            kinds = self._summary.kinds
+            kinds[kind] = kinds.get(kind, 0) + count
 
     # -- structure helpers ---------------------------------------------------
 

@@ -16,16 +16,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import catalog
-from .adders import (
-    CONST_ADDERS,
-    IN_PLACE_ADDERS,
-    OUT_OF_PLACE_ADDERS,
-    RIPPLE_CARRY_ADDERS,
-)
+from .adders import RIPPLE_CARRY_ADDERS
 from .analysis import SweepSeries, find_tipping_point, fit_power_law, log_grid
 from .circuit import ALL_KINDS, PERMUTATION_KINDS, Circuit, adjoint
 from .modexp import build_modexp, optimal_window
-from .muldiv import DIVIDER_ADDERS, DIVIDER_KINDS, divider_design_space
+from .muldiv import DIVIDER_ADDERS, divider_design_space
 from .physical import PhysicalParams, pareto_frontier
 from .resources import lower
 from .sim import basis_columns, simulate_permutation_batch, simulate_statevector
@@ -59,15 +54,11 @@ def _verify_all(specs, seed) -> tuple[int, list[str]]:
     return sum(r.cases for r in reports), failures
 
 
-def _adder_sizes(algo):
-    return range(2, 6) if algo == "QFT" else range(1, 7)  # QFT: statevector
-
-
 def _check_adders(seed) -> ClaimCheck:
-    specs = [(op, algo, _adder_sizes(algo)) for algo in IN_PLACE_ADDERS
-             for op in ("inplace_adder", "subtractor")]
-    specs += [("outofplace_adder", algo, range(1, 7)) for algo in OUT_OF_PLACE_ADDERS]
-    specs += [("const_adder", algo, _adder_sizes(algo)) for algo in CONST_ADDERS]
+    adder_classes = ("inplace_adder", "outofplace_adder", "const_adder", "subtractor")
+    # QFT adders are checked on the statevector, so from n=2 to 5.
+    specs = [(op, algo, range(2, 6) if algo == "QFT" else range(1, 7))
+             for op, algo, _ in catalog.catalog() if op in adder_classes]
     start = time.monotonic()
     cases, failures = _verify_all(specs, seed)
     dt = time.monotonic() - start
@@ -100,8 +91,8 @@ def _check_multipliers(seed) -> ClaimCheck:
 
 
 def _check_dividers(seed) -> ClaimCheck:
-    specs = [("divider", f"{kind}+{adder}", range(2, 5))
-             for kind in DIVIDER_KINDS for adder in DIVIDER_ADDERS]
+    specs = [(op, algo, range(2, 5))
+             for op, algo, _ in catalog.catalog() if op == "divider"]
     cases, failures = _verify_all(specs, seed)
     return _claim(
         "AC3",
@@ -124,10 +115,7 @@ def _check_modexp(seed) -> ClaimCheck:
         for algo in ("LYY", "LYYWindowed(1)", "LYYWindowed(2)", "LYYWindowed(3)"):
             for a in coprime:
                 check = catalog.check_oracle(
-                    build_modexp(algo, a, N, n),
-                    {"x": range(1 << n), "out": [0]},
-                    lambda x, out: {"out": pow(a, x, N)}, seed,
-                )
+                    build_modexp(algo, a, N, n), *catalog.modexp_space(a, N, n), seed)
                 if check.failure:
                     return _claim("AC4", description, False,
                                   f"{algo} a={a} N={N}: {check.failure}")

@@ -166,16 +166,11 @@ def build_multiplier(algo: str, n: int, counting: bool = False):
         emit_schoolbook_acc(bld, a.qubits, b.qubits, prod.qubits, temp.qubits,
                             carries.qubits)
     else:
-        npad = 1 << (n - 1).bit_length()
-        aq, bq = list(a.qubits), list(b.qubits)
-        if npad > n:
-            aq += list(bld.alloc_ancilla(npad - n, "pad_a").qubits)
-            bq += list(bld.alloc_ancilla(npad - n, "pad_b").qubits)
-        leaf = max(piece, 3)
-        temp = bld.alloc_ancilla(leaf, "pp")
-        carries = bld.alloc_ancilla(2 * npad + 2, "carry")
+        temp = bld.alloc_ancilla(max(piece, 3), "pp")
+        carries = bld.alloc_ancilla(2 * n + 2, "carry")
         emit_karatsuba_multiply(
-            bld, aq, bq, list(prod.qubits), piece, temp.qubits, carries.qubits
+            bld, a.qubits, b.qubits, list(prod.qubits), piece, temp.qubits,
+            carries.qubits
         )
     return bld.finalize()
 

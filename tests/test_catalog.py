@@ -45,10 +45,12 @@ def test_measure_returns_lowered_counts():
 
 
 def test_unknown_op_class_rejected():
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match="unknown op class 'square_root'"):
         catalog.build("square_root", "Newton", 4)
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match="unknown lookup algorithm 'Linear'"):
         catalog.build("table_lookup", "Linear", 3)
+    with pytest.raises(CircuitError, match="unknown modmul algorithm 'Montgomery'"):
+        catalog.build("modmul_const", "Montgomery", 3)
 
 
 @given(entry=st.sampled_from([row[:2] for row in catalog.catalog()]),
@@ -171,7 +173,8 @@ SWEEP_SCALE = [
     ("inplace_adder", "Gidney", 256), ("inplace_adder", "DKRS", 256),
     ("const_adder", "ViaInPlace(CDKM)", 256), ("subtractor", "TTK", 256),
     ("outofplace_adder", "Gidney", 256), ("multiplier", "Schoolbook", 64),
-    ("multiplier", "Karatsuba-8", 64), ("divider", "NonRestoring+Gidney", 64),
+    ("multiplier", "Karatsuba-8", 64), ("multiplier", "Karatsuba-8", 76),
+    ("divider", "NonRestoring+Gidney", 64),
     ("modexp", "LYYWindowedOpt", 24), ("table_lookup", "UnaryIteration", 12),
 ]
 
@@ -264,7 +267,7 @@ def _reference_failure(circuit, inputs, oracle):
 ], ids=["dirty-ancilla", "wrong-output", "phase", "superposition"])
 def test_first_failure_matches_per_case_reference(op, algo, n, gates_for, failure):
     mutant = _mutant(op, algo, n, gates_for)
-    inputs, oracle = catalog._input_space(op, n, catalog.DEFAULT_SEED)
+    _, _, inputs, oracle = catalog._instance(op, algo, n, catalog.DEFAULT_SEED)
     check = catalog.check_oracle(mutant, inputs, oracle)
     assert check.failure == _reference_failure(mutant, inputs, oracle)
     assert check.failure.startswith(failure), check.failure

@@ -50,7 +50,7 @@ def test_multiplier_spec_example(oracle_runner):
 
 
 def test_karatsuba_padding_path(oracle_runner):
-    # n=5 is not a power of two, so the recursion runs over padded width 8.
+    # n=5 is not a power of two: the tree splits it 3 + 2, unpadded.
     c = build_multiplier("Karatsuba(2)", 5)
     rng = np.random.default_rng(17)
     pairs = {(int(a), int(b)) for a, b in rng.integers(0, 32, size=(60, 2))}
@@ -169,7 +169,7 @@ def test_counting_matches_recording_multiplier():
 
 def test_counting_matches_recording_karatsuba_deep():
     # n=8 with piece 3 exercises a two-level recursion tree, block-cache
-    # hits and the counted uncompute of Builder.within; n=5 adds padding.
+    # hits and the counted uncompute of Builder.within; n=5 splits unevenly.
     for algo, n in (("Karatsuba(3)", 8), ("Karatsuba(2)", 5)):
         clear_block_cache()
         rec = build_multiplier(algo, n)
@@ -181,11 +181,21 @@ def test_counting_matches_recording_karatsuba_deep():
 
 
 def test_karatsuba_middle_product_wider_than_its_slot():
-    # At n=17 (padded to 32) the middle product's register is wider than
+    # At n=17 some middle product's register is wider than its slot
     # wq[h:]; only its low len(wq) - h qubits can be nonzero.
     assert catalog.verify("multiplier", "Karatsuba(2)", 17).ok
     build_multiplier("Karatsuba(3)", 17)
     build_multiplier("Karatsuba(3)", 17, counting=True)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_karatsuba_cost_has_no_power_of_two_staircase(k):
+    # The tree splits at ceil(s/2) and sizes each node from its operands'
+    # bounds, so one bit past a power of two adds a little, not a level.
+    at = catalog.measure("multiplier", "Karatsuba-8", 1 << k)
+    past = catalog.measure("multiplier", "Karatsuba-8", (1 << k) + 1)
+    assert past.t_count <= 1.5 * at.t_count
+    assert past.qubits <= 1.5 * at.qubits
 
 
 @pytest.mark.xfail(strict=True, reason="counting emit_copy tallies len(src) "
