@@ -43,12 +43,7 @@ from .modexp import (
     build_table_lookup,
     optimal_window,
 )
-from .muldiv import (
-    DividerSpec,
-    build_divider,
-    build_multiplier,
-    divider_design_space,
-)
+from .muldiv import build_divider, build_multiplier
 from .physical import (
     FactorySpec,
     PhysicalEstimate,
@@ -57,11 +52,7 @@ from .physical import (
     pareto_frontier,
     required_code_distance,
 )
-from .resources import (
-    LogicalCounts,
-    SynthesisParams,
-    lower_to_clifford_t,
-)
+from .resources import LogicalCounts, lower_to_clifford_t
 from .sim import simulate_permutation_batch, simulate_statevector
 
 __version__ = "0.1.0"
@@ -73,10 +64,10 @@ __all__ = [
     "IN_PLACE_ADDERS", "OUT_OF_PLACE_ADDERS", "CONST_ADDERS",
     "build_inplace_adder", "build_outofplace_adder", "build_const_adder",
     "build_subtractor",
-    "build_multiplier", "build_divider", "DividerSpec", "divider_design_space",
+    "build_multiplier", "build_divider",
     "build_modexp", "build_modmul_const", "build_table_lookup", "LookupTable",
     "optimal_window",
-    "LogicalCounts", "SynthesisParams", "lower_to_clifford_t",
+    "LogicalCounts", "lower_to_clifford_t",
     "PhysicalParams", "PhysicalEstimate", "FactorySpec",
     "required_code_distance", "estimate", "pareto_frontier",
     "SweepSeries", "WindowSample", "log_grid", "fit_power_law",

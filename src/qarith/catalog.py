@@ -80,7 +80,11 @@ def modexp_space(a: int, N: int, n: int):
 def _instance(op_class: str, algorithm: str, n: int, seed: int):
     """(builder, its arguments before `counting`, register value ranges,
     oracle) for one op instance."""
-    size = 1 << max(n, 0)  # a negative n is the builder's to refuse
+    if op_class not in _LISTED:
+        raise CircuitError(f"unknown op class {op_class!r}")
+    if n < 1:
+        raise CircuitError("register size n must be >= 1")
+    size = 1 << n
     pair = {"a": range(size), "b": range(size)}
     if op_class == "inplace_adder":
         return (adders.build_inplace_adder, (algorithm, n), pair,
@@ -111,16 +115,15 @@ def _instance(op_class: str, algorithm: str, n: int, seed: int):
         a, N = modexp_constants(n)
         return (modexp.build_modmul_const, (a, N, n), {"x": range(N)},
                 lambda x: {"x": a * x % N})
-    if op_class == "table_lookup":
-        if algorithm != "UnaryIteration":
-            raise CircuitError(f"unknown lookup algorithm {algorithm!r}")
-        rng = np.random.default_rng(seed)
-        table = modexp.LookupTable(
-            n, tuple(int(v) for v in rng.integers(0, size, size=size)))
-        return (modexp.build_table_lookup, (table, n),
-                {"addr": range(size), "y": range(size)},
-                lambda addr, y: {"y": y ^ table.entries[addr]})
-    raise CircuitError(f"unknown op class {op_class!r}")
+    # table_lookup
+    if algorithm != "UnaryIteration":
+        raise CircuitError(f"unknown lookup algorithm {algorithm!r}")
+    rng = np.random.default_rng(seed)
+    table = modexp.LookupTable(
+        n, tuple(int(v) for v in rng.integers(0, size, size=size)))
+    return (modexp.build_table_lookup, (table, n),
+            {"addr": range(size), "y": range(size)},
+            lambda addr, y: {"y": y ^ table.entries[addr]})
 
 
 def build(op_class: str, algorithm: str, n: int, counting: bool = False,

@@ -190,23 +190,23 @@ def clear_block_cache() -> None:
 class Builder:
     """Single-owner circuit builder with append-only qubit allocation.
 
-    Every gate method goes through one emission path, ``_emit``.  A recording
-    builder (the default) builds, validates and keeps each gate, and
-    ``finalize`` returns a Circuit.  A counting builder only tallies gate
-    kinds and ``finalize`` returns a CountSummary; it builds no Gate, but
-    ``append`` and ``bulk`` refuse what a recording builder refuses.  Its
-    ``cached`` blocks are memoised by key, so repeated structures cost O(1)
-    after the first emission, which keeps sweep-scale builds (n ~ 2^13)
-    tractable.  The cached blocks range from the Gidney-style ripple
-    accumulator (``adders.emit_accumulate_add``, keyed by its two widths)
-    and the DKRS carry-lookahead tree (keyed by its size) up to whole
-    multiplier, divider and modular-arithmetic steps; a windowed modexp
-    caches each window's multiply-accumulate (keyed by n and N) and each
-    table lookup (keyed by the base, N and the two widths that define its
-    table, so a hit builds no table).  Two helpers tally in closed form
-    through ``bulk`` instead of emitting gate by gate: the unary-iteration
-    lookup (``modexp.emit_lookup``) and the uncontrolled CNOT fan of
-    ``adders.emit_copy``.
+    The gate methods are the calls the constructions make, and each goes
+    through one emission path, ``_emit``.  A recording builder (the default)
+    builds, validates and keeps each gate, and ``finalize`` returns a
+    Circuit.  A counting builder only tallies gate kinds and ``finalize``
+    returns a CountSummary; it builds no Gate, and ``bulk`` refuses a kind
+    outside the alphabet.  Its ``cached`` blocks are memoised by key, so
+    repeated structures cost O(1) after the first emission, which keeps
+    sweep-scale builds (n ~ 2^13) tractable.  The cached blocks range from
+    the Gidney-style ripple accumulator (``adders.emit_accumulate_add``,
+    keyed by its two widths) and the DKRS carry-lookahead tree (keyed by its
+    size) up to whole multiplier, divider and modular-arithmetic steps; a
+    windowed modexp caches each window's multiply-accumulate (keyed by n and
+    N) and each table lookup (keyed by the base, N and the two widths that
+    define its table, so a hit builds no table).  Two helpers tally in
+    closed form through ``bulk`` instead of emitting gate by gate: the
+    unary-iteration lookup (``modexp.emit_lookup``) and the uncontrolled
+    CNOT fan of ``adders.emit_copy``.
 
     Uncomputation has two primitives, named after Q#'s ``Adjoint`` and
     ``within ... apply``: ``adjoint(emit)`` emits the adjoint of a block, and
@@ -260,11 +260,6 @@ class Builder:
         _validate_gate(gate, self.num_qubits)
         self.gates.append(gate)
 
-    def append(self, gate: Gate) -> None:
-        if self.counting:  # a recording build validates in _emit
-            _validate_gate(gate, self.num_qubits)
-        self._emit(gate.kind, gate.qubits, gate.angle)
-
     def x(self, t: int) -> None:
         self._emit(X, (t,))
 
@@ -286,12 +281,6 @@ class Builder:
 
     def h(self, t: int) -> None:
         self._emit(H, (t,))
-
-    def t(self, q: int) -> None:
-        self._emit(T, (q,))
-
-    def tdg(self, q: int) -> None:
-        self._emit(TDG, (q,))
 
     def rz(self, t: int, angle: float) -> None:
         self._emit(RZ, (t,), angle)
@@ -319,8 +308,8 @@ class Builder:
         """Emit the adjoint of whatever `emit` produces; returns its result.
 
         Recording builders reverse and dagger the slice `emit` just appended.
-        Counting builders emit forward: the adjoint has the same tallies
-        (T and T-dagger are pooled in the T tally).
+        Counting builders emit forward: the constructions emit no T or
+        T-dagger, so the adjoint has the same kinds, only negated angles.
         """
         if self.counting:
             return emit()

@@ -12,8 +12,6 @@ final rotate).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .adders import (
     IN_PLACE_ADDERS,
     emit_accumulate_add,
@@ -177,25 +175,14 @@ def build_multiplier(algo: str, n: int, counting: bool = False):
 
 # -- division ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DividerSpec:
-    kind: str
-    adder: str
-
-    def __post_init__(self):
-        if self.kind not in DIVIDER_KINDS:
-            raise CircuitError(f"unknown divider kind {self.kind!r}")
-        if self.adder not in IN_PLACE_ADDERS or self.adder == "QFT":
-            raise CircuitError(f"unsupported divider adder {self.adder!r}")
-
-    @property
-    def name(self) -> str:
-        return f"{self.kind}+{self.adder}"
-
-
-def parse_divider(algo: str) -> DividerSpec:
+def parse_divider(algo: str) -> tuple[str, str]:
+    """(kind, adder) of a divider name `{kind}+{adder}`."""
     kind, _, adder = algo.partition("+")
-    return DividerSpec(kind, adder)
+    if kind not in DIVIDER_KINDS:
+        raise CircuitError(f"unknown divider kind {kind!r}")
+    if adder not in IN_PLACE_ADDERS or adder == "QFT":
+        raise CircuitError(f"unsupported divider adder {adder!r}")
+    return kind, adder
 
 
 def _emit_window_sub(bld, window, kload, adders, src_bits):
@@ -208,29 +195,28 @@ def _emit_window_sub(bld, window, kload, adders, src_bits):
     emit_complement(bld, window)
 
 
-def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
-    """|a>|b>|0> -> |a mod b>|b>|a div b| for b > 0 (b = 0: fixed permutation).
+def build_divider(algo: str, n: int, counting: bool = False):
+    """|a>|b>|0> -> |a mod b>|b>|a div b> for b > 0 (b = 0: fixed permutation).
 
     The dividend/quotient pair is treated as one 2n-bit array; each step
     subtracts (or, non-restoring, adds) the divisor on a sliding window and
     converts the window's redundant sign bit into the quotient bit in place.
     """
-    if isinstance(spec, str):
-        spec = parse_divider(spec)
+    kind, adder = parse_divider(algo)
     if n < 1:
         raise CircuitError("register size n must be >= 1")
-    bld = Builder(counting, f"divider[{spec.name},{n}]")
+    bld = Builder(counting, f"divider[{algo},{n}]")
     a = bld.alloc_register(n, "a")
     b = bld.alloc_register(n, "b")
     q = bld.alloc_register(n, "q")
-    restoring = spec.kind == "Restoring"
+    restoring = kind == "Restoring"
     wmax = n + 1 if restoring else n + 2
     seq = list(a.qubits) + list(q.qubits)
     if not restoring:
         ext = bld.alloc_ancilla(1, "ext")
         seq.append(ext[0])
     kload = bld.alloc_ancilla(wmax, "kload")
-    adders = {w: inplace_adder(bld, spec.adder, w) for w in sorted({n, wmax})}
+    adders = {w: inplace_adder(bld, adder, w) for w in sorted({n, wmax})}
 
     def add_b_if(sign, target):  # target += b when sign is set
         emit_copy(bld, b.qubits, kload.qubits[:n], sign)
@@ -246,7 +232,7 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
             bld.x(sign)
 
         for i in reversed(range(n)):
-            bld.cached(("div_step_r", spec.adder, n), lambda i=i: step(i))
+            bld.cached(("div_step_r", adder, n), lambda i=i: step(i))
     else:
         def step(i):
             window = seq[i:i + n + 2]
@@ -266,7 +252,7 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
         _emit_window_sub(bld, seq[n - 1:2 * n + 1], kload.qubits, adders, b.qubits)
         bld.x(seq[2 * n])
         for i in reversed(range(n - 1)):
-            bld.cached(("div_step_nr", spec.adder, n), lambda i=i: step(i))
+            bld.cached(("div_step_nr", adder, n), lambda i=i: step(i))
         # Final fix: add b back to a negative remainder, then rotate the
         # quotient bits into place.
         add_b_if(seq[n], seq[:n])
@@ -276,22 +262,3 @@ def build_divider(spec: DividerSpec | str, n: int, counting: bool = False):
             bld.swap(seq[j], seq[j + 1])
     return bld.finalize()
 
-
-def divider_design_space(n: int):
-    """Counts for all divider kind x adder combinations at size n.
-
-    Returns [(DividerSpec, LogicalCounts)] sorted by qubit count then
-    T-count.
-    """
-    from .resources import lower_summary
-
-    if n < 1:
-        raise CircuitError("register size n must be >= 1")
-    rows = []
-    for kind in DIVIDER_KINDS:
-        for adder in DIVIDER_ADDERS:
-            spec = DividerSpec(kind, adder)
-            counts = lower_summary(build_divider(spec, n, counting=True))
-            rows.append((spec, counts))
-    rows.sort(key=lambda r: (r[1].qubits, r[1].t_count))
-    return rows

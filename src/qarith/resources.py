@@ -35,25 +35,8 @@ from .circuit import (
 _T_KINDS = frozenset({T, TDG})
 
 
-@dataclass(frozen=True)
-class SynthesisParams:
-    """Rotation-synthesis cost model: T per rotation = ceil(slope*log2(1/eps)+offset)."""
-
-    epsilon_syn: float = 1e-10
-    t_per_rotation_slope: float = 0.53
-    t_per_rotation_offset: float = 5.3
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon_syn < 1.0:
-            raise ValueError("epsilon_syn must lie in (0, 1)")
-        if self.t_per_rotation() < 1:
-            raise ValueError("a rotation must cost at least one T gate")
-
-    def t_per_rotation(self) -> int:
-        return math.ceil(
-            self.t_per_rotation_slope * math.log2(1.0 / self.epsilon_syn)
-            + self.t_per_rotation_offset
-        )
+# T per rotation: ceil(0.53 * log2(1/eps) + 5.3) at synthesis error eps = 1e-10.
+T_PER_ROTATION = math.ceil(0.53 * math.log2(1e10) + 5.3)
 
 
 @dataclass
@@ -160,41 +143,41 @@ class LayeringProfile:
 
 
 @functools.cache
-def _expansion(kind: str, per_rot: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+def _expansion(kind: str) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """The Clifford+T events (kind, role indices) one gate of `kind` lowers to.
 
     CCX and SWAP expand by their templates, a rotation as a serial ladder of
-    `per_rot` T gates on its operands (the Clifford interleaving of the
+    `T_PER_ROTATION` T gates on its operands (the Clifford interleaving of the
     synthesis is not scheduled), and every other kind is one event.
     """
     roles = tuple(range(_ARITY[kind]))
     if kind in ANGLE_KINDS:
-        return ((T, roles),) * per_rot
+        return ((T, roles),) * T_PER_ROTATION
     return {CCX: CCX_TEMPLATE, SWAP: SWAP_TEMPLATE}.get(kind, ((kind, roles),))
 
 
 @functools.cache
-def _profile(kind: str, per_rot: int) -> LayeringProfile:
+def _profile(kind: str) -> LayeringProfile:
     """Layering profile of one gate of `kind`: its `_expansion` laid out."""
-    return LayeringProfile.of(_expansion(kind, per_rot), _ARITY[kind])
+    return LayeringProfile.of(_expansion(kind), _ARITY[kind])
 
 
 @functools.cache
-def _row(kind: str, per_rot: int) -> tuple[int, int, int, int, int]:
+def _row(kind: str) -> tuple[int, int, int, int, int]:
     """(T, CNOT, single-qubit Clifford, depth, T-depth) of one gate of `kind`:
     its `_expansion`'s events by kind, and its profile laid out alone."""
-    events = Counter(k for k, _ in _expansion(kind, per_rot))
-    prof = _profile(kind, per_rot)
+    events = Counter(k for k, _ in _expansion(kind))
+    prof = _profile(kind)
     return (events[T] + events[TDG], events[CNOT], events[X] + events[H],
             prof.depth, prof.t_depth)
 
 
 @functools.cache
-def _applier(kind: str, per_rot: int):
+def _applier(kind: str):
     """`apply(front, qs, t_update)`: lay one gate out on the frontiers
     `front` of its qubits `qs` and pass its T layers to `t_update`, as
     straight-line code compiled from the gate's `_profile`."""
-    prof = _profile(kind, per_rot)
+    prof = _profile(kind)
     roles = range(len(prof.outs))
     lines = ["def apply(front, qs, t_update):",
              "    " + "".join(f"q{r}, " for r in roles) + "= qs",
@@ -216,7 +199,7 @@ def _applier(kind: str, per_rot: int):
     return namespace["apply"]
 
 
-def _greedy_depth(c: Circuit, per_rot: int) -> tuple[int, int]:
+def _greedy_depth(c: Circuit) -> tuple[int, int]:
     """Greedy ASAP layering of `c`'s Clifford+T expansion, one compiled
     applier call per gate.
 
@@ -227,18 +210,16 @@ def _greedy_depth(c: Circuit, per_rot: int) -> tuple[int, int]:
     front = [0] * c.num_qubits
     t_layers: set[int] = set()
     t_update = t_layers.update
-    apply = {kind: _applier(kind, per_rot) for kind in _ARITY}
+    apply = {kind: _applier(kind) for kind in _ARITY}
     for kind, qs, _ in c.gates:
         apply[kind](front, qs, t_update)
     return max(front, default=0), len(t_layers)
 
 
-def _lowered_tallies(
-    kinds: dict[str, int], num_qubits: int, per_rot: int
-) -> LogicalCounts:
+def _lowered_tallies(kinds: dict[str, int], num_qubits: int) -> LogicalCounts:
     """Clifford+T tallies of raw gate tallies, each kind's `_row` times its
     count; depths composed serially."""
-    rows = [[v * count for v in _row(kind, per_rot)] for kind, count in kinds.items()]
+    rows = [[v * count for v in _row(kind)] for kind, count in kinds.items()]
     # The zero row keeps an empty tally at zero.
     t, cnot, clifford, depth, t_depth = map(sum, zip((0,) * 5, *rows))
     return LogicalCounts(
@@ -249,33 +230,25 @@ def _lowered_tallies(
     )
 
 
-def lower_to_clifford_t(
-    c: Circuit, params: SynthesisParams | None = None
-) -> LogicalCounts:
+def lower_to_clifford_t(c: Circuit) -> LogicalCounts:
     """Lower a recorded circuit; depth recomputed on the expanded sequence."""
-    per_rot = (params or SynthesisParams()).t_per_rotation()
-    out = _lowered_tallies(
-        Counter(map(attrgetter("kind"), c.gates)), c.num_qubits, per_rot
-    )
-    out.depth, out.t_depth = _greedy_depth(c, per_rot)
+    out = _lowered_tallies(Counter(map(attrgetter("kind"), c.gates)), c.num_qubits)
+    out.depth, out.t_depth = _greedy_depth(c)
     return out
 
 
-def lower_summary(
-    s: CountSummary, params: SynthesisParams | None = None
-) -> LogicalCounts:
+def lower_summary(s: CountSummary) -> LogicalCounts:
     """Lower counting-mode tallies; depth is composed serially.
 
     Gate tallies agree exactly with `lower_to_clifford_t` on the same
     construction; only depth/t_depth differ (serial upper bound instead of
     greedy layering, since no gate list exists).
     """
-    per_rot = (params or SynthesisParams()).t_per_rotation()
-    return _lowered_tallies(s.kinds, s.num_qubits, per_rot)
+    return _lowered_tallies(s.kinds, s.num_qubits)
 
 
-def lower(obj, params: SynthesisParams | None = None) -> LogicalCounts:
+def lower(obj) -> LogicalCounts:
     """Lower either a recorded Circuit or a CountSummary."""
     if isinstance(obj, Circuit):
-        return lower_to_clifford_t(obj, params)
-    return lower_summary(obj, params)
+        return lower_to_clifford_t(obj)
+    return lower_summary(obj)

@@ -63,7 +63,11 @@ def test_oracle_claims_check_pinned_case_totals(check, cases):
 
 
 def test_design_space_claim_passes():
-    assert _check_design_space(12345).status == "pass"
+    check = _check_design_space(12345)
+    assert check.status == "pass"
+    assert check.observed == (
+        "n=8: min qubits 33 (Restoring+TTK); n=16: min qubits 65 (Restoring+TTK); "
+        "n=32: min qubits 129 (Restoring+TTK)")
 
 
 def test_pareto_claim_with_modified_params():

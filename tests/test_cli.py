@@ -196,6 +196,21 @@ def test_pareto_schema_and_frontier(capsys):
     assert qubits == sorted(qubits, reverse=True)
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("op_class, algo", [
+    ("modexp", "LYY"), ("modmul_const", "LYY"), ("const_adder", "QFT"),
+    ("table_lookup", "UnaryIteration")])
+def test_pareto_below_one_qubit_exits_2(capsys, op_class, algo, n):
+    # Refused before a constant, table or builder is made from n; an unknown
+    # op class is still named first.
+    code, out, err = run_cli(
+        ["pareto", "--op-class", op_class, "--algo", algo, "--n", n], capsys)
+    assert (code, out, err) == (2, "", "error: register size n must be >= 1\n")
+    code, _, err = run_cli(
+        ["pareto", "--op-class", "bogus", "--algo", algo, "--n", n], capsys)
+    assert (code, err) == (2, "error: unknown op class 'bogus'\n")
+
+
 def test_fit_slope_on_exact_power_law(tmp_path, capsys):
     csv_file = tmp_path / "exact.csv"
     rows = [CSV_HEADER]

@@ -8,14 +8,11 @@ from qarith.circuit import CircuitError, clear_block_cache
 from qarith.muldiv import (
     DIVIDER_ADDERS,
     DIVIDER_KINDS,
-    DividerSpec,
     build_divider,
     build_multiplier,
-    divider_design_space,
     parse_divider,
     parse_multiplier,
 )
-from qarith.resources import lower_summary
 from qarith.sim import simulate_permutation_batch
 
 from conftest import assert_tallies_equal
@@ -91,7 +88,7 @@ def test_multiplier_rejects_zero():
 @pytest.mark.parametrize("adder", DIVIDER_ADDERS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_divider_exhaustive(kind, adder, n, oracle_runner):
-    c = build_divider(DividerSpec(kind, adder), n)
+    c = build_divider(f"{kind}+{adder}", n)
     oracle_runner(
         c,
         {"a": range(1 << n), "b": range(1, 1 << n), "q": [0]},
@@ -100,9 +97,9 @@ def test_divider_exhaustive(kind, adder, n, oracle_runner):
 
 
 def test_divider_spec_example(oracle_runner):
-    c = build_divider(parse_divider("NonRestoring+TTK"), 4)
+    c = build_divider("NonRestoring+TTK", 4)
     oracle_runner(c, {"a": [13], "b": [3], "q": [0]}, lambda a, b, q: {"a": 1, "q": 4})
-    c2 = build_divider(parse_divider("Restoring+Gidney"), 4)
+    c2 = build_divider("Restoring+Gidney", 4)
     oracle_runner(
         c2,
         {"a": range(16), "b": range(1, 16), "q": [0]},
@@ -112,7 +109,7 @@ def test_divider_spec_example(oracle_runner):
 
 def test_divider_quotient_remainder_identity(oracle_runner):
     # a = q*b + r with 0 <= r < b fixes (q, r), so the oracle is the identity.
-    c = build_divider(DividerSpec("NonRestoring", "CDKM"), 4)
+    c = build_divider("NonRestoring+CDKM", 4)
     oracle_runner(
         c,
         {"a": range(16), "b": range(1, 16), "q": [0]},
@@ -121,25 +118,31 @@ def test_divider_quotient_remainder_identity(oracle_runner):
 
 
 def test_divider_b_zero_is_deterministic_permutation():
-    c = build_divider(DividerSpec("Restoring", "TTK"), 3)
+    c = build_divider("Restoring+TTK", 3)
     table = simulate_permutation_batch(c, range(1 << c.num_qubits))
     assert len(np.unique(table)) == len(table)
 
 
 def test_divider_rejects_bad_spec():
-    with pytest.raises(CircuitError):
-        DividerSpec("Restoring", "QFT")
-    with pytest.raises(CircuitError):
-        DividerSpec("Floored", "TTK")
+    assert parse_divider("NonRestoring+CDKM") == ("NonRestoring", "CDKM")
+    with pytest.raises(CircuitError, match="unsupported divider adder 'QFT'"):
+        parse_divider("Restoring+QFT")
+    with pytest.raises(CircuitError, match="unknown divider kind 'Floored'"):
+        parse_divider("Floored+TTK")
+    with pytest.raises(CircuitError, match="unsupported divider adder 'QFT'"):
+        build_divider("Restoring+QFT", 3)
     with pytest.raises(CircuitError):
         build_divider("Restoring+TTK", 0)
 
 
 def test_design_space_shape_and_ordering():
     clear_block_cache()
-    rows = divider_design_space(8)
+    # The catalog's divider rows, ordered as AC9 orders them.
+    rows = sorted(((algo, catalog.measure("divider", algo, 8))
+                   for op, algo, _ in catalog.catalog() if op == "divider"),
+                  key=lambda r: (r[1].qubits, r[1].t_count))
     assert len(rows) == 6
-    names = {spec.name for spec, _ in rows}
+    names = {algo for algo, _ in rows}
     assert names == {
         f"{k}+{a}" for k in DIVIDER_KINDS for a in DIVIDER_ADDERS
     }
@@ -149,12 +152,13 @@ def test_design_space_shape_and_ordering():
     assert qubits == sorted(qubits)
     # minimum-qubit configuration uses the TTK adder for both kinds
     by_kind = {}
-    for spec, counts in rows:
-        by_kind.setdefault(spec.kind, []).append((counts.qubits, spec.adder))
+    for algo, counts in rows:
+        kind, adder = parse_divider(algo)
+        by_kind.setdefault(kind, []).append((counts.qubits, adder))
     for kind, entries in by_kind.items():
         assert min(entries)[1] == "TTK", entries
     # non-restoring beats restoring on T-count at equal adder
-    tmap = {(spec.kind, spec.adder): c.t_count for spec, c in rows}
+    tmap = {parse_divider(algo): c.t_count for algo, c in rows}
     for adder in DIVIDER_ADDERS:
         assert tmap[("NonRestoring", adder)] < tmap[("Restoring", adder)]
 
@@ -210,6 +214,6 @@ def test_counting_matches_recording_karatsuba_short_copy():
 def test_counting_matches_recording_divider():
     clear_block_cache()
     for kind in DIVIDER_KINDS:
-        rec = build_divider(DividerSpec(kind, "Gidney"), 3)
-        cnt = build_divider(DividerSpec(kind, "Gidney"), 3, counting=True)
+        rec = build_divider(f"{kind}+Gidney", 3)
+        cnt = build_divider(f"{kind}+Gidney", 3, counting=True)
         assert_tallies_equal(cnt, rec)

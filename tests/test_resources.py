@@ -12,19 +12,23 @@ from qarith.circuit import (
     ANGLE_KINDS,
     CCX,
     CNOT,
+    CPHASE,
+    H,
+    RZ,
     SWAP,
     T,
     TDG,
     Builder,
     Circuit,
+    CountSummary,
     Gate,
     _ARITY,
     clear_block_cache,
 )
 from qarith.resources import (
     CCX_TEMPLATE,
+    T_PER_ROTATION,
     LogicalCounts,
-    SynthesisParams,
     lower_summary,
     lower_to_clifford_t,
 )
@@ -56,7 +60,7 @@ def test_lower_sequential_layers():
 
 def test_ccx_decomposition_is_exact():
     # One-time semantic self-test of the 7-T template on all 8 basis states.
-    dec = _circ(3, lambda b: [b.append(Gate(kind, qs)) for kind, qs in CCX_TEMPLATE])
+    dec = Circuit(num_qubits=3, gates=tuple(Gate(kind, qs) for kind, qs in CCX_TEMPLATE))
     ref = _circ(3, lambda b: b.ccx(0, 1, 2))
     v1 = simulate_statevector(dec, range(8))
     v2 = simulate_statevector(ref, range(8))
@@ -77,12 +81,10 @@ def test_lower_single_ccx():
 
 
 def test_lower_rotation_formula():
-    p = SynthesisParams(epsilon_syn=1e-10, t_per_rotation_slope=0.53,
-                        t_per_rotation_offset=5.3)
+    assert T_PER_ROTATION == math.ceil(0.53 * math.log2(1e10) + 5.3) == 23
     c = _circ(2, lambda b: [b.rz(0, 0.1) for _ in range(10)])
-    low = lower_to_clifford_t(c, p)
-    per = math.ceil(0.53 * math.log2(1e10) + 5.3)
-    assert low.t_count == 10 * per
+    low = lower_to_clifford_t(c)
+    assert low.t_count == 230
     assert low.rotation_count == 10
 
 
@@ -123,24 +125,12 @@ def test_lower_summary_tallies_match_exact():
 
 
 def test_t_depth_counts_t_layers():
-    c = _circ(2, lambda b: (b.t(0), b.t(1), b.h(0), b.t(0)))
+    c = Circuit(num_qubits=2, gates=(
+        Gate(T, (0,)), Gate(T, (1,)), Gate(H, (0,)), Gate(T, (0,))))
     counts = lower_to_clifford_t(c)
     # layer 1 holds both leading Ts, layer 3 the trailing one
     assert counts.t_depth == 2
     assert counts.depth == 3
-
-
-def test_synthesis_params_validation():
-    with pytest.raises(ValueError):
-        SynthesisParams(epsilon_syn=0.0)
-    # A rotation priced below one T would lower one RZ and one T to a
-    # negative T-count, and its T ladder would have no layer to lay out.
-    for offset in (-3.0, 0.0):
-        with pytest.raises(ValueError, match="at least one T"):
-            SynthesisParams(t_per_rotation_slope=0.0, t_per_rotation_offset=offset)
-    assert SynthesisParams(t_per_rotation_slope=0.0,
-                           t_per_rotation_offset=0.5).t_per_rotation() == 1
-    assert SynthesisParams().t_per_rotation() == math.ceil(0.53 * math.log2(1e10) + 5.3)
 
 
 # -- per-event reference for the per-gate layering ---------------------------
@@ -161,7 +151,7 @@ def _greedy_layers(stream) -> tuple[int, int]:
     return depth, len(t_layers)
 
 
-def _expanded_stream(c: Circuit, t_per_rotation: int):
+def _expanded_stream(c: Circuit):
     """The Clifford+T events `lower_to_clifford_t` lays out, in order."""
     for g in c.gates:
         k = g.kind
@@ -174,19 +164,10 @@ def _expanded_stream(c: Circuit, t_per_rotation: int):
             yield (CNOT, (b, a))
             yield (CNOT, (a, b))
         elif k in ANGLE_KINDS:
-            for _ in range(t_per_rotation):
+            for _ in range(T_PER_ROTATION):
                 yield (T, g.qubits)
         else:
             yield (k, g.qubits)
-
-
-# Default synthesis (23 T per rotation) and a one-T rotation, whose ladder
-# shares layers with the T gates around it.
-_PARAMS = (
-    SynthesisParams(),
-    SynthesisParams(epsilon_syn=0.5, t_per_rotation_slope=0.0,
-                    t_per_rotation_offset=1.0),
-)
 
 
 @st.composite
@@ -204,11 +185,8 @@ def _random_circuits(draw):
 
 
 def _assert_layering_matches_reference(c: Circuit) -> None:
-    for params in _PARAMS:
-        low = lower_to_clifford_t(c, params)
-        assert (low.depth, low.t_depth) == _greedy_layers(
-            _expanded_stream(c, params.t_per_rotation())
-        ), params
+    low = lower_to_clifford_t(c)
+    assert (low.depth, low.t_depth) == _greedy_layers(_expanded_stream(c))
 
 
 @given(c=_random_circuits())
@@ -218,39 +196,33 @@ def test_per_gate_layering_matches_per_event_reference(c):
 
 
 def test_mixed_gates_layering_matches_reference():
-    def emit(b):
-        b.t(0)
-        b.tdg(5)
-        b.ccx(0, 1, 2)
-        b.ccx(4, 5, 6)
-        b.h(3)
-        b.swap(2, 6)
-        b.t(6)
-        b.cphase(2, 3, 0.3)
-        b.rz(0, -0.7)
-        b.tdg(3)
-
-    _assert_layering_matches_reference(_circ(7, emit))
+    _assert_layering_matches_reference(Circuit(num_qubits=7, gates=(
+        Gate(T, (0,)),
+        Gate(TDG, (5,)),
+        Gate(CCX, (0, 1, 2)),
+        Gate(CCX, (4, 5, 6)),
+        Gate(H, (3,)),
+        Gate(SWAP, (2, 6)),
+        Gate(T, (6,)),
+        Gate(CPHASE, (2, 3), 0.3),
+        Gate(RZ, (0,), -0.7),
+        Gate(TDG, (3,)),
+    )))
 
 
 def test_serial_weights_of_every_kind_come_from_its_expansion():
     # A one-gate counting summary lowers to the tallies of the one-gate
     # recorded circuit, and its serial (depth, t_depth) is that circuit's
     # greedy layering of the expanded events.
-    for params in _PARAMS:
-        for kind, arity in _ARITY.items():
-            gate = Gate(kind, tuple(range(arity)), 0.3 if kind in ANGLE_KINDS else None)
-            rec = _circ(arity, lambda b: b.append(gate))
-            cnt = Builder(counting=True)
-            cnt.alloc_register(arity)
-            cnt.append(gate)
-            low = lower_summary(cnt.finalize(), params)
-            assert low == lower_to_clifford_t(rec, params), (kind, params)
-            assert (low.depth, low.t_depth) == _greedy_layers(
-                _expanded_stream(rec, params.t_per_rotation())), (kind, params)
+    for kind, arity in _ARITY.items():
+        gate = Gate(kind, tuple(range(arity)), 0.3 if kind in ANGLE_KINDS else None)
+        rec = Circuit(num_qubits=arity, gates=(gate,))
+        low = lower_summary(CountSummary(arity, {kind: 1}))
+        assert low == lower_to_clifford_t(rec), kind
+        assert (low.depth, low.t_depth) == _greedy_layers(_expanded_stream(rec)), kind
     # Serial depths add up over the gates of a summary.
     ccx = _greedy_layers(CCX_TEMPLATE)
-    swap = _greedy_layers(_expanded_stream(_circ(2, lambda b: b.swap(0, 1)), 0))
+    swap = _greedy_layers(_expanded_stream(_circ(2, lambda b: b.swap(0, 1))))
     s = Builder(counting=True)
     s.alloc_register(3)
     s.ccx(0, 1, 2)

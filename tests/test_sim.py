@@ -13,6 +13,7 @@ from qarith.circuit import (
     SWAP,
     TDG,
     Builder,
+    Circuit,
     Gate,
     H,
     T,
@@ -28,11 +29,7 @@ from qarith.sim import (
 
 
 def _circ(n, gates):
-    bld = Builder()
-    bld.alloc_register(n)
-    for g in gates:
-        bld.append(g)
-    return bld.finalize()
+    return Circuit(num_qubits=n, gates=tuple(gates))
 
 
 def test_x_flips_bit():
