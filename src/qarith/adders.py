@@ -64,10 +64,10 @@ def emit_accumulate_add(bld: Builder, x, y, carries) -> None:
 
     Ripple with temporary AND carries in the style of the Gidney adder;
     `carries` must provide len(y)-1 clean ancilla qubits and is returned
-    clean.  Used both as the Gidney in-place adder (equal widths) and as the
-    accumulator primitive inside multipliers and modular arithmetic.  The
-    gates depend on the two widths alone, so a counting build tallies each
-    width pair once through the block cache.
+    clean.  Only the Gidney `inplace_adder` handle calls it, so multipliers
+    and modular arithmetic reach it through that handle.  The gates depend
+    on the two widths alone, so a counting build tallies each width pair
+    once through the block cache.
     """
     k, m = len(x), len(y)
     if not 1 <= k <= m:
@@ -104,11 +104,6 @@ def emit_accumulate_add(bld: Builder, x, y, carries) -> None:
                 bld.cnot(c[i - 1], y[i])
 
     bld.cached(("accadd", k, m), ripple)
-
-
-def emit_accumulate_sub(bld: Builder, x, y, carries) -> None:
-    """y -= x mod 2^len(y); exact adjoint of emit_accumulate_add."""
-    bld.adjoint(lambda: emit_accumulate_add(bld, x, y, carries))
 
 
 # -- TTK ripple adder (no ancilla) --------------------------------------------
@@ -286,28 +281,25 @@ def emit_qft(bld: Builder, reg) -> None:
             bld.cphase(reg[k], reg[j], math.ldexp(math.pi, k - j))
 
 
-def emit_inverse_qft(bld: Builder, reg) -> None:
-    bld.adjoint(lambda: emit_qft(bld, reg))
-
-
 def emit_qft_inplace_add(bld: Builder, a, b) -> None:
     """|a>|b> -> |a>|a+b> via phase accumulation in the Fourier basis."""
-    emit_qft(bld, b)
-    n = len(b)
-    for j in range(len(a)):
-        for k in range(n - j):
-            bld.cphase(a[j], b[j + k], math.ldexp(math.pi, -k))
-    emit_inverse_qft(bld, b)
+    def phases(_):
+        for j in range(len(a)):
+            for k in range(len(b) - j):
+                bld.cphase(a[j], b[j + k], math.ldexp(math.pi, -k))
+
+    bld.within(lambda: emit_qft(bld, b), phases)
 
 
 def emit_qft_const_add(bld: Builder, b, constant: int) -> None:
     """|b> -> |b + constant> using single-qubit phases in the Fourier basis."""
-    emit_qft(bld, b)
-    for j in range(len(b)):
-        c = constant % (1 << (j + 1))
-        if c:
-            bld.rz(b[j], math.pi * (c / (1 << j)))
-    emit_inverse_qft(bld, b)
+    def phases(_):
+        for j in range(len(b)):
+            c = constant % (1 << (j + 1))
+            if c:
+                bld.rz(b[j], math.pi * (c / (1 << j)))
+
+    bld.within(lambda: emit_qft(bld, b), phases)
 
 
 # -- in-place adder handle ------------------------------------------------------
@@ -321,7 +313,11 @@ def _alloc_cla(bld: Builder, width: int):
 
 def inplace_adder(bld: Builder, algo: str, width: int):
     """Allocate `algo`'s clean ancillas for `width`-bit operands and return
-    add(a, b), which emits b += a mod 2^width into `bld`."""
+    add(a, b), which emits b += a mod 2^len(b) into `bld`.
+
+    Every algorithm adds len(a) == len(b) == width; Gidney also takes the
+    ripple's accumulate form 1 <= len(a) <= len(b) <= width, a zero-extended.
+    """
     if algo == "Gidney":
         carries = bld.alloc_ancilla(width - 1, "cg_carry").qubits if width > 1 else ()
         emit = lambda a, b: emit_accumulate_add(bld, a, b, carries)
@@ -339,8 +335,9 @@ def inplace_adder(bld: Builder, algo: str, width: int):
         raise CircuitError(f"unknown in-place adder {algo!r}")
 
     def add(a, b) -> None:
-        if len(a) != width or len(b) != width:
-            raise CircuitError(f"operand widths must both be {width}")
+        if not (len(a) == len(b) == width or algo == "Gidney" and len(b) <= width):
+            raise CircuitError(f"operand widths {len(a)}, {len(b)} do not fit "
+                               f"the {width}-bit {algo} adder")
         emit(a, b)
 
     return add
@@ -393,14 +390,13 @@ def _emit_gidney_outofplace(bld: Builder, a, b, s) -> None:
 
 
 def parse_const_adder(algo: str) -> tuple[str, str | None]:
-    """'ViaInPlace(TTK)' -> ('ViaInPlace', 'TTK'); 'QFT' -> ('QFT', None)."""
+    """'ViaInPlace(TTK)' -> ('ViaInPlace', 'TTK'); 'QFT' -> ('QFT', None).
+    Only the names in CONST_ADDERS are accepted."""
+    if algo not in CONST_ADDERS:
+        raise CircuitError(f"unknown constant adder {algo!r}")
     if algo == "QFT":
         return ("QFT", None)
-    if algo.startswith("ViaInPlace(") and algo.endswith(")"):
-        inner = algo[len("ViaInPlace("):-1]
-        if inner in IN_PLACE_ADDERS:
-            return ("ViaInPlace", inner)
-    raise CircuitError(f"unknown constant adder {algo!r}")
+    return ("ViaInPlace", algo[len("ViaInPlace("):-1])
 
 
 def build_const_adder(algo: str, n: int, constant: int, counting: bool = False):

@@ -199,19 +199,22 @@ class Builder:
     repeated structures cost O(1) after the first emission, which keeps
     sweep-scale builds (n ~ 2^13) tractable.  The cached blocks range from
     the Gidney-style ripple accumulator (``adders.emit_accumulate_add``,
-    keyed by its two widths) and the DKRS carry-lookahead tree (keyed by its
-    size) up to whole multiplier, divider and modular-arithmetic steps; a
-    windowed modexp caches each window's multiply-accumulate (keyed by n and
-    N) and each table lookup (keyed by the base, N and the two widths that
-    define its table, so a hit builds no table).  Two helpers tally in
-    closed form through ``bulk`` instead of emitting gate by gate: the
-    unary-iteration lookup (``modexp.emit_lookup``) and the uncontrolled
-    CNOT fan of ``adders.emit_copy``.
+    behind every Gidney adder handle, keyed by its two widths) and the DKRS
+    carry-lookahead tree (keyed by its size) up to whole multiplier, divider
+    and modular-arithmetic steps; a windowed modexp caches each window's
+    multiply-accumulate (keyed by n and N) and each table lookup (keyed by
+    the base, N and the two widths that define its table, so a hit builds
+    no table).  Two helpers tally in closed form through ``bulk`` instead of
+    emitting gate by gate: the unary-iteration lookup
+    (``modexp.emit_lookup``) and the uncontrolled CNOT fan of
+    ``adders.emit_copy``.
 
     Uncomputation has two primitives, named after Q#'s ``Adjoint`` and
     ``within ... apply``: ``adjoint(emit)`` emits the adjoint of a block, and
     ``within(compute, apply)`` emits compute, apply and compute's adjoint on
-    the qubits compute allocated.  Counting builders emit neither adjoint:
+    the qubits compute allocated.  Constructions call them where they undo
+    a block (a subtraction is an adjoint addition, the QFT adders apply
+    their phases within the QFT).  Counting builders emit neither adjoint:
     they tally the block forward, or add its tallies a second time.
     """
 
@@ -307,12 +310,11 @@ class Builder:
     def adjoint(self, emit):
         """Emit the adjoint of whatever `emit` produces; returns its result.
 
-        Recording builders reverse and dagger the slice `emit` just appended.
-        Counting builders emit forward: the constructions emit no T or
-        T-dagger, so the adjoint has the same kinds, only negated angles.
+        The slice `emit` just appended is reversed and daggered.  A counting
+        builder keeps no gates, so its slice is empty and the block is tallied
+        forward: the constructions emit no T or T-dagger, so the adjoint has
+        the same kinds, only negated angles.
         """
-        if self.counting:
-            return emit()
         start = len(self.gates)
         result = emit()
         self.gates[start:] = _reversed_adjoint(self.gates[start:])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .adders import emit_accumulate_add, emit_complement, emit_const_load, emit_copy
+from .adders import emit_complement, emit_const_load, emit_copy, inplace_adder
 from .circuit import CCX, CNOT, X, Builder, CircuitError
 
 
@@ -129,9 +129,10 @@ class _ModN:
 
     Allocates the scratch every step shares, in this order: the accumulator
     `acc` (n), the overflow/compare flag `hi` (1), the comparator chain `cmp`
-    (n), the constant/copy staging register `kload` (n + 1) and the ripple
-    carries `carry` (n).  The add, double and multiply methods emit into
-    `bld` and return all scratch but `acc` clean.
+    (n), the constant/copy staging register `kload` (n + 1) and, last, the
+    (n + 1)-bit Gidney adder handle `_accumulate` (n carries), which adds a
+    staged operand into acc or (acc, hi).  The add, double and multiply
+    methods emit into `bld` and return all scratch but `acc` clean.
     """
 
     def __init__(self, bld: Builder, n: int, N: int):
@@ -140,10 +141,7 @@ class _ModN:
         self.hi = bld.alloc_ancilla(1, "hi")[0]
         self.cmp = bld.alloc_ancilla(n, "cmp").qubits
         self.kload = bld.alloc_ancilla(n + 1, "kload").qubits
-        self.carry = bld.alloc_ancilla(n, "carry").qubits
-
-    def _accumulate(self, x, y) -> None:
-        emit_accumulate_add(self.bld, x, y, self.carry)
+        self._accumulate = inplace_adder(bld, "Gidney", n + 1)
 
     def _reduce(self, t, ctrls) -> None:
         """(t, hi) -= N under `ctrls`, then t += N back where that borrowed into hi."""

@@ -1,5 +1,6 @@
-"""Multipliers (schoolbook shift-and-add, Karatsuba) and dividers
-(restoring, non-restoring) parameterised by the in-place adder.
+"""Multipliers (schoolbook shift-and-add, Karatsuba), which add through the
+Gidney in-place adder handle, and dividers (restoring, non-restoring)
+parameterised by the in-place adder.
 
 The Karatsuba recursion keeps every intermediate product in clean ancillas
 and uncomputes the whole tree Bennett-style after accumulating the result,
@@ -12,14 +13,7 @@ final rotate).
 """
 from __future__ import annotations
 
-from .adders import (
-    IN_PLACE_ADDERS,
-    emit_accumulate_add,
-    emit_accumulate_sub,
-    emit_complement,
-    emit_copy,
-    inplace_adder,
-)
+from .adders import IN_PLACE_ADDERS, emit_complement, emit_copy, inplace_adder
 from .circuit import Builder, CircuitError
 
 DEFAULT_PIECE_SIZE = 32
@@ -46,19 +40,20 @@ def parse_multiplier(algo: str) -> int | None:
 
 # -- schoolbook shift-and-add ---------------------------------------------------
 
-def emit_schoolbook_acc(bld: Builder, a, b, acc, temp, carries) -> None:
+def emit_schoolbook_acc(bld: Builder, a, b, acc, temp, add) -> None:
     """acc += a*b via per-bit partial products.
 
     For each bit a_i the partial product a_i AND b is Toffoli-computed into
-    `temp`, rippled into acc[i : i+len(b)+1] (the running prefix sum keeps
-    the carry inside that slice), and uncomputed.  Slices are capped at the
-    top of acc, which is exact whenever the true product fits in acc.
+    `temp`, added into acc[i : i+len(b)+1] by the Gidney handle `add` (the
+    running prefix sum keeps the carry inside that slice), and uncomputed.
+    Slices are capped at the top of acc, which is exact whenever the true
+    product fits in acc.
     """
     nb = len(b)
 
     def iteration(i, width):
         emit_copy(bld, b, temp, a[i])
-        emit_accumulate_add(bld, temp[:min(nb, width)], acc[i:i + width], carries)
+        add(temp[:min(nb, width)], acc[i:i + width])
         emit_copy(bld, b, temp, a[i])
 
     for i in range(len(a)):
@@ -76,8 +71,8 @@ def _trunc(qubits, maxv: int):
     return list(qubits[: max(1, maxv.bit_length())])
 
 
-def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, carries):
-    """Compute a*b into a fresh clean register; returns (qubits, max value).
+def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, add):
+    """Compute a*b into a fresh clean register and return its qubits.
 
     Inputs are restored; every temporary stays allocated (and dirty) until
     the caller uncomputes this emission as the compute block of
@@ -85,7 +80,6 @@ def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, carries):
     """
     a = _trunc(a, amax)
     b = _trunc(b, bmax)
-    wmax = amax * bmax
     s = max(len(a), len(b))
     leaf = s <= max(piece, 3)
     h = (s + 1) // 2
@@ -96,56 +90,56 @@ def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, carries):
     sa_max = alo_max + ahi_max
     sb_max = blo_max + bhi_max
     # The node's register holds lo + (mid << h) + (hi << 2h) at its largest.
-    peak = wmax if leaf else (alo_max * blo_max + (sa_max * sb_max << h)
-                              + (ahi_max * bhi_max << (2 * h)))
+    peak = amax * bmax if leaf else (alo_max * blo_max + (sa_max * sb_max << h)
+                                     + (ahi_max * bhi_max << (2 * h)))
     width = max(1, peak.bit_length())
     out: list = []
 
     def emit():
         if leaf:
             w = bld.alloc_ancilla(width, "kw")
-            emit_schoolbook_acc(bld, a, b, w.qubits, temp, carries)
+            emit_schoolbook_acc(bld, a, b, w.qubits, temp, add)
             out.append(list(w.qubits))
             return
         a_lo, a_hi = a[:h], a[h:]
         b_lo, b_hi = b[:h], b[h:]
-        w_lo, _ = _tree_product(bld, a_lo, alo_max, b_lo, blo_max, piece, temp, carries)
-        w_hi, _ = _tree_product(bld, a_hi, ahi_max, b_hi, bhi_max, piece, temp, carries)
+        w_lo = _tree_product(bld, a_lo, alo_max, b_lo, blo_max, piece, temp, add)
+        w_hi = _tree_product(bld, a_hi, ahi_max, b_hi, bhi_max, piece, temp, add)
         sa = bld.alloc_ancilla(max(1, sa_max.bit_length()), "ksa")
         sb = bld.alloc_ancilla(max(1, sb_max.bit_length()), "ksb")
         ta = _trunc(a_lo, alo_max)
         emit_copy(bld, ta, sa.qubits[: len(ta)])
         if a_hi and ahi_max:
-            emit_accumulate_add(bld, _trunc(a_hi, ahi_max), sa.qubits, carries)
+            add(_trunc(a_hi, ahi_max), sa.qubits)
         tb = _trunc(b_lo, blo_max)
         emit_copy(bld, tb, sb.qubits[: len(tb)])
         if b_hi and bhi_max:
-            emit_accumulate_add(bld, _trunc(b_hi, bhi_max), sb.qubits, carries)
-        w_mid, _ = _tree_product(bld, sa.qubits, sa_max, sb.qubits, sb_max, piece, temp, carries)
+            add(_trunc(b_hi, bhi_max), sb.qubits)
+        w_mid = _tree_product(bld, sa.qubits, sa_max, sb.qubits, sb_max, piece, temp, add)
         w = bld.alloc_ancilla(width, "kw")
         wq = list(w.qubits)
         emit_copy(bld, w_lo, wq[: len(w_lo)])
         emit_copy(bld, w_hi, wq[2 * h: 2 * h + len(w_hi)])
         # w_mid can be wider than wq[h:]; its top qubits stay |0> because
         # the middle product is at most sa_max * sb_max and peak >= that << h.
-        emit_accumulate_add(bld, w_mid[: len(wq) - h], wq[h:], carries)
-        emit_accumulate_sub(bld, w_lo, wq[h:], carries)
-        emit_accumulate_sub(bld, w_hi, wq[h:], carries)
+        add(w_mid[: len(wq) - h], wq[h:])
+        bld.adjoint(lambda: add(w_lo, wq[h:]))
+        bld.adjoint(lambda: add(w_hi, wq[h:]))
         out.append(wq)
 
     bld.cached(("ktree", len(a), len(b), amax, bmax, piece), emit)
     # A counting-mode cache hit emits nothing: qubit identities are
     # irrelevant there, only the register width matters to the caller.
-    return (out[0] if out else [0] * width), wmax
+    return out[0] if out else [0] * width
 
 
-def emit_karatsuba_multiply(bld: Builder, a, b, prod, piece, temp, carries) -> None:
+def emit_karatsuba_multiply(bld: Builder, a, b, prod, piece, temp, add) -> None:
     """prod += a*b with the recursion tree computed, used and uncomputed."""
     amax = (1 << len(a)) - 1
     # Bennett: compute the product tree, add it into prod, uncompute the tree.
     bld.within(
-        lambda: _tree_product(bld, a, amax, b, amax, piece, temp, carries)[0],
-        lambda w: emit_accumulate_add(bld, w[: len(prod)], prod, carries),
+        lambda: _tree_product(bld, a, amax, b, amax, piece, temp, add),
+        lambda w: add(w[: len(prod)], prod),
     )
 
 
@@ -160,16 +154,13 @@ def build_multiplier(algo: str, n: int, counting: bool = False):
     prod = bld.alloc_register(2 * n, "prod")
     if piece is None or n <= piece:
         temp = bld.alloc_ancilla(n, "pp")
-        carries = bld.alloc_ancilla(n, "carry")
-        emit_schoolbook_acc(bld, a.qubits, b.qubits, prod.qubits, temp.qubits,
-                            carries.qubits)
+        add = inplace_adder(bld, "Gidney", n + 1)
+        emit_schoolbook_acc(bld, a.qubits, b.qubits, prod.qubits, temp.qubits, add)
     else:
         temp = bld.alloc_ancilla(max(piece, 3), "pp")
-        carries = bld.alloc_ancilla(2 * n + 2, "carry")
-        emit_karatsuba_multiply(
-            bld, a.qubits, b.qubits, list(prod.qubits), piece, temp.qubits,
-            carries.qubits
-        )
+        add = inplace_adder(bld, "Gidney", 2 * n + 3)
+        emit_karatsuba_multiply(bld, a.qubits, b.qubits, list(prod.qubits), piece,
+                                temp.qubits, add)
     return bld.finalize()
 
 

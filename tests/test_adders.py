@@ -15,7 +15,6 @@ from qarith.adders import (
     build_outofplace_adder,
     build_subtractor,
     emit_accumulate_add,
-    emit_accumulate_sub,
     inplace_adder,
     spec_constant,
 )
@@ -126,6 +125,14 @@ def test_const_adder_range_check():
         build_const_adder("ViaInPlace(TTK)", 3, 8)
 
 
+@pytest.mark.parametrize("algo", ["ViaInPlace(QFT)", "ViaInPlace(Nope)", "Nope"])
+def test_const_adder_refuses_unlisted_names(algo):
+    # Only the CONST_ADDERS names build: verify caps statevector sizes by
+    # name, so an unlisted QFT-backed name would escape that cap.
+    with pytest.raises(CircuitError, match="unknown constant adder"):
+        build_const_adder(algo, 3, 1)
+
+
 @pytest.mark.parametrize("algo", NON_QFT_INPLACE)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_subtractor_exhaustive(algo, n, oracle_runner):
@@ -219,6 +226,29 @@ def test_inplace_adder_handle_rejects_unknown_name_and_other_widths():
     assert bld.finalize().gates
 
 
+def test_gidney_handle_accumulates_narrower_operands():
+    # The Gidney handle also takes the ripple's accumulate form: an addend
+    # no wider than its target, zero-extended, into a target no wider than
+    # the handle.  A refused call emits nothing.
+    bld = Builder(False, "accumulate")
+    x = bld.alloc_register(2, "x").qubits
+    y = bld.alloc_register(4, "y").qubits
+    wide = bld.alloc_register(6, "wide").qubits
+    add = inplace_adder(bld, "Gidney", 5)
+    add(x, y)
+    with pytest.raises(CircuitError, match="do not fit the 5-bit Gidney adder"):
+        add(x, wide)
+    with pytest.raises(CircuitError, match="1 <= len"):
+        add(y, x)
+    check = check_oracle(bld.finalize(), {"x": range(4), "y": range(16)},
+                         lambda x, y: {"y": (x + y) % 16})
+    assert (check.cases, check.failure) == (64, None)
+
+
+def _accumulate_sub(bld, x, y, carries):
+    bld.adjoint(lambda: emit_accumulate_add(bld, x, y, carries))
+
+
 def _accumulate_build(emit, k, m, offset, counting):
     bld = Builder(counting)
     if offset:
@@ -238,7 +268,7 @@ def test_cached_adder_blocks_tally_as_recorded():
     for warm in (False, True):
         for m in range(1, 13):
             for k in range(1, m + 1):
-                for emit in (emit_accumulate_add, emit_accumulate_sub):
+                for emit in (emit_accumulate_add, _accumulate_sub):
                     for offset in (0, 3):
                         what = (emit.__name__, k, m, offset, warm)
                         assert_tallies_equal(
@@ -267,8 +297,8 @@ def test_accumulate_refuses_bad_widths_before_the_block_cache():
                 with pytest.raises(CircuitError, match="1 <= len"):
                     emit_accumulate_add(bld, x, y[:2], carries)
                 with pytest.raises(CircuitError, match="1 <= len"):
-                    emit_accumulate_sub(bld, (), y, carries)
-            emit_accumulate_sub(bld, x, y, carries)
+                    _accumulate_sub(bld, (), y, carries)
+            _accumulate_sub(bld, x, y, carries)
             built.append(bld.finalize())
         assert built[0] == built[1], counting
 

@@ -150,6 +150,15 @@ def test_equal_block_cache_keys_tally_equally(monkeypatch):
     assert ("lookup", pow(b, 1 << 6, N), N, 2, 8) in audit  # w = 3, last window
 
 
+def test_statevector_cap_names_exactly_the_non_permutation_builds():
+    # verify_n_max caps statevector sizes by name; the name must say what
+    # the build emits.
+    for op, algo, _ in catalog.catalog():
+        gates = catalog.build(op, algo, 3).gates
+        assert catalog._uses_statevector(op, algo) == any(
+            g.kind not in PERMUTATION_KINDS for g in gates), (op, algo)
+
+
 def test_modexp_constants_coprime():
     for n in range(2, 12):
         a, N = catalog.modexp_constants(n)

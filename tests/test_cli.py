@@ -112,6 +112,17 @@ def test_verify_unknown_algorithm_exits_2(capsys):
     assert "error:" in err
 
 
+def test_verify_unlisted_const_adder_exits_2(capsys):
+    # Refused by name before a build, so it cannot run past the statevector cap.
+    code, out, err = run_cli(
+        ["verify", "--op-class", "const_adder", "--algo", "ViaInPlace(QFT)",
+         "--n-max", "10"], capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown constant adder 'ViaInPlace(QFT)'\n"
+
+
 @pytest.mark.parametrize("op_class, algo, n_max, n_min", [
     ("inplace_adder", "TTK", 0, 1),
     ("modexp", "LYY", 1, 2),

@@ -119,6 +119,19 @@ def test_test_only_public_name_detector():
         "a.py: DEAD", "a.py: walk", "b.py: x"]
 
 
+def test_only_adders_reads_the_ripple_accumulator():
+    # Multipliers and modular arithmetic add through adders.inplace_adder, so
+    # only adders.py knows how the ripple's carry register is sized.
+    readers = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        if "emit_accumulate_add" in _reads(tree) | imported:
+            readers.append(path.name)
+    assert sorted(readers) == ["adders.py"]
+
+
 def test_every_gate_kind_has_a_producer():
     # A gate kind that no construction emits and no lowering template names
     # costs every builder, cache merge and lowering a branch for nothing.
