@@ -35,6 +35,7 @@ RANDOM_CASE_LIMIT = 4096  # above this many exhaustive cases, sample 1000
 RANDOM_SAMPLES = 1000
 STATEVECTOR_N_MAX = 5  # statevector-verified sizes stop here
 PHASE_TOL = 1e-9  # statevector outputs must share one phase to this tolerance
+TABLE_LOOKUP_N_MAX = 20  # the seeded table has 2^n entries; memory doubles per bit
 
 # op class -> (listed algorithms, parameter slots, smallest verified size)
 _LISTED: dict[str, tuple[tuple[str, ...], str, int]] = {
@@ -82,8 +83,8 @@ def _instance(op_class: str, algorithm: str, n: int, seed: int):
     oracle) for one op instance."""
     if op_class not in _LISTED:
         raise CircuitError(f"unknown op class {op_class!r}")
-    if n < 1:
-        raise CircuitError("register size n must be >= 1")
+    if n < _LISTED[op_class][2]:
+        raise CircuitError(f"register size n must be >= {_LISTED[op_class][2]}")
     size = 1 << n
     pair = {"a": range(size), "b": range(size)}
     if op_class == "inplace_adder":
@@ -118,6 +119,9 @@ def _instance(op_class: str, algorithm: str, n: int, seed: int):
     # table_lookup
     if algorithm != "UnaryIteration":
         raise CircuitError(f"unknown lookup algorithm {algorithm!r}")
+    if n > TABLE_LOOKUP_N_MAX:
+        raise CircuitError(f"table_lookup draws a 2^n-entry table; "
+                           f"n must be <= {TABLE_LOOKUP_N_MAX}")
     rng = np.random.default_rng(seed)
     table = modexp.LookupTable(
         n, tuple(int(v) for v in rng.integers(0, size, size=size)))
@@ -164,6 +168,28 @@ def _space_size(space) -> int:
     if isinstance(space, range):
         return max(0, -((space.start - space.stop) // space.step))
     return len(space)
+
+
+def simulate_basis(circuit: Circuit, states):
+    """(outputs, which are basis states, their phases or None) of `circuit` on
+    the basis inputs `states`: bit-sliced for a permutation circuit, else on
+    the statevector in blocks of about BLOCK_AMPLITUDES amplitudes."""
+    count = len(states)
+    if all(g.kind in PERMUTATION_KINDS for g in circuit.gates):
+        return (simulate_permutation_batch(circuit, states),
+                np.ones(count, dtype=bool), None)
+    outs = np.zeros(count, dtype=basis_dtype(circuit.num_qubits))
+    basis = np.zeros(count, dtype=bool)
+    phases = np.zeros(count, dtype=np.complex128)
+    width = max(1, BLOCK_AMPLITUDES >> circuit.num_qubits)
+    for lo in range(0, count, width):
+        v = simulate_statevector(circuit, states[lo:lo + width])
+        out, ok = basis_columns(v)
+        amp = v[out, np.arange(len(out))]
+        outs[lo:lo + width] = out
+        basis[lo:lo + width] = ok
+        phases[lo:lo + width] = amp / abs(amp)
+    return outs, basis, phases
 
 
 @dataclass(frozen=True)
@@ -217,23 +243,7 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
         values[:, k] = space[pick]
         states |= np.array(encode_register(space, regs[name]), dtype=dtype)[pick]
 
-    if all(g.kind in PERMUTATION_KINDS for g in circuit.gates):
-        outs = simulate_permutation_batch(circuit, states)
-        basis = np.ones(count, dtype=bool)
-        phases = None
-    else:
-        outs = np.zeros(count, dtype=dtype)
-        basis = np.zeros(count, dtype=bool)
-        phases = np.zeros(count, dtype=np.complex128)
-        width = max(1, BLOCK_AMPLITUDES >> circuit.num_qubits)
-        for lo in range(0, count, width):
-            v = simulate_statevector(circuit, states[lo:lo + width])
-            out, ok = basis_columns(v)
-            amp = v[out, np.arange(len(out))]
-            outs[lo:lo + width] = out
-            basis[lo:lo + width] = ok
-            phases[lo:lo + width] = amp / abs(amp)
-
+    outs, basis, phases = simulate_basis(circuit, states)
     expected = [oracle(**dict(zip(names, row))) for row in values.tolist()]
     given = dict(zip(names, values.T.tolist()))  # an unnamed register held 0
 

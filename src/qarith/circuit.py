@@ -214,8 +214,8 @@ class Builder:
     ``within(compute, apply)`` emits compute, apply and compute's adjoint on
     the qubits compute allocated.  Constructions call them where they undo
     a block (a subtraction is an adjoint addition, the QFT adders apply
-    their phases within the QFT).  Counting builders emit neither adjoint:
-    they tally the block forward, or add its tallies a second time.
+    their phases within the QFT).  Each has one path for both modes: a
+    counting builder keeps no gates, so it tallies the block forward.
     """
 
     def __init__(self, counting: bool = False, name: str = "circuit"):
@@ -225,7 +225,7 @@ class Builder:
         self.gates: list[Gate] = []
         self._data_regs: list[Register] = []
         self._anc_regs: list[Register] = []
-        self._summary = CountSummary(name=name) if counting else None
+        self._summary = CountSummary(name=name)  # stays empty when recording
         self._finalized = False
 
     # -- allocation --------------------------------------------------------
@@ -323,24 +323,21 @@ class Builder:
     def within(self, compute, apply) -> None:
         """Emit `compute`, then `apply(compute's result)`, then compute's adjoint.
 
-        The adjoint reuses the qubits `compute` allocated.  Recording builders
-        append the reversed, daggered slice `compute` recorded; counting
-        builders add compute's tally delta a second time without re-running it.
+        The adjoint reuses the qubits `compute` allocated and does not re-run
+        it: the reversed, daggered slice compute recorded is appended and its
+        tally delta is added again.  A recording build tallies nothing and a
+        counting build records nothing, so each mode fills its own half.
         """
-        if self.counting:
-            delta, _, result = self._tally(compute)
-            apply(result)
-            self._summary.merge(delta)
-            return
         start = len(self.gates)
-        result = compute()
-        end = len(self.gates)
+        delta, _, result = self._tally(compute)
+        computed = self.gates[start:]
         apply(result)
-        self.gates.extend(_reversed_adjoint(self.gates[start:end]))
+        self.gates.extend(_reversed_adjoint(computed))
+        self._summary.merge(delta)
 
     def _tally(self, emit):
-        """Run `emit` on a counting builder; return (tally delta, qubits
-        allocated, emit's result)."""
+        """Run `emit`; return (tally delta, qubits allocated, emit's result).
+        The delta is empty on a recording builder."""
         outer, self._summary = self._summary, CountSummary()
         qubits = self.num_qubits
         try:

@@ -18,12 +18,11 @@ import numpy as np
 from . import catalog
 from .adders import RIPPLE_CARRY_ADDERS
 from .analysis import SweepSeries, find_tipping_point, fit_power_law, log_grid
-from .circuit import ALL_KINDS, PERMUTATION_KINDS, Circuit, adjoint
+from .circuit import ALL_KINDS, Circuit, adjoint
 from .modexp import build_modexp, optimal_window
 from .muldiv import DIVIDER_ADDERS, parse_divider
 from .physical import PhysicalParams, pareto_frontier
 from .resources import lower
-from .sim import basis_columns, simulate_permutation_batch, simulate_statevector
 
 EXPECTED_CLAIM_IDS = tuple(f"AC{i}" for i in range(1, 12))
 ADJOINT_SAMPLES = 4096  # seeded states per wide circuit in the adjoint check
@@ -149,10 +148,7 @@ def _check_structure(seed) -> ClaimCheck:
         states = np.arange(1 << n) if n <= 16 else np.concatenate((
             [0, 1, (1 << n) - 1], rng.integers(0, 1 << n, ADJOINT_SAMPLES)))
         combined = Circuit(num_qubits=n, gates=c.gates + adjoint(c).gates)
-        if all(g.kind in PERMUTATION_KINDS for g in combined.gates):
-            outs, is_basis = simulate_permutation_batch(combined, states), True
-        else:
-            outs, is_basis = basis_columns(simulate_statevector(combined, states))
+        outs, is_basis, _ = catalog.simulate_basis(combined, states)
         if not np.all(is_basis) or not np.array_equal(outs, states):
             problems.append(f"{c.name}: adjoint composition is not identity")
     return _claim(

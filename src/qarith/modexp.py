@@ -43,8 +43,8 @@ def optimal_window(n: int) -> int:
 def parse_modexp(algo: str) -> tuple[str, int | None]:
     if algo in ("LYY", "LYYWindowedOpt"):
         return (algo, None)
-    if algo.startswith("LYYWindowed(") and algo.endswith(")"):
-        w = int(algo[len("LYYWindowed("):-1])
+    if algo.startswith("LYYWindowed(") and algo.endswith(")") and algo[12:-1].isdecimal():
+        w = int(algo[12:-1])
         if w < 1:
             raise CircuitError("window size must be >= 1")
         return ("LYYWindowed", w)
@@ -62,16 +62,13 @@ def emit_lookup(bld: Builder, addr, target, entries, ancs) -> None:
     Counting builders tally the tree in closed form (Babbush et al. 2018):
     an a-bit address has 2^a - 2 controlled internal nodes of 2 X, 2 CCX and
     1 CNOT each, the uncontrolled top level adds 2 X, and every leaf is a
-    CNOT load of its non-negative entry's low len(target) bits, summed in
-    one popcount pass over the table.  Entries are masked to the target only
-    when one is wider: library tables always fit, and skipping the mask
-    makes the pass about a third faster at n = 64.
+    CNOT load of its entry's bits, summed in one popcount pass over the
+    table.  Entries must be non-negative and fit the target:
+    `build_table_lookup` checks a caller's table, and `_ModN.mul_table`
+    looks up residues mod N.
     """
     if bld.counting and addr:
         nodes = (1 << len(addr)) - 2
-        mask = (1 << len(target)) - 1
-        if max(entries) > mask:
-            entries = map(mask.__and__, entries)
         loads = sum(map(int.bit_count, entries))
         bld.bulk(X, 2 * nodes + 2)
         bld.bulk(CCX, 2 * nodes)
@@ -168,6 +165,18 @@ class _ModN:
         bld.within(chain, not_into)
         emit_complement(bld, t)
 
+    def _add(self, key, load, chain, ctrls) -> None:
+        """acc += the operand `load` stages in kload, mod N, under `ctrls`;
+        `chain` computes the carry of ~acc + operand for `_ge`."""
+        def emit():
+            load()
+            self._accumulate(self.kload, list(self.acc) + [self.hi])
+            load()
+            self._reduce(self.acc, ctrls)
+            self._ge(chain, ctrls)
+
+        self.bld.cached(key, emit)
+
     def add_const(self, k: int, ctrls=()) -> None:
         """acc += k mod N under `ctrls`."""
         bld, t, chain = self.bld, self.acc, self.cmp
@@ -189,16 +198,8 @@ class _ModN:
                 else:
                     bld.ccx(t[j], chain[j - 1], chain[j])
 
-        def emit():
-            kq = self.kload[:len(t) + 1]
-            emit_const_load(bld, kq, k, *ctrls)
-            self._accumulate(kq, list(t) + [self.hi])
-            emit_const_load(bld, kq, k, *ctrls)
-            self._reduce(t, ctrls)
-            self._ge(ge_k, ctrls)
-
-        key = ("modadd", len(t), self.N, k & 1, k.bit_count(), len(ctrls))
-        bld.cached(key, emit)
+        self._add(("modadd", len(t), self.N, k & 1, k.bit_count(), len(ctrls)),
+                  lambda: emit_const_load(bld, self.kload, k, *ctrls), ge_k, ctrls)
 
     def add(self, u, ctrls=()) -> None:
         """acc += u mod N for a quantum u < N under `ctrls`."""
@@ -212,15 +213,8 @@ class _ModN:
                 bld.ccx(t[j], chain[j - 1], chain[j])
                 bld.cnot(u[j], t[j])
 
-        def emit():
-            kq = self.kload
-            emit_copy(bld, u, kq[:len(t)], *ctrls)
-            self._accumulate(kq[:len(t) + 1], list(t) + [self.hi])
-            emit_copy(bld, u, kq[:len(t)], *ctrls)
-            self._reduce(t, ctrls)
-            self._ge(ge_u, ctrls)
-
-        bld.cached(("qqmodadd", len(t), self.N, len(ctrls)), emit)
+        self._add(("qqmodadd", len(t), self.N, len(ctrls)),
+                  lambda: emit_copy(bld, u, self.kload[:len(t)], *ctrls), ge_u, ctrls)
 
     def double(self, reg) -> None:
         """reg -> 2 reg mod N in place (N odd; the parity of the result clears hi)."""

@@ -30,8 +30,8 @@ def parse_multiplier(algo: str) -> int | None:
         return DEFAULT_PIECE_SIZE
     if algo == "Karatsuba-8":
         return KARATSUBA8_PIECE_SIZE
-    if algo.startswith("Karatsuba(") and algo.endswith(")"):
-        piece = int(algo[len("Karatsuba("):-1])
+    if algo.startswith("Karatsuba(") and algo.endswith(")") and algo[10:-1].isdecimal():
+        piece = int(algo[10:-1])
         if piece < 2:
             raise CircuitError("Karatsuba piece size must be >= 2")
         return piece

@@ -53,6 +53,13 @@ def test_unknown_op_class_rejected():
         catalog.build("modmul_const", "Montgomery", 3)
 
 
+def test_table_lookup_refuses_sizes_past_the_cap():
+    # Refused before the 2^n-entry table is drawn: at n = 33 numpy would try
+    # to allocate 64 GiB.
+    with pytest.raises(CircuitError, match=r"n must be <= 20"):
+        catalog.build("table_lookup", "UnaryIteration", 21, counting=True)
+
+
 @given(entry=st.sampled_from([row[:2] for row in catalog.catalog()]),
        data=st.data())
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qarith import claims
+from qarith import catalog, claims
 from qarith.circuit import CCX, X, Gate
 from qarith.claims import (
     EXPECTED_CLAIM_IDS,
@@ -29,6 +29,21 @@ def test_expected_claim_ids_closed():
 
 def test_structure_claim_passes():
     assert _check_structure(12345).status == "pass"
+
+
+def test_structure_claim_simulates_through_the_catalog(monkeypatch):
+    # AC5 picks its simulator through catalog.simulate_basis, the dispatch
+    # every oracle check uses; its QFT sample runs on the statevector.
+    calls = []
+    simulate = catalog.simulate_statevector
+
+    def counted(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(catalog, "simulate_statevector", counted)
+    assert _check_structure(12345).status == "pass"
+    assert calls
 
 
 def test_structure_claim_samples_wide_circuits(monkeypatch):

@@ -207,19 +207,30 @@ def test_pareto_schema_and_frontier(capsys):
     assert qubits == sorted(qubits, reverse=True)
 
 
-@pytest.mark.parametrize("n", ["0", "-1"])
-@pytest.mark.parametrize("op_class, algo", [
-    ("modexp", "LYY"), ("modmul_const", "LYY"), ("const_adder", "QFT"),
-    ("table_lookup", "UnaryIteration")])
-def test_pareto_below_one_qubit_exits_2(capsys, op_class, algo, n):
+SMALLEST_SIZE = {("modexp", "LYY"): 2, ("modmul_const", "LYY"): 2,
+                 ("const_adder", "QFT"): 1, ("table_lookup", "UnaryIteration"): 1}
+
+
+@pytest.mark.parametrize("op_class, algo, n", [
+    (*key, n) for key, n_min in SMALLEST_SIZE.items()
+    for n in ("1", "0", "-1") if int(n) < n_min])
+def test_pareto_below_the_smallest_size_exits_2(capsys, op_class, algo, n):
     # Refused before a constant, table or builder is made from n; an unknown
     # op class is still named first.
     code, out, err = run_cli(
         ["pareto", "--op-class", op_class, "--algo", algo, "--n", n], capsys)
-    assert (code, out, err) == (2, "", "error: register size n must be >= 1\n")
+    n_min = SMALLEST_SIZE[op_class, algo]
+    assert (code, out, err) == (2, "", f"error: register size n must be >= {n_min}\n")
     code, _, err = run_cli(
         ["pareto", "--op-class", "bogus", "--algo", algo, "--n", n], capsys)
     assert (code, err) == (2, "error: unknown op class 'bogus'\n")
+
+
+def test_pareto_refuses_a_table_lookup_past_the_cap(capsys):
+    code, out, err = run_cli(["pareto", "--op-class", "table_lookup", "--algo",
+                              "UnaryIteration", "--n", "21"], capsys)
+    assert (code, out, err) == (
+        2, "", "error: table_lookup draws a 2^n-entry table; n must be <= 20\n")
 
 
 def test_fit_slope_on_exact_power_law(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -134,6 +135,12 @@ def test_modexp_validation():
         build_modexp("LYY", 5, 15, 4)  # gcd != 1
     with pytest.raises(CircuitError):
         parse_modexp("Montgomery")
+    for algo in ("LYYWindowed(1x)", "LYYWindowed()", "LYYWindowed(²)"):
+        with pytest.raises(CircuitError,
+                           match=re.escape(f"unknown modexp algorithm {algo!r}")):
+            parse_modexp(algo)
+    with pytest.raises(CircuitError, match="window size must be >= 1"):
+        parse_modexp("LYYWindowed(0)")
 
 
 def test_optimal_window_examples():
@@ -215,12 +222,11 @@ def test_counting_matches_recording_modmul():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_lookup_tally_matches_recording(data):
-    """The counting lookup's closed form equals the recorded walk's tallies,
-    including entries wider than the target (only the low bits load)."""
+    """The counting lookup's closed form equals the recorded walk's tallies."""
     a = data.draw(st.integers(1, 8), label="address bits")
     m = data.draw(st.integers(1, 8), label="target bits")
     entries = data.draw(
-        st.lists(st.integers(0, (1 << (m + 3)) - 1),
+        st.lists(st.integers(0, (1 << m) - 1),
                  min_size=1 << a, max_size=1 << a),
         label="entries",
     )

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -23,10 +24,14 @@ def test_parse_multiplier():
     assert parse_multiplier("Karatsuba") == 32
     assert parse_multiplier("Karatsuba-8") == 8
     assert parse_multiplier("Karatsuba(5)") == 5
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match="piece size must be >= 2"):
         parse_multiplier("Karatsuba(1)")
     with pytest.raises(CircuitError):
         parse_multiplier("Wallace")
+    # A malformed piece size is an unknown name, not an int() error.
+    for algo in ("Karatsuba(x)", "Karatsuba(-2)", "Karatsuba(²)"):
+        with pytest.raises(CircuitError, match=re.escape(f"unknown multiplier {algo!r}")):
+            parse_multiplier(algo)
 
 
 @pytest.mark.parametrize("algo", ["Schoolbook", "Karatsuba(2)", "Karatsuba(3)"])

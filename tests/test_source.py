@@ -132,6 +132,37 @@ def test_only_adders_reads_the_ripple_accumulator():
     assert sorted(readers) == ["adders.py"]
 
 
+def _functions_reading(tree: ast.AST, owner: str, attr: str) -> list[str]:
+    """Names of the innermost functions that load `owner.attr`."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == owner):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_builder_and_the_two_closed_forms_branch_on_build_mode():
+    # Builder.adjoint and Builder.within take one path for both modes; the
+    # mode decides only how a gate is kept, the tally-only calls and the two
+    # closed forms that tally through bulk.
+    builder = _functions_reading(ast.parse((PACKAGE / "circuit.py").read_text()),
+                                 "self", "counting")
+    assert sorted(builder) == ["_emit", "bulk", "cached", "finalize"]
+    constructions = [name for module in ("adders.py", "muldiv.py", "modexp.py")
+                     for name in _functions_reading(
+                         ast.parse((PACKAGE / module).read_text()), "bld", "counting")]
+    assert sorted(constructions) == ["emit_copy", "emit_lookup"]
+
+
 def test_every_gate_kind_has_a_producer():
     # A gate kind that no construction emits and no lowering template names
     # costs every builder, cache merge and lowering a branch for nothing.
