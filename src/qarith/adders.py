@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 
-from .circuit import Builder, CNOT, CircuitError
+from .circuit import Builder, CNOT, CircuitError, parse_name
 
 IN_PLACE_ADDERS = ("Gidney", "TTK", "CDKM", "DKRS", "QFT")
 OUT_OF_PLACE_ADDERS = ("Gidney", "DKRS")
-CONST_ADDERS = tuple(f"ViaInPlace({a})" for a in IN_PLACE_ADDERS[:4]) + ("QFT",)
+# name -> the in-place adder it stages the constant through (None: QFT phases)
+CONST_ADDERS = {**{f"ViaInPlace({a})": a for a in IN_PLACE_ADDERS[:4]}, "QFT": None}
 RIPPLE_CARRY_ADDERS = ("Gidney", "TTK", "CDKM")
 
 
@@ -357,8 +358,7 @@ def build_inplace_adder(algo: str, n: int, counting: bool = False):
 
 def build_outofplace_adder(algo: str, n: int, counting: bool = False):
     """|a>|b>|0> -> |a>|b>|(a+b) mod 2^n>."""
-    if algo not in OUT_OF_PLACE_ADDERS:
-        raise CircuitError(f"unknown out-of-place adder {algo!r}")
+    parse_name(algo, "out-of-place adder", dict.fromkeys(OUT_OF_PLACE_ADDERS))
     _check_n(n)
     bld = Builder(counting, f"outofplace_adder[{algo},{n}]")
     a = bld.alloc_register(n, "a")
@@ -389,25 +389,15 @@ def _emit_gidney_outofplace(bld: Builder, a, b, s) -> None:
         bld.cnot(b[i], s[i])
 
 
-def parse_const_adder(algo: str) -> tuple[str, str | None]:
-    """'ViaInPlace(TTK)' -> ('ViaInPlace', 'TTK'); 'QFT' -> ('QFT', None).
-    Only the names in CONST_ADDERS are accepted."""
-    if algo not in CONST_ADDERS:
-        raise CircuitError(f"unknown constant adder {algo!r}")
-    if algo == "QFT":
-        return ("QFT", None)
-    return ("ViaInPlace", algo[len("ViaInPlace("):-1])
-
-
 def build_const_adder(algo: str, n: int, constant: int, counting: bool = False):
     """|b> -> |(constant + b) mod 2^n>."""
     _check_n(n)
     if not 0 <= constant < (1 << n):
         raise CircuitError(f"constant {constant} out of range for n={n}")
-    kind, inner = parse_const_adder(algo)
+    inner = parse_name(algo, "constant adder", CONST_ADDERS)
     bld = Builder(counting, f"const_adder[{algo},{n}]")
     b = bld.alloc_register(n, "b")
-    if kind == "QFT":
+    if inner is None:
         emit_qft_const_add(bld, b.qubits, constant)
     else:
         kreg = bld.alloc_ancilla(n, "k")

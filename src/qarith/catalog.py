@@ -19,6 +19,7 @@ from .circuit import (
     Circuit,
     CircuitError,
     encode_register,
+    parse_name,
     register_value,
 )
 from .resources import LogicalCounts, lower
@@ -41,13 +42,12 @@ TABLE_LOOKUP_N_MAX = 20  # the seeded table has 2^n entries; memory doubles per 
 _LISTED: dict[str, tuple[tuple[str, ...], str, int]] = {
     "inplace_adder": (adders.IN_PLACE_ADDERS, "n", 1),
     "outofplace_adder": (adders.OUT_OF_PLACE_ADDERS, "n", 1),
-    "const_adder": (adders.CONST_ADDERS,
+    "const_adder": (tuple(adders.CONST_ADDERS),
                     "n (constant: sum of 4^i, i <= ceil(n/2))", 1),
     "subtractor": (adders.IN_PLACE_ADDERS, "n", 1),
-    "multiplier": (("Schoolbook", "Karatsuba", "Karatsuba-8"),
-                   "n (also Karatsuba(piece_size))", 1),
-    "divider": (tuple(f"{k}+{a}" for k in muldiv.DIVIDER_KINDS
-                      for a in muldiv.DIVIDER_ADDERS), "n", 1),
+    "multiplier": (tuple(muldiv.MULTIPLIERS), "n (also Karatsuba(piece_size))", 1),
+    "divider": (tuple(name for name, (_, adder) in muldiv.DIVIDERS.items()
+                      if adder in muldiv.DIVIDER_ADDERS), "n", 1),
     "modexp": (("LYY", "LYYWindowed(1)", "LYYWindowed(11)", "LYYWindowedOpt"),
                "n (N = 2^n - 1; also LYYWindowed(w))", 2),
     "modmul_const": (("LYY",), "n (N = 2^n - 1)", 2),
@@ -111,14 +111,12 @@ def _instance(op_class: str, algorithm: str, n: int, seed: int):
         a, N = modexp_constants(n)
         return (modexp.build_modexp, (algorithm, a, N, n), *modexp_space(a, N, n))
     if op_class == "modmul_const":
-        if algorithm != "LYY":
-            raise CircuitError(f"unknown modmul algorithm {algorithm!r}")
+        parse_name(algorithm, "modmul algorithm", dict.fromkeys(_LISTED[op_class][0]))
         a, N = modexp_constants(n)
         return (modexp.build_modmul_const, (a, N, n), {"x": range(N)},
                 lambda x: {"x": a * x % N})
     # table_lookup
-    if algorithm != "UnaryIteration":
-        raise CircuitError(f"unknown lookup algorithm {algorithm!r}")
+    parse_name(algorithm, "lookup algorithm", dict.fromkeys(_LISTED[op_class][0]))
     if n > TABLE_LOOKUP_N_MAX:
         raise CircuitError(f"table_lookup draws a 2^n-entry table; "
                            f"n must be <= {TABLE_LOOKUP_N_MAX}")

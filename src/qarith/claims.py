@@ -20,7 +20,7 @@ from .adders import RIPPLE_CARRY_ADDERS
 from .analysis import SweepSeries, find_tipping_point, fit_power_law, log_grid
 from .circuit import ALL_KINDS, Circuit, adjoint
 from .modexp import build_modexp, optimal_window
-from .muldiv import DIVIDER_ADDERS, parse_divider
+from .muldiv import DIVIDER_ADDERS, DIVIDERS
 from .physical import PhysicalParams, pareto_frontier
 from .resources import lower
 
@@ -260,13 +260,13 @@ def _check_design_space(seed) -> ClaimCheck:
         rows = sorted(((algo, catalog.measure("divider", algo, n)) for algo in algos),
                       key=lambda r: (r[1].qubits, r[1].t_count))
         best_algo, best_counts = rows[0]
-        _, best_adder = parse_divider(best_algo)
+        _, best_adder = DIVIDERS[best_algo]
         if best_adder != "TTK":
             ok = False
             observed.append(f"n={n}: min-qubit adder {best_adder}")
         else:
             observed.append(f"n={n}: min qubits {best_counts.qubits} ({best_algo})")
-        tmap = {parse_divider(algo): c.t_count for algo, c in rows}
+        tmap = {DIVIDERS[algo]: c.t_count for algo, c in rows}
         for adder in DIVIDER_ADDERS:
             if not tmap[("NonRestoring", adder)] < tmap[("Restoring", adder)]:
                 ok = False

@@ -15,7 +15,10 @@ import math
 from dataclasses import dataclass
 
 from .adders import emit_complement, emit_const_load, emit_copy, inplace_adder
-from .circuit import CCX, CNOT, X, Builder, CircuitError
+from .circuit import CCX, CNOT, X, Builder, CircuitError, parse_name
+
+# listed names without a window; also `LYYWindowed(w)`, w >= 1
+MODEXP_ALGOS = {"LYY": None, "LYYWindowedOpt": None}
 
 
 @dataclass(frozen=True)
@@ -41,14 +44,9 @@ def optimal_window(n: int) -> int:
 
 
 def parse_modexp(algo: str) -> tuple[str, int | None]:
-    if algo in ("LYY", "LYYWindowedOpt"):
-        return (algo, None)
-    if algo.startswith("LYYWindowed(") and algo.endswith(")") and algo[12:-1].isdecimal():
-        w = int(algo[12:-1])
-        if w < 1:
-            raise CircuitError("window size must be >= 1")
-        return ("LYYWindowed", w)
-    raise CircuitError(f"unknown modexp algorithm {algo!r}")
+    """(variant, window) of a modexp name; the window of LYYWindowed(w) is w."""
+    w = parse_name(algo, "modexp algorithm", MODEXP_ALGOS, "LYYWindowed")
+    return (algo if w is None else "LYYWindowed", w)
 
 
 # -- table lookup (unary iteration) --------------------------------------------
@@ -345,7 +343,9 @@ def build_modexp(algo: str, a: int, N: int, n: int, counting: bool = False):
             if c != 1:
                 mod.mul_const(out.qubits, c, ctrl=x[j], qa=qa)
     else:
-        w = max(1, min(w, n))
+        # A window wider than the exponent is the exponent: the listed
+        # LYYWindowed(11) is verified and golden-pinned from n = 2.
+        w = min(w, n)
         if N % 2 == 0:
             raise CircuitError("windowed modexp requires odd N")
         mod = _ModN(bld, n, N)

@@ -13,29 +13,16 @@ final rotate).
 """
 from __future__ import annotations
 
-from .adders import IN_PLACE_ADDERS, emit_complement, emit_copy, inplace_adder
-from .circuit import Builder, CircuitError
+from .adders import emit_complement, emit_copy, inplace_adder
+from .circuit import Builder, CircuitError, parse_name
 
-DEFAULT_PIECE_SIZE = 32
-KARATSUBA8_PIECE_SIZE = 8
+# name -> Karatsuba piece size (None: schoolbook); also `Karatsuba(k)`, k >= 2
+MULTIPLIERS = {"Schoolbook": None, "Karatsuba": 32, "Karatsuba-8": 8}
 DIVIDER_KINDS = ("Restoring", "NonRestoring")
-DIVIDER_ADDERS = ("Gidney", "TTK", "CDKM")
-
-
-def parse_multiplier(algo: str) -> int | None:
-    """Returns the Karatsuba piece size, or None for Schoolbook."""
-    if algo == "Schoolbook":
-        return None
-    if algo == "Karatsuba":
-        return DEFAULT_PIECE_SIZE
-    if algo == "Karatsuba-8":
-        return KARATSUBA8_PIECE_SIZE
-    if algo.startswith("Karatsuba(") and algo.endswith(")") and algo[10:-1].isdecimal():
-        piece = int(algo[10:-1])
-        if piece < 2:
-            raise CircuitError("Karatsuba piece size must be >= 2")
-        return piece
-    raise CircuitError(f"unknown multiplier {algo!r}")
+DIVIDER_ADDERS = ("Gidney", "TTK", "CDKM")  # listed; DKRS builds but is unlisted
+# name `{kind}+{adder}` -> (kind, adder)
+DIVIDERS = {f"{k}+{a}": (k, a)
+            for k in DIVIDER_KINDS for a in DIVIDER_ADDERS + ("DKRS",)}
 
 
 # -- schoolbook shift-and-add ---------------------------------------------------
@@ -145,7 +132,7 @@ def emit_karatsuba_multiply(bld: Builder, a, b, prod, piece, temp, add) -> None:
 
 def build_multiplier(algo: str, n: int, counting: bool = False):
     """|a>|b>|0> -> |a>|b>|a*b> on registers of n, n and 2n qubits."""
-    piece = parse_multiplier(algo)
+    piece = parse_name(algo, "multiplier", MULTIPLIERS, "Karatsuba", 2)
     if n < 1:
         raise CircuitError("register size n must be >= 1")
     bld = Builder(counting, f"multiplier[{algo},{n}]")
@@ -166,16 +153,6 @@ def build_multiplier(algo: str, n: int, counting: bool = False):
 
 # -- division ---------------------------------------------------------------------
 
-def parse_divider(algo: str) -> tuple[str, str]:
-    """(kind, adder) of a divider name `{kind}+{adder}`."""
-    kind, _, adder = algo.partition("+")
-    if kind not in DIVIDER_KINDS:
-        raise CircuitError(f"unknown divider kind {kind!r}")
-    if adder not in IN_PLACE_ADDERS or adder == "QFT":
-        raise CircuitError(f"unsupported divider adder {adder!r}")
-    return kind, adder
-
-
 def _emit_window_sub(bld, window, kload, adders, src_bits):
     """window -= src via the complement trick around the window-width adder;
     src is zero-extended through kload staging."""
@@ -193,7 +170,7 @@ def build_divider(algo: str, n: int, counting: bool = False):
     subtracts (or, non-restoring, adds) the divisor on a sliding window and
     converts the window's redundant sign bit into the quotient bit in place.
     """
-    kind, adder = parse_divider(algo)
+    kind, adder = parse_name(algo, "divider", DIVIDERS)
     if n < 1:
         raise CircuitError("register size n must be >= 1")
     bld = Builder(counting, f"divider[{algo},{n}]")

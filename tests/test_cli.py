@@ -123,6 +123,24 @@ def test_verify_unlisted_const_adder_exits_2(capsys):
     assert err == "error: unknown constant adder 'ViaInPlace(QFT)'\n"
 
 
+@pytest.mark.parametrize("op_class, algo, what", [
+    ("inplace_adder", "Bogus", "in-place adder"),
+    ("outofplace_adder", "TTK", "out-of-place adder"),
+    ("const_adder", "ViaInPlace(QFT)", "constant adder"),
+    ("subtractor", "Gidney ", "in-place adder"),
+    ("multiplier", "Karatsuba(٣)", "multiplier"),
+    ("divider", "Restoring+QFT", "divider"),
+    ("modexp", "LYYWindowed(007)", "modexp algorithm"),
+    ("modmul_const", "Montgomery", "modmul algorithm"),
+    ("table_lookup", "Linear", "lookup algorithm"),
+])
+def test_sweep_unknown_algorithm_exits_2(capsys, op_class, algo, what):
+    # Every op class refuses a name outside its grammar in one wording.
+    code, out, err = run_cli(["sweep", "--op-class", op_class, "--algo", algo,
+                              "--n-min", "8", "--n-max", "8"], capsys)
+    assert (code, out, err) == (2, "", f"error: unknown {what} {algo!r}\n")
+
+
 @pytest.mark.parametrize("op_class, algo, n_max, n_min", [
     ("inplace_adder", "TTK", 0, 1),
     ("modexp", "LYY", 1, 2),

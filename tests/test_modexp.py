@@ -135,12 +135,16 @@ def test_modexp_validation():
         build_modexp("LYY", 5, 15, 4)  # gcd != 1
     with pytest.raises(CircuitError):
         parse_modexp("Montgomery")
-    for algo in ("LYYWindowed(1x)", "LYYWindowed()", "LYYWindowed(²)"):
+    for algo in ("LYYWindowed(1x)", "LYYWindowed()", "LYYWindowed(²)",
+                 "LYYWindowed(007)", "LYYWindowed(٣)", "LYYWindowedOpt(3)"):
         with pytest.raises(CircuitError,
                            match=re.escape(f"unknown modexp algorithm {algo!r}")):
             parse_modexp(algo)
-    with pytest.raises(CircuitError, match="window size must be >= 1"):
+    with pytest.raises(CircuitError, match=re.escape(
+            "modexp algorithm 'LYYWindowed(0)': LYYWindowed(k) needs k >= 1")):
         parse_modexp("LYYWindowed(0)")
+    assert parse_modexp("LYYWindowed(11)") == ("LYYWindowed", 11)
+    assert parse_modexp("LYYWindowedOpt") == ("LYYWindowedOpt", None)
 
 
 def test_optimal_window_examples():

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from qarith import catalog
-from qarith.circuit import CircuitError, clear_block_cache
+from qarith.circuit import CircuitError, clear_block_cache, parse_name
 from qarith.muldiv import (
     DIVIDER_ADDERS,
     DIVIDER_KINDS,
+    DIVIDERS,
+    MULTIPLIERS,
     build_divider,
     build_multiplier,
-    parse_divider,
-    parse_multiplier,
 )
 from qarith.sim import simulate_permutation_batch
 
@@ -20,18 +20,26 @@ from conftest import assert_tallies_equal
 
 
 def test_parse_multiplier():
-    assert parse_multiplier("Schoolbook") is None
-    assert parse_multiplier("Karatsuba") == 32
-    assert parse_multiplier("Karatsuba-8") == 8
-    assert parse_multiplier("Karatsuba(5)") == 5
-    with pytest.raises(CircuitError, match="piece size must be >= 2"):
-        parse_multiplier("Karatsuba(1)")
-    with pytest.raises(CircuitError):
-        parse_multiplier("Wallace")
-    # A malformed piece size is an unknown name, not an int() error.
-    for algo in ("Karatsuba(x)", "Karatsuba(-2)", "Karatsuba(²)"):
-        with pytest.raises(CircuitError, match=re.escape(f"unknown multiplier {algo!r}")):
-            parse_multiplier(algo)
+    def parse(algo):
+        return parse_name(algo, "multiplier", MULTIPLIERS, "Karatsuba", 2)
+
+    assert parse("Schoolbook") is None
+    assert parse("Karatsuba") == 32
+    assert parse("Karatsuba-8") == 8
+    assert parse("Karatsuba(5)") == 5
+    assert parse("Karatsuba(10)") == 10
+    # build_multiplier reads the same grammar, so it refuses the same names.
+    for refuse in (parse, lambda algo: build_multiplier(algo, 1)):
+        with pytest.raises(CircuitError, match=re.escape(
+                "multiplier 'Karatsuba(1)': Karatsuba(k) needs k >= 2")):
+            refuse("Karatsuba(1)")
+        # A size that is not a plain decimal is an unknown name, not an
+        # int() error or a quiet alias of its canonical spelling.
+        for algo in ("Wallace", "Karatsuba(x)", "Karatsuba(-2)", "Karatsuba(²)",
+                     "Karatsuba(٣)", "Karatsuba(08)", "Karatsuba()", "Karatsuba(3"):
+            with pytest.raises(CircuitError,
+                               match=re.escape(f"unknown multiplier {algo!r}")):
+                refuse(algo)
 
 
 @pytest.mark.parametrize("algo", ["Schoolbook", "Karatsuba(2)", "Karatsuba(3)"])
@@ -90,7 +98,7 @@ def test_multiplier_rejects_zero():
 
 
 @pytest.mark.parametrize("kind", DIVIDER_KINDS)
-@pytest.mark.parametrize("adder", DIVIDER_ADDERS)
+@pytest.mark.parametrize("adder", DIVIDER_ADDERS + ("DKRS",))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_divider_exhaustive(kind, adder, n, oracle_runner):
     c = build_divider(f"{kind}+{adder}", n)
@@ -129,13 +137,10 @@ def test_divider_b_zero_is_deterministic_permutation():
 
 
 def test_divider_rejects_bad_spec():
-    assert parse_divider("NonRestoring+CDKM") == ("NonRestoring", "CDKM")
-    with pytest.raises(CircuitError, match="unsupported divider adder 'QFT'"):
-        parse_divider("Restoring+QFT")
-    with pytest.raises(CircuitError, match="unknown divider kind 'Floored'"):
-        parse_divider("Floored+TTK")
-    with pytest.raises(CircuitError, match="unsupported divider adder 'QFT'"):
-        build_divider("Restoring+QFT", 3)
+    assert DIVIDERS["NonRestoring+CDKM"] == ("NonRestoring", "CDKM")
+    for algo in ("Restoring+QFT", "Floored+TTK", "Restoring", "Restoring+TTK+"):
+        with pytest.raises(CircuitError, match=re.escape(f"unknown divider {algo!r}")):
+            build_divider(algo, 3)
     with pytest.raises(CircuitError):
         build_divider("Restoring+TTK", 0)
 
@@ -158,12 +163,12 @@ def test_design_space_shape_and_ordering():
     # minimum-qubit configuration uses the TTK adder for both kinds
     by_kind = {}
     for algo, counts in rows:
-        kind, adder = parse_divider(algo)
+        kind, adder = DIVIDERS[algo]
         by_kind.setdefault(kind, []).append((counts.qubits, adder))
     for kind, entries in by_kind.items():
         assert min(entries)[1] == "TTK", entries
     # non-restoring beats restoring on T-count at equal adder
-    tmap = {parse_divider(algo): c.t_count for algo, c in rows}
+    tmap = {DIVIDERS[algo]: c.t_count for algo, c in rows}
     for adder in DIVIDER_ADDERS:
         assert tmap[("NonRestoring", adder)] < tmap[("Restoring", adder)]
 

@@ -132,8 +132,19 @@ def test_only_adders_reads_the_ripple_accumulator():
     assert sorted(readers) == ["adders.py"]
 
 
-def _functions_reading(tree: ast.AST, owner: str, attr: str) -> list[str]:
-    """Names of the innermost functions that load `owner.attr`."""
+def test_only_parse_name_reads_decimal_digits():
+    # Algorithm names have one grammar, circuit.parse_name; a builder that
+    # read its own integers would be another parser with its own refusals.
+    readers = {(path.name, function) for path in PACKAGE.glob("*.py")
+               for attr in ("isdecimal", "isdigit")
+               for function in _functions_reading(ast.parse(path.read_text()),
+                                                  None, attr)}
+    assert sorted(readers) == [("circuit.py", "parse_name")]
+
+
+def _functions_reading(tree: ast.AST, owner: str | None, attr: str) -> list[str]:
+    """Names of the innermost functions that load `owner.attr` (`attr` of
+    any value when owner is None)."""
     found = []
 
     def visit(node, function):
@@ -141,7 +152,8 @@ def _functions_reading(tree: ast.AST, owner: str, attr: str) -> list[str]:
             function = node.name
         if (isinstance(node, ast.Attribute) and node.attr == attr
                 and isinstance(node.ctx, ast.Load)
-                and isinstance(node.value, ast.Name) and node.value.id == owner):
+                and (owner is None or isinstance(node.value, ast.Name)
+                     and node.value.id == owner)):
             found.append(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
