@@ -75,7 +75,8 @@ def modexp_constants(n: int) -> tuple[int, int]:
 def modexp_space(a: int, N: int, n: int):
     """(register value ranges, oracle) of |x>|0> -> |x>|a^x mod N> on n-bit
     registers."""
-    return {"x": range(1 << n), "out": [0]}, (lambda x, out: {"out": pow(a, x, N)})
+    return {"x": range(1 << n), "out": [0]}, (
+        lambda x, out: {"out": np.frompyfunc(pow, 3, 1)(a, x, N)})
 
 
 def _instance(op_class: str, algorithm: str, n: int, seed: int):
@@ -125,7 +126,8 @@ def _instance(op_class: str, algorithm: str, n: int, seed: int):
         n, tuple(int(v) for v in rng.integers(0, size, size=size)))
     return (modexp.build_table_lookup, (table, n),
             {"addr": range(size), "y": range(size)},
-            lambda addr, y: {"y": y ^ table.entries[addr]})
+            lambda addr, y: {
+                "y": y ^ np.array(table.entries, dtype=object)[addr.astype(int)]})
 
 
 def build(op_class: str, algorithm: str, n: int, counting: bool = False,
@@ -206,14 +208,14 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
     RANDOM_CASE_LIMIT and above it RANDOM_SAMPLES cases drawn by index from
     each space's bounds with `random.Random(seed)`, so only sampled values
     are made.  Every value must fit its register.
-    oracle(**values) returns {register: value} for the registers it sets;
-    every other data register must come out as it went in (0 if not named in
-    inputs) and every ancilla clean.  Circuits with non-permutation gates are
-    run on the statevector, where a non-basis output fails and every case's
-    output amplitude must carry the first case's phase (a global phase is
-    ignored, a relative one is a failure).
-
-    The cases are checked as columns: the simulators run them in batches,
+    The cases are checked as columns.  oracle(**columns) is called once, each
+    column a 1-D object array of Python ints (exact at any width), one entry
+    per case; it returns {register: column, or an int for every case} for
+    the registers it sets.  Every other data register must come out as it
+    went in (0 if not named in inputs) and every ancilla clean.  Circuits
+    with non-permutation gates are run on the statevector, where a non-basis
+    output fails and every case's output amplitude must carry the first
+    case's phase (a global phase is ignored, a relative one is a failure).
     numpy finds the first failing case, and only that case is explained.
     """
     names = list(inputs)
@@ -235,20 +237,18 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
     regs = {r.name: r for r in circuit.data_registers}
     anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
     dtype = basis_dtype(circuit.num_qubits)
-    values = np.empty((count, len(names)), dtype=object)
+    columns = {name: space[pick] for name, space, pick in zip(names, spaces, picks)}
     states = np.zeros(count, dtype=dtype)
-    for k, (name, space, pick) in enumerate(zip(names, spaces, picks)):
-        values[:, k] = space[pick]
+    for name, space, pick in zip(names, spaces, picks):
         states |= np.array(encode_register(space, regs[name]), dtype=dtype)[pick]
 
     outs, basis, phases = simulate_basis(circuit, states)
-    expected = [oracle(**dict(zip(names, row))) for row in values.tolist()]
-    given = dict(zip(names, values.T.tolist()))  # an unnamed register held 0
+    expected = oracle(**columns)
 
     def register_rule(rname, reg):
         got = register_value(outs, reg)
-        want = np.array([e.get(rname, v) for e, v in
-                         zip(expected, given.get(rname, [0] * count))], dtype=object)
+        want = np.empty(count, dtype=object)  # an unnamed register held 0
+        want[:] = expected.get(rname, columns.get(rname, 0))
         return got != want, lambda i: f"register {rname} = {got[i]}, want {want[i]}"
 
     # Failure rules in the order a case is explained: the first rule whose
@@ -265,16 +265,15 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
     i = bad[0]
     reason = next(say(i) for mask, say in rules if mask[i])
     return OracleCheck(count, exhaustive,
-                       f"{reason} for input {dict(zip(names, values[i]))}")
+                       f"{reason} for input { {n: c[i] for n, c in columns.items()} }")
 
 
 def verify(op_class: str, algorithm: str, n: int,
            seed: int = DEFAULT_SEED) -> VerifyReport:
     """Check one operation instance against its classical oracle
     (check_oracle), exhaustively when the case count permits."""
-    circuit = build(op_class, algorithm, n, seed=seed)
-    _, _, inputs, oracle = _instance(op_class, algorithm, n, seed)
-    check = check_oracle(circuit, inputs, oracle, seed)
+    builder, args, inputs, oracle = _instance(op_class, algorithm, n, seed)
+    check = check_oracle(builder(*args, False), inputs, oracle, seed)
     return VerifyReport(op_class, algorithm, n, check.cases,
                         check.failure is None, check.failure, check.exhaustive)
 

@@ -47,13 +47,13 @@ class CircuitError(ValueError):
 def parse_name(algo: str, what: str, names: dict, family: str = "", minimum: int = 1):
     """Resolve an algorithm name, the one grammar every builder reads: a
     listed name gives names[algo], and `{family}(k)` gives k, written in
-    plain decimal (ASCII digits, no leading zero) and at least `minimum`.
-    Any other name is an unknown `what`."""
+    plain decimal (ASCII digits, no leading zero, at most the 4,300 that
+    int() reads) and at least `minimum`.  Any other name is an unknown `what`."""
     if algo in names:
         return names[algo]
     k = algo[len(family) + 1:-1]
     if not (family and algo == f"{family}({k})" and k.isascii() and k.isdecimal()
-            and str(int(k)) == k):
+            and len(k) <= 4300 and str(int(k)) == k):
         raise CircuitError(f"unknown {what} {algo!r}")
     if int(k) < minimum:
         raise CircuitError(f"{what} {algo!r}: {family}(k) needs k >= {minimum}")

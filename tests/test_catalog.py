@@ -2,13 +2,14 @@ import cmath
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qarith import catalog, modexp, sim
+from qarith import adders, catalog, modexp, sim
 from qarith import circuit as cir
 from qarith.circuit import (
     CNOT,
@@ -227,7 +228,7 @@ def _mutant(op, algo, n, gates_for):
 def test_verify_rejects_mutants(monkeypatch, op, algo, n, gates_for, failure):
     mutant = _mutant(op, algo, n, gates_for)
     assert catalog.verify(op, algo, n).ok
-    monkeypatch.setattr(catalog, "build", lambda *args, **kwargs: mutant)
+    monkeypatch.setattr(adders, "build_inplace_adder", lambda *args: mutant)
     report = catalog.verify(op, algo, n)
     assert not report.ok
     assert report.failure.startswith(failure), report.failure
@@ -309,20 +310,62 @@ def test_sampled_cases_come_from_the_given_spaces():
     # 1,366 stepped values times 3 is past the exhaustive limit.
     c = catalog.build("inplace_adder", "TTK", 12)
     spaces = {"a": range(4095, -1, -3), "b": [3, 1000, 4095]}
-    seen = []
+    seen = {}
 
     def oracle(a, b):
-        seen.append((a, b))
+        seen.update(a=a.tolist(), b=b.tolist())
         return {"b": (a + b) % 4096}
 
     check = catalog.check_oracle(c, spaces, oracle, seed=5)
     assert (check.failure, check.cases, check.exhaustive) == (None, 1000, False)
-    assert all(a in spaces["a"] and b in spaces["b"] for a, b in seen)
-    assert len({b for _, b in seen}) == 3 and len({a for a, _ in seen}) > 500
+    assert all(a in spaces["a"] for a in seen["a"])
+    assert all(b in spaces["b"] for b in seen["b"])
+    assert len(set(seen["b"])) == 3 and len(set(seen["a"])) > 500
     # Sizes come from the bounds, also where len() would overflow.
     for r in (spaces["a"], range(1, 10, 4), range(8, 0), range(0, 8, -1)):
         assert catalog._space_size(r) == len(r), r
     assert catalog._space_size(range(3, 1 << 100, 7)) == ((1 << 100) - 3 + 6) // 7
+
+
+@pytest.mark.parametrize("op, algo, n, exhaustive", [
+    ("multiplier", "Schoolbook", 3, True),  # 64 cases; prod is a one-value space
+    ("inplace_adder", "TTK", 12, False),
+])
+def test_check_oracle_calls_its_oracle_once_on_columns(op, algo, n, exhaustive):
+    builder, args, inputs, oracle = catalog._instance(op, algo, n, catalog.DEFAULT_SEED)
+    calls = []
+
+    def recorded(**columns):
+        calls.append(columns)
+        return oracle(**columns)
+
+    check = catalog.check_oracle(builder(*args), inputs, recorded)
+    assert (check.failure, check.exhaustive) == (None, exhaustive)
+    assert len(calls) == 1 and list(calls[0]) == list(inputs)
+    for column in calls[0].values():
+        assert column.dtype == object and column.shape == (check.cases,)
+        assert all(type(v) is int for v in column)
+
+
+def test_sampled_failure_past_63_qubits_names_plain_ints():
+    # At 80 qubits the states are Python ints in object arrays; the input a
+    # failure names must print as plain ints and reproduce on its own.
+    n = 40
+    mutant = _mutant("inplace_adder", "TTK", n,
+                     lambda r: (Gate(CNOT, (r["a"][n - 1], r["b"][0])),))
+    assert mutant.num_qubits > 63
+    _, _, inputs, oracle = catalog._instance("inplace_adder", "TTK", n,
+                                             catalog.DEFAULT_SEED)
+    check = catalog.check_oracle(mutant, inputs, oracle)
+    assert (check.cases, check.exhaustive) == (catalog.RANDOM_SAMPLES, False)
+    m = re.fullmatch(r"register b = (\d+), want (\d+) for input "
+                     r"\{'a': (\d+), 'b': (\d+)\}", check.failure)
+    assert m, check.failure
+    got, want, a, b = map(int, m.groups())
+    regs = {r.name: r for r in mutant.data_registers}
+    state = encode_register(a, regs["a"]) | encode_register(b, regs["b"])
+    out = simulate_permutation_batch(mutant, [state])[0]
+    assert want == (a + b) % (1 << n) != got == register_value(out, regs["b"])
 
 
 def test_verification_takes_one_step_per_gate_per_batch(monkeypatch):

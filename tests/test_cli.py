@@ -133,6 +133,11 @@ def test_verify_unlisted_const_adder_exits_2(capsys):
     ("modexp", "LYYWindowed(007)", "modexp algorithm"),
     ("modmul_const", "Montgomery", "modmul algorithm"),
     ("table_lookup", "Linear", "lookup algorithm"),
+    # Past Python's 4,300-digit limit on int(str) conversion.
+    pytest.param("multiplier", f"Karatsuba({'1' * 5000})", "multiplier",
+                 id="multiplier-Karatsuba(5000 digits)-multiplier"),
+    pytest.param("modexp", f"LYYWindowed({'2' * 4400})", "modexp algorithm",
+                 id="modexp-LYYWindowed(4400 digits)-modexp algorithm"),
 ])
 def test_sweep_unknown_algorithm_exits_2(capsys, op_class, algo, what):
     # Every op class refuses a name outside its grammar in one wording.
@@ -324,15 +329,15 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 def test_verify_superposed_output_fails_with_exit_1(capsys, monkeypatch):
     import dataclasses
 
-    from qarith import catalog as cat
+    from qarith import adders
     from qarith.circuit import H, Gate
 
-    build = cat.build
-    good = build("inplace_adder", "QFT", 2)
+    build = adders.build_inplace_adder
+    good = build("QFT", 2)
     b0 = next(r for r in good.data_registers if r.name == "b")[0]
     mutant = dataclasses.replace(good, gates=good.gates + (Gate(H, (b0,)),))
-    monkeypatch.setattr(cat, "build", lambda op, algo, n, **kwargs: (
-        mutant if n == 2 else build(op, algo, n, **kwargs)))
+    monkeypatch.setattr(adders, "build_inplace_adder", lambda algo, n, counting=False: (
+        mutant if n == 2 else build(algo, n, counting)))
     code, out, _ = run_cli(
         ["verify", "--op-class", "inplace_adder", "--algo", "QFT", "--n-max", "2"],
         capsys,

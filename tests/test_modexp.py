@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qarith import circuit, modexp
-from qarith.catalog import modexp_constants
+from qarith.catalog import modexp_constants, modexp_space
 from qarith.circuit import Builder, CircuitError, clear_block_cache
 from qarith.modexp import (
     LookupTable,
@@ -46,10 +46,11 @@ def test_lookup_random_exhaustive(oracle_runner):
     rng = np.random.default_rng(23)
     entries = tuple(int(v) for v in rng.integers(0, 16, size=8))
     c = build_table_lookup(LookupTable(3, entries), 4)
+    column = np.array(entries, dtype=object)  # indexed by the addr column
     oracle_runner(
         c,
         {"addr": range(8), "y": range(16)},
-        lambda addr, y: {"addr": addr, "y": y ^ entries[addr]},
+        lambda addr, y: {"addr": addr, "y": y ^ column[addr.astype(int)]},
     )
 
 
@@ -91,11 +92,7 @@ def test_modexp_exhaustive_small(algo, n, oracle_runner):
     N = (1 << n) - 1
     for a in range(2, N):
         if math.gcd(a, N) == 1:
-            oracle_runner(
-                build_modexp(algo, a, N, n),
-                {"x": range(1 << n), "out": [0]},
-                lambda x, out: {"out": pow(a, x, N)},
-            )
+            oracle_runner(build_modexp(algo, a, N, n), *modexp_space(a, N, n))
 
 
 def test_modexp_spec_example(oracle_runner):
@@ -111,19 +108,11 @@ def test_modexp_x_zero_gives_one(oracle_runner):
 def test_windowed_and_plain_agree(oracle_runner):
     for a in (2, 7, 11):
         for algo in ("LYY", "LYYWindowed(3)"):
-            oracle_runner(
-                build_modexp(algo, a, 15, 4),
-                {"x": range(16), "out": [0]},
-                lambda x, out: {"out": pow(a, x, 15)},
-            )
+            oracle_runner(build_modexp(algo, a, 15, 4), *modexp_space(a, 15, 4))
 
 
 def test_modexp_even_modulus_plain_ok(oracle_runner):
-    oracle_runner(
-        build_modexp("LYY", 3, 8, 4),
-        {"x": range(16), "out": [0]},
-        lambda x, out: {"out": pow(3, x, 8)},
-    )
+    oracle_runner(build_modexp("LYY", 3, 8, 4), *modexp_space(3, 8, 4))
     with pytest.raises(CircuitError):
         build_modexp("LYYWindowed(2)", 3, 8, 4)
 
