@@ -178,8 +178,12 @@ def _cla_plan(m_carries: int):
 
 
 def cla_bp_count(n: int) -> int:
-    """Block-propagate ancillas the DKRS tree needs for n-bit operands."""
-    return len(_cla_plan(n - 1)[0])
+    """Block-propagate ancillas the DKRS tree needs for n-bit operands:
+    M - w(M) - floor(log2 M) for its M = n - 1 carries, w(M) the Hamming
+    weight.  That is the length of `_cla_plan(M)`'s p_nodes, so a build
+    allocates them without making the plan its tree makes again."""
+    m = n - 1
+    return m - m.bit_count() - (m.bit_length() - 1) if m > 0 else 0
 
 
 def _emit_cla_tree(bld: Builder, prop, carry, bp) -> None:

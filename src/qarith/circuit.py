@@ -36,8 +36,6 @@ ALL_KINDS = frozenset(_ARITY)
 _ADJOINT_KIND = {T: TDG, TDG: T}
 # Kinds that are their own adjoint; an adjoint block keeps these gates as is.
 _SELF_ADJOINT = PERMUTATION_KINDS | {H}
-# Kind of an X gate by its number of controls.
-_CONTROLLED_X = (X, CNOT, CCX)
 
 
 class CircuitError(ValueError):
@@ -188,10 +186,11 @@ class CountSummary:
     kinds: dict[str, int] = field(default_factory=dict)
     name: str = "circuit"
 
-    def merge(self, other: "CountSummary") -> None:
-        for k, v in other.kinds.items():
-            self.kinds[k] = self.kinds.get(k, 0) + v
 
+# A counting builder tallies each kind in its own slot of a list, in this
+# order; x, cnot and ccx name their slots 0, 1 and 2 directly.
+_KINDS = tuple(_ARITY)
+_SLOT = {kind: i for i, kind in enumerate(_KINDS)}
 
 # Cache of CountSummary deltas for cached() blocks, shared across builders.
 # Keys are fully self-describing tuples, so identical keys always describe
@@ -206,12 +205,16 @@ def clear_block_cache() -> None:
 class Builder:
     """Single-owner circuit builder with append-only qubit allocation.
 
-    The gate methods are the calls the constructions make, and each goes
-    through one emission path, ``_emit``.  A recording builder (the default)
-    builds, validates and keeps each gate, and ``finalize`` returns a
-    Circuit.  A counting builder only tallies gate kinds and ``finalize``
-    returns a CountSummary; it builds no Gate, and ``bulk`` refuses a kind
-    outside the alphabet.  Its ``cached`` blocks are memoised by key, so
+    The gate methods are the calls the constructions make, and each gate is
+    one call that keeps the gate itself.  A recording builder (the default)
+    appends a Gate and ``finalize`` returns a Circuit: ``x``, ``cnot`` and
+    ``ccx``, nearly every gate of a build, check their operands inline and
+    hand only a malformed gate to ``_validate_gate``; the other kinds share
+    ``_emit``, which validates every gate.  A counting builder builds no
+    Gate: a gate adds 1 to its kind's slot in ``_counts``, ``bulk`` adds a
+    count for a kind in the alphabet, and ``finalize`` returns a
+    CountSummary of the nonzero slots.  A finalized builder refuses every
+    gate.  A counting builder memoises its ``cached`` blocks by key, so
     repeated structures cost O(1) after the first emission, which keeps
     sweep-scale builds (n ~ 2^13) tractable.  The cached blocks range from
     the Gidney-style ripple accumulator (``adders.emit_accumulate_add``,
@@ -241,7 +244,7 @@ class Builder:
         self.gates: list[Gate] = []
         self._data_regs: list[Register] = []
         self._anc_regs: list[Register] = []
-        self._summary = CountSummary(name=name)  # stays empty when recording
+        self._counts = [0] * len(_KINDS)  # stays zero when recording
         self._finalized = False
 
     # -- allocation --------------------------------------------------------
@@ -269,31 +272,61 @@ class Builder:
 
     def _emit(self, kind: str, qubits: tuple[int, ...],
               angle: float | None = None) -> None:
+        """Tally, or validate and keep, one gate: the path of the kinds
+        other than X, CNOT and CCX, and of every refused gate."""
         if self._finalized:
             raise CircuitError("builder already finalized")
         if self.counting:
-            kinds = self._summary.kinds
-            kinds[kind] = kinds.get(kind, 0) + 1
+            self._counts[_SLOT[kind]] += 1
             return
         gate = _new_gate(Gate, (kind, qubits, angle))
         _validate_gate(gate, self.num_qubits)
         self.gates.append(gate)
 
     def x(self, t: int) -> None:
-        self._emit(X, (t,))
+        if not self._finalized:
+            if self.counting:
+                self._counts[0] += 1
+                return
+            if 0 <= t < self.num_qubits:
+                self.gates.append(_new_gate(Gate, (X, (t,), None)))
+                return
+        self._emit(X, (t,))  # refuses it
 
     def cnot(self, c: int, t: int) -> None:
-        self._emit(CNOT, (c, t))
+        if not self._finalized:
+            if self.counting:
+                self._counts[1] += 1
+                return
+            n = self.num_qubits
+            if c != t and 0 <= c < n and 0 <= t < n:
+                self.gates.append(_new_gate(Gate, (CNOT, (c, t), None)))
+                return
+        self._emit(CNOT, (c, t))  # refuses it
 
     def ccx(self, c1: int, c2: int, t: int) -> None:
-        self._emit(CCX, (c1, c2, t))
+        if not self._finalized:
+            if self.counting:
+                self._counts[2] += 1
+                return
+            n = self.num_qubits
+            if (c1 != c2 and c1 != t and c2 != t
+                    and 0 <= c1 < n and 0 <= c2 < n and 0 <= t < n):
+                self.gates.append(_new_gate(Gate, (CCX, (c1, c2, t), None)))
+                return
+        self._emit(CCX, (c1, c2, t))  # refuses it
 
     def mcx(self, controls, t: int) -> None:
-        """X on `t` under up to two controls: X, CNOT or CCX."""
-        controls = tuple(controls)
-        if len(controls) > 2:
-            raise CircuitError(f"X takes at most 2 controls, got {len(controls)}")
-        self._emit(_CONTROLLED_X[len(controls)], controls + (t,))
+        """X on `t` under a sequence of up to two controls: X, CNOT or CCX."""
+        k = len(controls)
+        if k == 2:
+            self.ccx(controls[0], controls[1], t)
+        elif k == 1:
+            self.cnot(controls[0], t)
+        elif k == 0:
+            self.x(t)
+        else:
+            raise CircuitError(f"X takes at most 2 controls, got {k}")
 
     def swap(self, a: int, b: int) -> None:
         self._emit(SWAP, (a, b))
@@ -313,13 +346,13 @@ class Builder:
         Only legal in counting mode, for a kind in ALL_KINDS; recording
         builders must emit real gates.
         """
+        if self._finalized:
+            raise CircuitError("builder already finalized")
         if not self.counting:
             raise CircuitError("bulk tallies are only valid in counting mode")
         if kind not in ALL_KINDS:
             raise CircuitError(f"unknown gate kind {kind!r}")
-        if count:
-            kinds = self._summary.kinds
-            kinds[kind] = kinds.get(kind, 0) + count
+        self._counts[_SLOT[kind]] += count
 
     # -- structure helpers ---------------------------------------------------
 
@@ -349,20 +382,22 @@ class Builder:
         computed = self.gates[start:]
         apply(result)
         self.gates.extend(_reversed_adjoint(computed))
-        self._summary.merge(delta)
+        self._add(delta)
 
     def _tally(self, emit):
         """Run `emit`; return (tally delta, qubits allocated, emit's result).
-        The delta is empty on a recording builder."""
-        outer, self._summary = self._summary, CountSummary()
-        qubits = self.num_qubits
-        try:
-            result = emit()
-        finally:
-            # A raising block keeps what it emitted, as a recording build does.
-            delta, self._summary = self._summary, outer
-            outer.merge(delta)
-        return delta, self.num_qubits - qubits, result
+        The delta is empty on a recording builder.  A raising block keeps
+        what it emitted, as a recording build does."""
+        counts, qubits = self._counts[:], self.num_qubits
+        result = emit()
+        kinds = {kind: now - was for kind, now, was
+                 in zip(_KINDS, self._counts, counts) if now != was}
+        return CountSummary(kinds=kinds), self.num_qubits - qubits, result
+
+    def _add(self, delta: CountSummary) -> None:
+        counts = self._counts
+        for kind, count in delta.kinds.items():
+            counts[_SLOT[kind]] += count
 
     def cached(self, key: tuple, emit) -> None:
         """Emit a block, memoising its tallies by `key` in counting mode.
@@ -377,7 +412,7 @@ class Builder:
         hit = _BLOCK_CACHE.get(key)
         if hit is not None:
             delta, alloc = hit
-            self._summary.merge(delta)
+            self._add(delta)
             self.num_qubits += alloc
             return
         _BLOCK_CACHE[key] = self._tally(emit)[:2]
@@ -388,10 +423,10 @@ class Builder:
         """End the build: the recorded Circuit, or a counting build's tallies."""
         self._finalized = True
         if self.counting:
-            self._summary.num_qubits = self.num_qubits
-            return self._summary
-        # `_emit` validated each gate against a width that only grows, and
-        # `adjoint`/`within` only add daggers of emitted gates.
+            kinds = {kind: n for kind, n in zip(_KINDS, self._counts) if n}
+            return CountSummary(self.num_qubits, kinds, self.name)
+        # Each gate was validated when it was kept, against a width that only
+        # grows, and `adjoint`/`within` only add daggers of kept gates.
         return Circuit._of_checked_gates(
             num_qubits=self.num_qubits,
             gates=tuple(self.gates),

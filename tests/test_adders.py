@@ -10,10 +10,12 @@ from qarith.adders import (
     IN_PLACE_ADDERS,
     OUT_OF_PLACE_ADDERS,
     RIPPLE_CARRY_ADDERS,
+    _cla_plan,
     build_const_adder,
     build_inplace_adder,
     build_outofplace_adder,
     build_subtractor,
+    cla_bp_count,
     emit_accumulate_add,
     inplace_adder,
     spec_constant,
@@ -189,6 +191,13 @@ def test_widths_match_golden():
     assert widths == golden
 
 
+def test_cla_bp_count_is_the_plans_block_propagate_count():
+    # The closed form allocates what the Brent-Kung plan uses, which a
+    # build makes only in the tree.
+    for n in [*range(1, 600), 1023, 1024, 1025, 4096, 8191, 8192, 8193]:
+        assert cla_bp_count(n) == len(_cla_plan(n - 1)[0]), n
+
+
 def test_inplace_width_accounting():
     # TTK is ancilla-free; CDKM uses exactly one ancilla.
     assert build_inplace_adder("TTK", 8).num_qubits == 16
@@ -307,15 +316,19 @@ def test_counting_builds_emit_each_cached_block_once(monkeypatch):
     # Exact work, not seconds: the number of gates a cold counting build
     # emits one by one, against the gates it tallies.  The ripple
     # accumulator and the DKRS tree are emitted once per distinct shape.
+    # Every gate is one call of a typed gate method; mcx calls x, cnot or
+    # ccx, so it is not counted again.
     emitted = 0
-    emit = Builder._emit
 
-    def counted(self, *gate):
-        nonlocal emitted
-        emitted += 1
-        emit(self, *gate)
+    def counted(method):
+        def call(self, *operands):
+            nonlocal emitted
+            emitted += 1
+            method(self, *operands)
+        return call
 
-    monkeypatch.setattr(Builder, "_emit", counted)
+    for name in ("x", "cnot", "ccx", "swap", "h", "rz", "cphase"):
+        monkeypatch.setattr(Builder, name, counted(getattr(Builder, name)))
     work = {}
     for what, build in (
         ("Karatsuba-8", lambda: build_multiplier("Karatsuba-8", 1024, counting=True)),

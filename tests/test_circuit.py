@@ -240,6 +240,9 @@ def test_circuit_rejects_overlapping_registers():
 
 
 def test_recorded_gates_are_validated_once(monkeypatch):
+    # A recording builder checks each gate as it keeps it, so finalize
+    # validates no gate again; a Circuit built any other way validates
+    # every gate.
     calls = []
     validate = cir._validate_gate
     monkeypatch.setattr(
@@ -249,13 +252,54 @@ def test_recorded_gates_are_validated_once(monkeypatch):
     bld.alloc_register(3)
     bld.adjoint(lambda: (bld.rz(0, 0.5), bld.ccx(0, 1, 2)))
     bld.within(lambda: bld.cnot(0, 1), lambda _: bld.h(2))
+    built = len(calls)
     c = bld.finalize()
-    assert len(calls) == 4 and len(c.gates) == 5
-    # Circuits built any other way still validate every gate.
+    assert len(calls) == built and len(c.gates) == 5
     assert dataclasses.replace(c, name="copy").gates == c.gates
-    assert len(calls) == 4 + 5
+    assert len(calls) == built + 5
     with pytest.raises(CircuitError):
         dataclasses.replace(c, gates=c.gates + (Gate("CNOT", (1, 1)),))
+
+
+# (method, kind, operand count) of every gate method; mcx once per kind.
+_GATE_METHODS = (
+    ("x", "X", 1), ("cnot", "CNOT", 2), ("ccx", "CCX", 3),
+    ("mcx", "X", 1), ("mcx", "CNOT", 2), ("mcx", "CCX", 3),
+    ("swap", "SWAP", 2), ("h", "H", 1), ("rz", "RZ", 1), ("cphase", "CPHASE", 2),
+)
+
+
+def _call_gate(bld, method, qubits, angle):
+    if method == "mcx":
+        return bld.mcx(qubits[:-1], qubits[-1])
+    return getattr(bld, method)(*qubits, *(() if angle is None else (angle,)))
+
+
+def test_gate_methods_refuse_exactly_as_validate_gate():
+    # x, cnot and ccx check their operands inline: every call on a
+    # three-qubit recording builder, with each operand tuple over -1..3,
+    # either keeps exactly its gate or raises exactly _validate_gate's
+    # message for it.
+    for method, kind, arity in _GATE_METHODS:
+        angles = (0.5, math.nan, math.inf) if kind in cir.ANGLE_KINDS else (None,)
+        for qubits in itertools.product(range(-1, 4), repeat=arity):
+            for angle in angles:
+                g = Gate(kind, qubits, angle)
+                bld = Builder()
+                bld.alloc_register(3)
+                want = _error(cir._validate_gate, g, 3)
+                assert _error(_call_gate, bld, method, qubits, angle) == want, (method, g)
+                assert bld.gates == ([] if want else [g]), (method, g)
+    # A finalized builder refuses every gate and every bulk tally.
+    for counting in (False, True):
+        bld = Builder(counting)
+        bld.alloc_register(3)
+        bld.finalize()
+        for method, kind, arity in _GATE_METHODS:
+            angle = 0.5 if kind in cir.ANGLE_KINDS else None
+            assert _error(_call_gate, bld, method, tuple(range(arity)), angle) == (
+                "builder already finalized"), (method, counting)
+        assert _error(bld.bulk, "CNOT", 1) == "builder already finalized", counting
 
 
 def test_counting_builder_matches_recording():
