@@ -13,6 +13,7 @@ this model follows.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -174,12 +175,12 @@ def _row(kind: str) -> tuple[int, int, int, int, int]:
 
 @functools.cache
 def _applier(kind: str):
-    """`apply(front, qs, t_update)`: lay one gate out on the frontiers
-    `front` of its qubits `qs` and pass its T layers to `t_update`, as
+    """`apply(front, qs, t_marks)`: lay one gate out on the frontiers
+    `front` of its qubits `qs` and set its T layers to 1 in `t_marks`, as
     straight-line code compiled from the gate's `_profile`."""
     prof = _profile(kind)
     roles = range(len(prof.outs))
-    lines = ["def apply(front, qs, t_update):",
+    lines = ["def apply(front, qs, t_marks):",
              "    " + "".join(f"q{r}, " for r in roles) + "= qs",
              *(f"    f{r} = front[q{r}]" for r in roles)]
     for i, shape in enumerate(prof.shapes):
@@ -191,29 +192,29 @@ def _applier(kind: str):
     for r, out in zip(roles, prof.outs):
         targets[out] = targets.get(out, "") + f"front[q{r}] = "
     lines += [f"    {lhs}v{i} + {d}" for (i, d), lhs in targets.items()]
-    if prof.t_layers:
-        lines.append("    t_update((" + "".join(
-            f"v{i} + {d}, " for i, d in prof.t_layers) + "))")
+    lines += [f"    t_marks[v{i} + {d}] = 1" for i, d in prof.t_layers]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["apply"]
 
 
-def _greedy_depth(c: Circuit) -> tuple[int, int]:
+def _greedy_depth(c: Circuit, max_depth: int) -> tuple[int, int]:
     """Greedy ASAP layering of `c`'s Clifford+T expansion, one compiled
     applier call per gate.
 
     Returns (depth, t_depth) where t_depth counts layers containing at least
     one T or T-dagger.  Each gate is laid out through its kind's `_profile`,
     with the same depths as layering the expanded stream event by event.
+    `max_depth` bounds every layer index; the serial depth is one.
     """
+    # The T layers are marks in a bytearray, which the cyclic GC does not
+    # track; a set of them would be rescanned by each collection in the loop.
     front = [0] * c.num_qubits
-    t_layers: set[int] = set()
-    t_update = t_layers.update
+    t_marks = bytearray(max_depth + 1)
     apply = {kind: _applier(kind) for kind in _ARITY}
     for kind, qs, _ in c.gates:
-        apply[kind](front, qs, t_update)
-    return max(front, default=0), len(t_layers)
+        apply[kind](front, qs, t_marks)
+    return max(front, default=0), t_marks.count(1)
 
 
 def _lowered_tallies(kinds: dict[str, int], num_qubits: int) -> LogicalCounts:
@@ -232,8 +233,15 @@ def _lowered_tallies(kinds: dict[str, int], num_qubits: int) -> LogicalCounts:
 
 def lower_to_clifford_t(c: Circuit) -> LogicalCounts:
     """Lower a recorded circuit; depth recomputed on the expanded sequence."""
+    # `c.gates` is usually a tuple that `finalize` has just made.  The loops
+    # below keep nothing they allocate, so it would stay in the young
+    # generation throughout, and each collection during them (set off by a
+    # signal handler, a profiler or another thread) would rescan every gate.
+    # One young-generation collection now moves it out.
+    gc.collect(0)
     out = _lowered_tallies(Counter(map(attrgetter("kind"), c.gates)), c.num_qubits)
-    out.depth, out.t_depth = _greedy_depth(c)
+    # Greedy layering never lays a gate out later than serial composition does.
+    out.depth, out.t_depth = _greedy_depth(c, out.depth)
     return out
 
 
