@@ -175,7 +175,7 @@ def simulate_basis(circuit: Circuit, states):
     the basis inputs `states`: bit-sliced for a permutation circuit, else on
     the statevector in blocks of about BLOCK_AMPLITUDES amplitudes."""
     count = len(states)
-    if all(g.kind in PERMUTATION_KINDS for g in circuit.gates):
+    if all(kind in PERMUTATION_KINDS for kind, _, _ in circuit.gates):
         return (simulate_permutation_batch(circuit, states),
                 np.ones(count, dtype=bool), None)
     outs = np.zeros(count, dtype=basis_dtype(circuit.num_qubits))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,28 +57,24 @@ def parse_name(algo: str, what: str, names: dict, family: str = "", minimum: int
     return int(k)
 
 
-class Gate(NamedTuple):
-    """One gate: its kind, operand qubits, and angle (RZ and CPHASE only)."""
-
-    kind: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
-
-    def adjoint(self) -> "Gate":
-        kind, qubits, angle = self
-        if kind in ANGLE_KINDS:
-            return _new_gate(Gate, (kind, qubits, -angle))
-        return _new_gate(Gate, (_ADJOINT_KIND.get(kind, kind), qubits, None))
-
-
-# Gate(...) runs a Python-level __new__; recording builds make a Gate per
-# gate, so their hot paths build one from its three fields with this.
-_new_gate = tuple.__new__
+# One gate: (kind, operand qubits, angle), the angle None except for RZ and
+# CPHASE.  A plain tuple of strings, ints and floats, so the cyclic GC stops
+# tracking it and its operand tuple soon after they are made, and a long gate
+# list costs later collections nothing.
+Gate = tuple[str, tuple[int, ...], float | None]
 
 
 def _reversed_adjoint(gates) -> list[Gate]:
     """The adjoint of a gate sequence: reversed, each gate daggered."""
-    return [g if g.kind in _SELF_ADJOINT else g.adjoint() for g in reversed(gates)]
+    out = []
+    for g in reversed(gates):
+        kind, qubits, angle = g
+        if kind in ANGLE_KINDS:
+            g = (kind, qubits, -angle)
+        elif kind not in _SELF_ADJOINT:
+            g = (_ADJOINT_KIND[kind], qubits, None)
+        out.append(g)
+    return out
 
 
 @dataclass(frozen=True)
@@ -138,22 +133,26 @@ class Circuit:
 
 
 def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
-    kind, qs, angle = g
-    n = len(qs)
-    # A well-formed gate passes this one test, which builds no set for one-
-    # and two-qubit gates (min() and max() cost more than the loop on three
-    # operands or fewer); a malformed one falls through to the checks that
-    # name its first fault.
-    if (n == _ARITY.get(kind)
-            and (n == 1 or (qs[0] != qs[1] if n == 2 else len(set(qs)) == n))
-            and (angle is None) != (kind in ANGLE_KINDS)
-            and (angle is None or math.isfinite(angle))):
-        for q in qs:
-            if not 0 <= q < num_qubits:
-                break
-        else:
-            return
+    shaped = isinstance(g, tuple) and len(g) == 3
+    if shaped:
+        kind, qs, angle = g
+        n = len(qs)
+        # A well-formed gate passes this one test, which builds no set for
+        # one- and two-qubit gates (min() and max() cost more than the loop
+        # on three operands or fewer); a malformed one falls through to the
+        # checks that name its first fault.
+        if (n == _ARITY.get(kind)
+                and (n == 1 or (qs[0] != qs[1] if n == 2 else len(set(qs)) == n))
+                and (angle is None) != (kind in ANGLE_KINDS)
+                and (angle is None or math.isfinite(angle))):
+            for q in qs:
+                if not 0 <= q < num_qubits:
+                    break
+            else:
+                return
     where = "" if index is None else f" at gate {index}"
+    if not shaped:
+        raise CircuitError(f"gate {g!r}{where} is not a (kind, qubits, angle) triple")
     if kind not in ALL_KINDS:
         raise CircuitError(f"unknown gate kind {kind!r}{where}")
     if len(set(qs)) != n:
@@ -207,14 +206,15 @@ class Builder:
 
     The gate methods are the calls the constructions make, and each gate is
     one call that keeps the gate itself.  A recording builder (the default)
-    appends a Gate and ``finalize`` returns a Circuit: ``x``, ``cnot`` and
-    ``ccx``, nearly every gate of a build, check their operands inline and
-    hand only a malformed gate to ``_validate_gate``; the other kinds share
-    ``_emit``, which validates every gate.  A counting builder builds no
-    Gate: a gate adds 1 to its kind's slot in ``_counts``, ``bulk`` adds a
-    count for a kind in the alphabet, and ``finalize`` returns a
-    CountSummary of the nonzero slots.  A finalized builder refuses every
-    gate.  A counting builder memoises its ``cached`` blocks by key, so
+    appends each gate as a plain ``(kind, qubits, angle)`` tuple and
+    ``finalize`` returns a Circuit: ``x``, ``cnot`` and ``ccx``, nearly every
+    gate of a build, check their operands inline and hand only a malformed
+    gate to ``_validate_gate``; the other kinds share ``_emit``, which
+    validates every gate.  A counting builder keeps no gate: a gate adds 1
+    to its kind's slot in ``_counts``, ``bulk`` adds a count for a kind in
+    the alphabet, and ``finalize`` returns a CountSummary of the nonzero
+    slots.  A finalized builder refuses every gate and every ``cached``
+    block.  A counting builder memoises its ``cached`` blocks by key, so
     repeated structures cost O(1) after the first emission, which keeps
     sweep-scale builds (n ~ 2^13) tractable.  The cached blocks range from
     the Gidney-style ripple accumulator (``adders.emit_accumulate_add``,
@@ -279,7 +279,7 @@ class Builder:
         if self.counting:
             self._counts[_SLOT[kind]] += 1
             return
-        gate = _new_gate(Gate, (kind, qubits, angle))
+        gate = (kind, qubits, angle)
         _validate_gate(gate, self.num_qubits)
         self.gates.append(gate)
 
@@ -289,7 +289,7 @@ class Builder:
                 self._counts[0] += 1
                 return
             if 0 <= t < self.num_qubits:
-                self.gates.append(_new_gate(Gate, (X, (t,), None)))
+                self.gates.append((X, (t,), None))
                 return
         self._emit(X, (t,))  # refuses it
 
@@ -300,7 +300,7 @@ class Builder:
                 return
             n = self.num_qubits
             if c != t and 0 <= c < n and 0 <= t < n:
-                self.gates.append(_new_gate(Gate, (CNOT, (c, t), None)))
+                self.gates.append((CNOT, (c, t), None))
                 return
         self._emit(CNOT, (c, t))  # refuses it
 
@@ -312,7 +312,7 @@ class Builder:
             n = self.num_qubits
             if (c1 != c2 and c1 != t and c2 != t
                     and 0 <= c1 < n and 0 <= c2 < n and 0 <= t < n):
-                self.gates.append(_new_gate(Gate, (CCX, (c1, c2, t), None)))
+                self.gates.append((CCX, (c1, c2, t), None))
                 return
         self._emit(CCX, (c1, c2, t))  # refuses it
 
@@ -406,6 +406,8 @@ class Builder:
         and same number of ancilla allocations.  Recording builders always
         call `emit` so simulations see real gates.
         """
+        if self._finalized:
+            raise CircuitError("builder already finalized")
         if not self.counting:
             emit()
             return
@@ -450,10 +452,10 @@ def adjoint(c: Circuit) -> Circuit:
 def circuit_to_text(c: Circuit) -> str:
     """Plain-text dump, one gate per line; used by golden tests."""
     lines = [f"qubits={c.num_qubits}"]
-    for g in c.gates:
-        body = f"{g.kind} " + ",".join(str(q) for q in g.qubits)
-        if g.kind in ANGLE_KINDS:
-            body += f";angle={g.angle!r}"
+    for kind, qubits, angle in c.gates:
+        body = f"{kind} " + ",".join(str(q) for q in qubits)
+        if kind in ANGLE_KINDS:
+            body += f";angle={angle!r}"
         lines.append(body)
     return "\n".join(lines) + "\n"
 

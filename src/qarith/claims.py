@@ -139,7 +139,7 @@ def _check_structure(seed) -> ClaimCheck:
     for c in sample:
         # The alphabet is measurement- and reset-free by construction; the
         # scan guards against alphabet drift.
-        bad = [g.kind for g in c.gates if g.kind not in ALL_KINDS]
+        bad = [kind for kind, _, _ in c.gates if kind not in ALL_KINDS]
         if bad:
             problems.append(f"{c.name}: non-unitary kinds {bad}")
         # Every basis state up to 16 qubits; past that the 0, 1 and all-ones

@@ -73,29 +73,33 @@ def emit_lookup(bld: Builder, addr, target, entries, ancs) -> None:
         bld.bulk(CNOT, nodes + loads)
         return
 
-    def rec(ctrls, bits, tab, depth):
-        if not bits:
-            emit_const_load(bld, target, tab[0], *ctrls)
-            return
-        a = bits[-1]
-        half = len(tab) // 2
-        lo, hi = tab[:half], tab[half:]
-        if not ctrls:
-            bld.x(a)
-            rec((a,), bits[:-1], lo, depth)
-            bld.x(a)
-            rec((a,), bits[:-1], hi, depth)
-        else:
-            u = ancs[depth]
-            bld.x(a)
-            bld.ccx(*ctrls, a, u)
-            bld.x(a)
-            rec((u,), bits[:-1], lo, depth + 1)
-            bld.cnot(*ctrls, u)
-            rec((u,), bits[:-1], hi, depth + 1)
-            bld.ccx(*ctrls, a, u)
+    _unary_iterate(bld, target, ancs, (), list(addr), list(entries), 0)
 
-    rec((), list(addr), list(entries), 0)
+
+def _unary_iterate(bld: Builder, target, ancs, ctrls, bits, tab, depth) -> None:
+    """The recording walk of `emit_lookup` over address `bits` (MSB last)
+    and table slice `tab`, under `ctrls`.  Not a closure over itself: that
+    cycle would keep the builder and its gates alive until a collection."""
+    if not bits:
+        emit_const_load(bld, target, tab[0], *ctrls)
+        return
+    a, rest = bits[-1], bits[:-1]
+    half = len(tab) // 2
+    lo, hi = tab[:half], tab[half:]
+    if not ctrls:
+        bld.x(a)
+        _unary_iterate(bld, target, ancs, (a,), rest, lo, depth)
+        bld.x(a)
+        _unary_iterate(bld, target, ancs, (a,), rest, hi, depth)
+    else:
+        u = ancs[depth]
+        bld.x(a)
+        bld.ccx(*ctrls, a, u)
+        bld.x(a)
+        _unary_iterate(bld, target, ancs, (u,), rest, lo, depth + 1)
+        bld.cnot(*ctrls, u)
+        _unary_iterate(bld, target, ancs, (u,), rest, hi, depth + 1)
+        bld.ccx(*ctrls, a, u)
 
 
 def build_table_lookup(table: LookupTable, m: int, counting: bool = False):

@@ -13,11 +13,10 @@ this model follows.
 from __future__ import annotations
 
 import functools
-import gc
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 from .circuit import (
     ANGLE_KINDS,
@@ -233,13 +232,7 @@ def _lowered_tallies(kinds: dict[str, int], num_qubits: int) -> LogicalCounts:
 
 def lower_to_clifford_t(c: Circuit) -> LogicalCounts:
     """Lower a recorded circuit; depth recomputed on the expanded sequence."""
-    # `c.gates` is usually a tuple that `finalize` has just made.  The loops
-    # below keep nothing they allocate, so it would stay in the young
-    # generation throughout, and each collection during them (set off by a
-    # signal handler, a profiler or another thread) would rescan every gate.
-    # One young-generation collection now moves it out.
-    gc.collect(0)
-    out = _lowered_tallies(Counter(map(attrgetter("kind"), c.gates)), c.num_qubits)
+    out = _lowered_tallies(Counter(map(itemgetter(0), c.gates)), c.num_qubits)
     # Greedy layering never lays a gate out later than serial composition does.
     out.depth, out.t_depth = _greedy_depth(c, out.depth)
     return out

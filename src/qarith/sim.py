@@ -65,10 +65,10 @@ def basis_dtype(num_qubits: int):
 def _apply_perm(g: Gate, planes: list[int], ones: int) -> None:
     """Permutation gate g applied in place to the bit planes of a batch;
     ones has a bit set for every state in the batch."""
-    q = g.qubits
-    if g.kind == X:
+    kind, q, _ = g
+    if kind == X:
         planes[q[0]] ^= ones
-    elif g.kind == SWAP:
+    elif kind == SWAP:
         a, b = q
         planes[a], planes[b] = planes[b], planes[a]
     else:  # CNOT, CCX: flip the last qubit where all the others are set
@@ -114,8 +114,8 @@ def _run_perm(gates, planes: list[int], count: int) -> np.ndarray:
     return the states."""
     ones = (1 << count) - 1
     for i, g in enumerate(gates):
-        if g.kind not in PERMUTATION_KINDS:
-            raise SimulationError(f"non-permutation gate {g.kind} at gate {i}")
+        if g[0] not in PERMUTATION_KINDS:
+            raise SimulationError(f"non-permutation gate {g[0]} at gate {i}")
         _apply_perm(g, planes, ones)
     return _transpose(planes, count)
 
@@ -133,13 +133,14 @@ def simulate_permutation_batch(c: Circuit, states) -> np.ndarray:
 
 
 def _step_kind(g: Gate) -> str:
-    if g.kind in PERMUTATION_KINDS:
+    kind = g[0]
+    if kind in PERMUTATION_KINDS:
         return "perm"
-    if g.kind in _DIAGONAL_KINDS:
+    if kind in _DIAGONAL_KINDS:
         return "phase"
-    if g.kind == H:
+    if kind == H:
         return H
-    raise SimulationError(f"unsupported gate kind {g.kind}")  # pragma: no cover
+    raise SimulationError(f"unsupported gate kind {kind}")  # pragma: no cover
 
 
 @functools.lru_cache(maxsize=1)
@@ -153,19 +154,19 @@ def _statevector_steps(c: Circuit) -> tuple[tuple[str, object], ...]:
     for kind, run in itertools.groupby(c.gates, _step_kind):
         run = list(run)
         if kind == H:
-            steps += [(H, g.qubits[0]) for g in run]
+            steps += [(H, qs[0]) for _, qs, _ in run]
         elif kind == "perm":
             # new[i] = old[P^-1(i)]; every permutation gate is an involution,
             # so P^-1 is the run applied in reverse.
             steps.append((kind, _run_perm(run[::-1], idx_planes.copy(), len(idx))))
         else:
             theta = np.zeros(1 << n)
-            for g in run:
-                bit = (idx >> g.qubits[0]) & (idx >> g.qubits[-1]) & 1
-                if g.kind == RZ:
-                    theta += g.angle * (bit - 0.5)
+            for g_kind, qs, angle in run:
+                bit = (idx >> qs[0]) & (idx >> qs[-1]) & 1
+                if g_kind == RZ:
+                    theta += angle * (bit - 0.5)
                 else:
-                    theta += _PHASES.get(g.kind, g.angle) * bit
+                    theta += _PHASES.get(g_kind, angle) * bit
             steps.append((kind, np.exp(1j * theta)[:, None]))
     return tuple(steps)
 

@@ -18,7 +18,7 @@ def assert_tallies_equal(cnt, rec, what=None) -> None:
     recorded build of the same construction, kind by kind; `what` (default:
     the circuit's name) labels a failure."""
     what = what or rec.name
-    assert cnt.kinds == Counter(g.kind for g in rec.gates), what
+    assert cnt.kinds == Counter(kind for kind, _, _ in rec.gates), what
     assert cnt.num_qubits == rec.num_qubits, what
 
 

@@ -1,8 +1,10 @@
 import cmath
 import dataclasses
+import gc
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from qarith.circuit import (
     X,
     Circuit,
     CircuitError,
-    Gate,
     encode_register,
     register_value,
 )
@@ -113,14 +114,54 @@ def test_counting_build_matches_recorded_build_modexp_n12(op):
                 == {f: getattr(recorded, f) for f in fields}), (op, algo)
 
 
-def test_counting_builds_construct_no_gate(monkeypatch):
-    def no_gate(*args, **kwargs):
-        raise AssertionError(f"counting build constructed Gate{args}")
+def _pass_new_builders_to(keep, monkeypatch) -> None:
+    """Hand every Builder made from now on to `keep`."""
+    init = cir.Builder.__init__
 
+    def init_and_keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        keep(self)
+
+    monkeypatch.setattr(cir.Builder, "__init__", init_and_keep)
+
+
+def test_counting_builds_construct_no_gate(monkeypatch):
+    builders = []
+    _pass_new_builders_to(builders.append, monkeypatch)
     cir.clear_block_cache()  # every cached block is emitted, not replayed
-    monkeypatch.setattr(cir, "Gate", no_gate)
     for op, algo, _ in catalog.catalog():
+        builders.clear()
         assert catalog.build(op, algo, 13, counting=True).kinds, (op, algo)
+        assert builders and all(b.gates == [] for b in builders), (op, algo)
+
+
+def test_a_recorded_build_frees_its_builder_without_the_cycle_collector(monkeypatch):
+    # Reference counting alone frees every builder once build returns, so
+    # no gate list waits for a collection.
+    builders = []
+    _pass_new_builders_to(lambda b: builders.append(weakref.ref(b)), monkeypatch)
+    gc.disable()
+    try:
+        for op, algo, _ in catalog.catalog():
+            builders.clear()
+            assert catalog.build(op, algo, 4).gates, (op, algo)
+            assert builders and all(b() is None for b in builders), (op, algo)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("op, algo, n", [
+    ("multiplier", "Karatsuba-8", 16), ("modexp", "LYYWindowedOpt", 8)])
+def test_recorded_gates_leave_the_cycle_collector(op, algo, n):
+    # A gate is a plain tuple of untracked values, so collections stop
+    # tracking it and later ones do not rescan the gate list.  A collection
+    # untracks a tuple only if its items are already untracked, and may
+    # examine a young gate before its young operand tuple, so it takes two.
+    c = catalog.build(op, algo, n)
+    gc.collect()
+    gc.collect()
+    tracked = [g for g in c.gates if gc.is_tracked(g)]
+    assert not tracked, tracked[:3]
 
 
 class _MissingBlockCache(dict):
@@ -164,7 +205,7 @@ def test_statevector_cap_names_exactly_the_non_permutation_builds():
     for op, algo, _ in catalog.catalog():
         gates = catalog.build(op, algo, 3).gates
         assert catalog._uses_statevector(op, algo) == any(
-            g.kind not in PERMUTATION_KINDS for g in gates), (op, algo)
+            kind not in PERMUTATION_KINDS for kind, _, _ in gates), (op, algo)
 
 
 def test_modexp_constants_coprime():
@@ -216,14 +257,14 @@ def _mutant(op, algo, n, gates_for):
 @pytest.mark.parametrize("op,algo,n,gates_for,failure", [
     # A relative phase leaves every basis label right.
     ("inplace_adder", "QFT", 3,
-     lambda r: (Gate(CPHASE, (r["a"][0], r["a"][1]), math.pi / 2),),
+     lambda r: ((CPHASE, (r["a"][0], r["a"][1]), math.pi / 2),),
      "relative phase"),
     ("inplace_adder", "Gidney", 3,
-     lambda r: (Gate(X, (r["cg_carry"][0],)),), "dirty ancillas"),
+     lambda r: ((X, (r["cg_carry"][0],), None),), "dirty ancillas"),
     ("inplace_adder", "Gidney", 3,
-     lambda r: (Gate(X, (r["b"][0],)),), "register b"),
+     lambda r: ((X, (r["b"][0],), None),), "register b"),
     ("inplace_adder", "QFT", 2,
-     lambda r: (Gate(H, (r["b"][0],)),), "not a basis state"),
+     lambda r: ((H, (r["b"][0],), None),), "not a basis state"),
 ], ids=["phase", "dirty-ancilla", "wrong-output", "superposition"])
 def test_verify_rejects_mutants(monkeypatch, op, algo, n, gates_for, failure):
     mutant = _mutant(op, algo, n, gates_for)
@@ -240,7 +281,7 @@ def _reference_failure(circuit, inputs, oracle):
     names = list(inputs)
     regs = {r.name: r for r in circuit.data_registers}
     anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
-    unitary = any(g.kind not in PERMUTATION_KINDS for g in circuit.gates)
+    unitary = any(kind not in PERMUTATION_KINDS for kind, _, _ in circuit.gates)
     first_phase = None
     for combo in itertools.product(*(inputs[name] for name in names)):
         vals = dict(zip(names, combo))
@@ -270,17 +311,17 @@ def _reference_failure(circuit, inputs, oracle):
 
 @pytest.mark.parametrize("op,algo,n,gates_for,failure", [
     ("inplace_adder", "Gidney", 3,
-     lambda r: (Gate(CNOT, (r["a"][1], r["cg_carry"][0])),), "dirty ancillas"),
+     lambda r: ((CNOT, (r["a"][1], r["cg_carry"][0]), None),), "dirty ancillas"),
     ("inplace_adder", "Gidney", 3,
-     lambda r: (Gate(CNOT, (r["a"][2], r["b"][0])),), "register b"),
+     lambda r: ((CNOT, (r["a"][2], r["b"][0]), None),), "register b"),
     ("inplace_adder", "QFT", 3,
-     lambda r: (Gate(CPHASE, (r["a"][0], r["a"][1]), math.pi / 2),),
+     lambda r: ((CPHASE, (r["a"][0], r["a"][1]), math.pi / 2),),
      "relative phase"),
     # H Z^(a0/2) H: the identity when a0 = 0, a superposition when a0 = 1.
     ("inplace_adder", "QFT", 2,
-     lambda r: (Gate(H, (r["b"][0],)),
-                Gate(CPHASE, (r["a"][0], r["b"][0]), math.pi / 2),
-                Gate(H, (r["b"][0],))), "not a basis state"),
+     lambda r: ((H, (r["b"][0],), None),
+                (CPHASE, (r["a"][0], r["b"][0]), math.pi / 2),
+                (H, (r["b"][0],), None)), "not a basis state"),
 ], ids=["dirty-ancilla", "wrong-output", "phase", "superposition"])
 def test_first_failure_matches_per_case_reference(op, algo, n, gates_for, failure):
     mutant = _mutant(op, algo, n, gates_for)
@@ -352,7 +393,7 @@ def test_sampled_failure_past_63_qubits_names_plain_ints():
     # failure names must print as plain ints and reproduce on its own.
     n = 40
     mutant = _mutant("inplace_adder", "TTK", n,
-                     lambda r: (Gate(CNOT, (r["a"][n - 1], r["b"][0])),))
+                     lambda r: ((CNOT, (r["a"][n - 1], r["b"][0]), None),))
     assert mutant.num_qubits > 63
     _, _, inputs, oracle = catalog._instance("inplace_adder", "TTK", n,
                                              catalog.DEFAULT_SEED)

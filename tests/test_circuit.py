@@ -10,7 +10,6 @@ from qarith import circuit as cir
 from qarith.circuit import (
     Builder,
     CircuitError,
-    Gate,
     adjoint,
     circuit_to_text,
     encode_register,
@@ -66,7 +65,7 @@ def test_append_and_errors():
     bld = Builder()
     bld.alloc_register(1)
     bld.x(0)
-    assert bld.gates == [Gate("X", (0,))]
+    assert bld.gates == [("X", (0,), None)]
     with pytest.raises(CircuitError):
         bld.cnot(0, 0)
     bld2 = Builder()
@@ -77,19 +76,20 @@ def test_append_and_errors():
 
 def _reference_validate(g, num_qubits):
     """Gate validation one check at a time, in the order it reports faults."""
-    if g.kind not in cir.ALL_KINDS:
-        raise CircuitError(f"unknown gate kind {g.kind!r}")
-    if len(set(g.qubits)) != len(g.qubits):
-        raise CircuitError(f"duplicate operand in {g.kind}{g.qubits}")
-    for q in g.qubits:
+    kind, qubits, angle = g
+    if kind not in cir.ALL_KINDS:
+        raise CircuitError(f"unknown gate kind {kind!r}")
+    if len(set(qubits)) != len(qubits):
+        raise CircuitError(f"duplicate operand in {kind}{qubits}")
+    for q in qubits:
         if not 0 <= q < num_qubits:
             raise CircuitError(f"operand {q} out of range for {num_qubits} qubits")
-    if g.kind in cir.ANGLE_KINDS and (g.angle is None or not math.isfinite(g.angle)):
-        raise CircuitError(f"{g.kind} needs a finite angle")
-    if g.kind not in cir.ANGLE_KINDS and g.angle is not None:
-        raise CircuitError(f"{g.kind} takes no angle")
-    if len(g.qubits) != cir._ARITY[g.kind]:
-        raise CircuitError(f"{g.kind} takes {cir._ARITY[g.kind]} operands")
+    if kind in cir.ANGLE_KINDS and (angle is None or not math.isfinite(angle)):
+        raise CircuitError(f"{kind} needs a finite angle")
+    if kind not in cir.ANGLE_KINDS and angle is not None:
+        raise CircuitError(f"{kind} takes no angle")
+    if len(qubits) != cir._ARITY[kind]:
+        raise CircuitError(f"{kind} takes {cir._ARITY[kind]} operands")
 
 
 def _error(check, *args):
@@ -107,7 +107,7 @@ def test_gate_validation_reports_the_reference_fault():
         for n in range(5):
             for qubits in itertools.product(range(-1, 4), repeat=n):
                 for angle in (None, 0.5, math.nan, math.inf):
-                    g = Gate(kind, qubits, angle)
+                    g = (kind, qubits, angle)
                     want = _error(_reference_validate, g, 3)
                     assert _error(cir._validate_gate, g, 3) == want, g
                     assert _error(cir.Circuit, 3, (g,)) == (
@@ -115,17 +115,18 @@ def test_gate_validation_reports_the_reference_fault():
 
 
 @pytest.mark.parametrize("gate, counting", [
-    pytest.param(g, counting, id=g.kind + ("-counting" if counting else ""))
+    pytest.param(g, counting, id=g[0] + ("-counting" if counting else ""))
     for counting in (False, True)
-    for g in (Gate("MCX", (0, 1, 2, 3)), Gate("S", (0,)), Gate("SDG", (0,)))])
+    for g in (("MCX", (0, 1, 2, 3), None), ("S", (0,), None), ("SDG", (0,), None))])
 def test_kinds_outside_the_alphabet_are_unknown(gate, counting):
     # No construction emits a multi-controlled X, S or S-dagger; a counting
     # builder's bulk tally refuses them as a Circuit does.
     bld = Builder(counting)
     bld.alloc_register(4)
     if counting:
-        with pytest.raises(CircuitError, match=f"unknown gate kind '{gate.kind}'"):
-            bld.bulk(gate.kind, 3)
+        kind, _, _ = gate
+        with pytest.raises(CircuitError, match=f"unknown gate kind '{kind}'"):
+            bld.bulk(kind, 3)
         assert bld.finalize().kinds == {}
     with pytest.raises(CircuitError, match="unknown gate kind .* at gate 0"):
         cir.Circuit(num_qubits=4, gates=(gate,))
@@ -142,7 +143,7 @@ def test_mcx_refuses_three_or_more_controls(counting):
         with pytest.raises(CircuitError, match="at most 2 controls"):
             bld.mcx(controls, 4)
     out = bld.finalize()
-    kinds = out.kinds if counting else collections.Counter(g.kind for g in out.gates)
+    kinds = out.kinds if counting else collections.Counter(kind for kind, _, _ in out.gates)
     assert kinds == {"X": 1, "CNOT": 1, "CCX": 1}
 
 
@@ -150,17 +151,39 @@ def test_stray_angle_is_refused():
     # circuit_to_text prints no angle for an X, so an X with one would print
     # like a plain X and still compare unequal to it.
     with pytest.raises(CircuitError, match="X takes no angle at gate 0"):
-        cir.Circuit(num_qubits=2, gates=(Gate("X", (0,), 0.5),))
+        cir.Circuit(num_qubits=2, gates=(("X", (0,), 0.5),))
     with pytest.raises(CircuitError, match="CNOT takes no angle at gate 1"):
-        cir.Circuit(num_qubits=2, gates=(Gate("X", (0,)), Gate("CNOT", (0, 1), 0.0)))
+        cir.Circuit(num_qubits=2, gates=(("X", (0,), None), ("CNOT", (0, 1), 0.0)))
 
 
-def test_gate_is_a_named_tuple():
-    g = Gate("RZ", (1,), 0.5)
-    assert g == ("RZ", (1,), 0.5) and tuple(g.adjoint()) == ("RZ", (1,), -0.5)
-    assert Gate("T", (0,)).adjoint() == Gate("TDG", (0,), None)
-    kind, qubits, angle = Gate("X", (2,))
-    assert (kind, qubits, angle) == ("X", (2,), None)
+def test_a_gate_that_is_not_a_triple_is_refused():
+    refusal = r"at gate 1 is not a \(kind, qubits, angle\) triple"
+    for bad in (("X", (0,)), ("X", (0,), None, None), ["X", (0,), None], "X"):
+        with pytest.raises(CircuitError, match=refusal):
+            cir.Circuit(num_qubits=2, gates=(("X", (1,), None), bad))
+
+
+def test_gate_is_a_plain_triple():
+    bld = Builder()
+    bld.alloc_register(3)
+    bld.x(0)
+    bld.cnot(0, 1)
+    bld.ccx(0, 1, 2)
+    bld.swap(0, 2)
+    bld.h(1)
+    bld.rz(2, 0.5)
+    bld.cphase(0, 1, 0.25)
+    c = bld.finalize()
+    assert all(type(g) is tuple and type(g[1]) is tuple for g in c.gates)
+    assert c.gates[:3] == (
+        ("X", (0,), None), ("CNOT", (0, 1), None), ("CCX", (0, 1, 2), None))
+    # Daggering negates an angle, swaps T and T-dagger and keeps every other
+    # gate as it is.
+    adj = adjoint(c).gates
+    assert adj[:2] == (("CPHASE", (0, 1), -0.25), ("RZ", (2,), -0.5))
+    assert all(a is g for a, g in zip(adj[2:], reversed(c.gates[:5])))
+    t = cir.Circuit(num_qubits=1, gates=(("T", (0,), None), ("TDG", (0,), None)))
+    assert adjoint(t).gates == t.gates
 
 
 def test_adjoint_reverses_and_flips():
@@ -170,18 +193,18 @@ def test_adjoint_reverses_and_flips():
     bld.cnot(0, 1)
     c = bld.finalize()
     adj = adjoint(c)
-    assert [g.kind for g in adj.gates] == ["CNOT", "X"]
+    assert [kind for kind, _, _ in adj.gates] == ["CNOT", "X"]
     assert adjoint(adj).gates == c.gates
 
 
 def test_adjoint_angle_and_dagger_gates():
     c = cir.Circuit(num_qubits=2, gates=(
-        Gate("TDG", (0,)), Gate("T", (1,)), Gate("RZ", (0,), 0.5),
-        Gate("CPHASE", (0, 1), 0.25)))
-    kinds = [g.kind for g in adjoint(c).gates]
+        ("TDG", (0,), None), ("T", (1,), None), ("RZ", (0,), 0.5),
+        ("CPHASE", (0, 1), 0.25)))
+    kinds = [kind for kind, _, _ in adjoint(c).gates]
     assert kinds == ["CPHASE", "RZ", "TDG", "T"]
-    assert adjoint(c).gates[0].angle == -0.25
-    assert adjoint(c).gates[1].angle == -0.5
+    assert adjoint(c).gates[0] == ("CPHASE", (0, 1), -0.25)
+    assert adjoint(c).gates[1] == ("RZ", (0,), -0.5)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -236,7 +259,7 @@ def test_circuit_rejects_overlapping_registers():
             data_registers=(cir.Register((0, 1)), cir.Register((1, 2))),
         )
     with pytest.raises(CircuitError):
-        cir.Circuit(num_qubits=2, gates=(Gate("CNOT", (0, 5)),))
+        cir.Circuit(num_qubits=2, gates=(("CNOT", (0, 5), None),))
 
 
 def test_recorded_gates_are_validated_once(monkeypatch):
@@ -258,7 +281,7 @@ def test_recorded_gates_are_validated_once(monkeypatch):
     assert dataclasses.replace(c, name="copy").gates == c.gates
     assert len(calls) == built + 5
     with pytest.raises(CircuitError):
-        dataclasses.replace(c, gates=c.gates + (Gate("CNOT", (1, 1)),))
+        dataclasses.replace(c, gates=c.gates + (("CNOT", (1, 1), None),))
 
 
 # (method, kind, operand count) of every gate method; mcx once per kind.
@@ -284,22 +307,32 @@ def test_gate_methods_refuse_exactly_as_validate_gate():
         angles = (0.5, math.nan, math.inf) if kind in cir.ANGLE_KINDS else (None,)
         for qubits in itertools.product(range(-1, 4), repeat=arity):
             for angle in angles:
-                g = Gate(kind, qubits, angle)
+                g = (kind, qubits, angle)
                 bld = Builder()
                 bld.alloc_register(3)
                 want = _error(cir._validate_gate, g, 3)
                 assert _error(_call_gate, bld, method, qubits, angle) == want, (method, g)
                 assert bld.gates == ([] if want else [g]), (method, g)
-    # A finalized builder refuses every gate and every bulk tally.
+    # A finalized builder refuses every gate, every bulk tally and every
+    # cached block, a cache hit included, so finalizing again changes nothing.
+    cir.clear_block_cache()
     for counting in (False, True):
         bld = Builder(counting)
         bld.alloc_register(3)
-        bld.finalize()
+
+        def block():
+            bld.ccx(0, 1, 2)
+
+        bld.cached(("after finalize",), block)
+        first = bld.finalize()
         for method, kind, arity in _GATE_METHODS:
             angle = 0.5 if kind in cir.ANGLE_KINDS else None
             assert _error(_call_gate, bld, method, tuple(range(arity)), angle) == (
                 "builder already finalized"), (method, counting)
         assert _error(bld.bulk, "CNOT", 1) == "builder already finalized", counting
+        assert _error(bld.cached, ("after finalize",), block) == (
+            "builder already finalized"), counting
+        assert bld.finalize() == first, counting
 
 
 def test_counting_builder_matches_recording():
@@ -322,7 +355,7 @@ def test_counting_builder_matches_recording():
     s = cnt.finalize()
     assert s.num_qubits == c.num_qubits == 5
     assert s.kinds == {"CCX": 2, "CNOT": 1, "SWAP": 1, "H": 1, "CPHASE": 1, "RZ": 1}
-    assert s.kinds == collections.Counter(g.kind for g in c.gates)
+    assert s.kinds == collections.Counter(kind for kind, _, _ in c.gates)
 
 
 def test_cached_blocks_replay_allocations():
@@ -350,8 +383,8 @@ def test_builder_adjoint_daggers_in_reverse_order():
     assert result == "r"
     c = bld.finalize()
     assert c.gates == (
-        Gate("X", (1,)), Gate("RZ", (0,), -0.5), Gate("CPHASE", (0, 1), 0.75),
-        Gate("RZ", (1,), -0.25),
+        ("X", (1,), None), ("RZ", (0,), -0.5), ("CPHASE", (0, 1), 0.75),
+        ("RZ", (1,), -0.25),
     )
 
 
@@ -385,9 +418,10 @@ def test_within_recording_appends_reversed_dagger_of_compute():
     bld = Builder()
     _within_blocks(bld, calls)
     c = bld.finalize()
-    compute = (Gate("CCX", (0, 1, 2)), Gate("RZ", (2,), 0.5), Gate("SWAP", (2, 3)))
-    apply = (Gate("CNOT", (3, 1)),)
-    assert c.gates == compute + apply + tuple(g.adjoint() for g in reversed(compute))
+    compute = (("CCX", (0, 1, 2), None), ("RZ", (2,), 0.5), ("SWAP", (2, 3), None))
+    apply = (("CNOT", (3, 1), None),)
+    assert c.gates == compute + apply + (("SWAP", (2, 3), None), ("RZ", (2,), -0.5),
+                                         ("CCX", (0, 1, 2), None))
     assert calls == ["compute", "apply"]
     assert c.num_qubits == 4  # nothing allocated a second time
 
@@ -419,5 +453,5 @@ def test_a_raising_block_keeps_the_tallies_emitted_before_it(counting):
             block(bld)
         bld.x(2)
         out = bld.finalize()
-        kinds = out.kinds if counting else collections.Counter(g.kind for g in out.gates)
+        kinds = out.kinds if counting else collections.Counter(k for k, _, _ in out.gates)
         assert kinds == {"CNOT": 1, "CCX": 1, "X": 1}

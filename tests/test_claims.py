@@ -4,7 +4,7 @@ import json
 import pytest
 
 from qarith import catalog, claims
-from qarith.circuit import CCX, X, Gate
+from qarith.circuit import CCX, X
 from qarith.claims import (
     EXPECTED_CLAIM_IDS,
     _check_adders,
@@ -50,7 +50,7 @@ def test_structure_claim_samples_wide_circuits(monkeypatch):
     # Flip q0 only when q1 = 0 and q2 = 1: the 0, 1 and all-ones corners
     # never reach it, a seeded sample does.
     adjoint = claims.adjoint
-    hidden = (Gate(X, (1,)), Gate(CCX, (1, 2, 0)), Gate(X, (1,)))
+    hidden = ((X, (1,), None), (CCX, (1, 2, 0), None), (X, (1,), None))
 
     def broken_when_wide(c):
         adj = adjoint(c)
@@ -103,7 +103,7 @@ def test_modexp_claim_checks_the_x_register(monkeypatch):
     def stray_x(algo, a, N, n):
         c = build(algo, a, N, n)
         x0 = next(r for r in c.data_registers if r.name == "x")[0]
-        return dataclasses.replace(c, gates=c.gates + (Gate(X, (x0,)),))
+        return dataclasses.replace(c, gates=c.gates + ((X, (x0,), None),))
 
     monkeypatch.setattr(claims, "build_modexp", stray_x)
     check = _check_modexp(12345)

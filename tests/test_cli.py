@@ -330,12 +330,12 @@ def test_verify_superposed_output_fails_with_exit_1(capsys, monkeypatch):
     import dataclasses
 
     from qarith import adders
-    from qarith.circuit import H, Gate
+    from qarith.circuit import H
 
     build = adders.build_inplace_adder
     good = build("QFT", 2)
     b0 = next(r for r in good.data_registers if r.name == "b")[0]
-    mutant = dataclasses.replace(good, gates=good.gates + (Gate(H, (b0,)),))
+    mutant = dataclasses.replace(good, gates=good.gates + ((H, (b0,), None),))
     monkeypatch.setattr(adders, "build_inplace_adder", lambda algo, n, counting=False: (
         mutant if n == 2 else build(algo, n, counting)))
     code, out, _ = run_cli(

@@ -233,7 +233,7 @@ def test_lookup_tally_matches_recording(data):
         if counting:
             kinds.append(bld.finalize().kinds)
         else:
-            kinds.append(Counter(g.kind for g in bld.finalize().gates))
+            kinds.append(Counter(kind for kind, _, _ in bld.finalize().gates))
     cnt, rec = kinds
     for kind in ("X", "CCX", "CNOT"):
         assert cnt.get(kind, 0) == rec[kind], kind

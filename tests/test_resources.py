@@ -21,7 +21,6 @@ from qarith.circuit import (
     Builder,
     Circuit,
     CountSummary,
-    Gate,
     _ARITY,
     clear_block_cache,
 )
@@ -60,7 +59,7 @@ def test_lower_sequential_layers():
 
 def test_ccx_decomposition_is_exact():
     # One-time semantic self-test of the 7-T template on all 8 basis states.
-    dec = Circuit(num_qubits=3, gates=tuple(Gate(kind, qs) for kind, qs in CCX_TEMPLATE))
+    dec = Circuit(num_qubits=3, gates=tuple((kind, qs, None) for kind, qs in CCX_TEMPLATE))
     ref = _circ(3, lambda b: b.ccx(0, 1, 2))
     v1 = simulate_statevector(dec, range(8))
     v2 = simulate_statevector(ref, range(8))
@@ -126,7 +125,7 @@ def test_lower_summary_tallies_match_exact():
 
 def test_t_depth_counts_t_layers():
     c = Circuit(num_qubits=2, gates=(
-        Gate(T, (0,)), Gate(T, (1,)), Gate(H, (0,)), Gate(T, (0,))))
+        (T, (0,), None), (T, (1,), None), (H, (0,), None), (T, (0,), None)))
     counts = lower_to_clifford_t(c)
     # layer 1 holds both leading Ts, layer 3 the trailing one
     assert counts.t_depth == 2
@@ -153,21 +152,20 @@ def _greedy_layers(stream) -> tuple[int, int]:
 
 def _expanded_stream(c: Circuit):
     """The Clifford+T events `lower_to_clifford_t` lays out, in order."""
-    for g in c.gates:
-        k = g.kind
+    for k, gq, _ in c.gates:
         if k == CCX:
             for kind, qs in CCX_TEMPLATE:
-                yield (kind, tuple(g.qubits[i] for i in qs))
+                yield (kind, tuple(gq[i] for i in qs))
         elif k == SWAP:
-            a, b = g.qubits
+            a, b = gq
             yield (CNOT, (a, b))
             yield (CNOT, (b, a))
             yield (CNOT, (a, b))
         elif k in ANGLE_KINDS:
             for _ in range(T_PER_ROTATION):
-                yield (T, g.qubits)
+                yield (T, gq)
         else:
-            yield (k, g.qubits)
+            yield (k, gq)
 
 
 @st.composite
@@ -180,7 +178,7 @@ def _random_circuits(draw):
         qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity,
                                      max_size=arity, unique=True)))
         angle = draw(st.floats(-3, 3)) if kind in ANGLE_KINDS else None
-        gates.append(Gate(kind, qubits, angle))
+        gates.append((kind, qubits, angle))
     return Circuit(num_qubits=n, gates=tuple(gates))
 
 
@@ -197,16 +195,16 @@ def test_per_gate_layering_matches_per_event_reference(c):
 
 def test_mixed_gates_layering_matches_reference():
     _assert_layering_matches_reference(Circuit(num_qubits=7, gates=(
-        Gate(T, (0,)),
-        Gate(TDG, (5,)),
-        Gate(CCX, (0, 1, 2)),
-        Gate(CCX, (4, 5, 6)),
-        Gate(H, (3,)),
-        Gate(SWAP, (2, 6)),
-        Gate(T, (6,)),
-        Gate(CPHASE, (2, 3), 0.3),
-        Gate(RZ, (0,), -0.7),
-        Gate(TDG, (3,)),
+        (T, (0,), None),
+        (TDG, (5,), None),
+        (CCX, (0, 1, 2), None),
+        (CCX, (4, 5, 6), None),
+        (H, (3,), None),
+        (SWAP, (2, 6), None),
+        (T, (6,), None),
+        (CPHASE, (2, 3), 0.3),
+        (RZ, (0,), -0.7),
+        (TDG, (3,), None),
     )))
 
 
@@ -215,7 +213,7 @@ def test_serial_weights_of_every_kind_come_from_its_expansion():
     # recorded circuit, and its serial (depth, t_depth) is that circuit's
     # greedy layering of the expanded events.
     for kind, arity in _ARITY.items():
-        gate = Gate(kind, tuple(range(arity)), 0.3 if kind in ANGLE_KINDS else None)
+        gate = (kind, tuple(range(arity)), 0.3 if kind in ANGLE_KINDS else None)
         rec = Circuit(num_qubits=arity, gates=(gate,))
         low = lower_summary(CountSummary(arity, {kind: 1}))
         assert low == lower_to_clifford_t(rec), kind

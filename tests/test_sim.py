@@ -14,7 +14,6 @@ from qarith.circuit import (
     TDG,
     Builder,
     Circuit,
-    Gate,
     H,
     T,
     X,
@@ -33,18 +32,18 @@ def _circ(n, gates):
 
 
 def test_x_flips_bit():
-    c = _circ(3, [Gate("X", (0,))])
+    c = _circ(3, [("X", (0,), None)])
     assert list(simulate_permutation_batch(c, [0b000])) == [0b001]
 
 
 def test_toffoli_truth_table():
-    c = _circ(3, [Gate("CCX", (0, 1, 2))])
+    c = _circ(3, [("CCX", (0, 1, 2), None)])
     assert list(simulate_permutation_batch(c, [0b011, 0b001, 0b111])) == [
         0b111, 0b001, 0b011]
 
 
 def test_swap_table():
-    c = _circ(2, [Gate("SWAP", (0, 1))])
+    c = _circ(2, [("SWAP", (0, 1), None)])
     assert list(simulate_permutation_batch(c, range(4))) == [0, 2, 1, 3]
 
 
@@ -54,14 +53,14 @@ def test_identity_table():
 
 
 def test_non_permutation_gate_names_index():
-    c = _circ(1, [Gate("X", (0,)), Gate("H", (0,))])
+    c = _circ(1, [("X", (0,), None), ("H", (0,), None)])
     with pytest.raises(SimulationError, match="gate 1"):
         simulate_permutation_batch(c, [0])
 
 
 @pytest.mark.parametrize("bad", [-1, 8, 1 << 70])
 def test_out_of_range_states_rejected(bad):
-    c = _circ(3, [Gate("X", (0,))])
+    c = _circ(3, [("X", (0,), None)])
     for states in ([bad], [0, bad]):
         with pytest.raises(SimulationError, match="out of range"):
             simulate_permutation_batch(c, states)
@@ -72,8 +71,8 @@ def test_out_of_range_states_rejected(bad):
 @pytest.mark.parametrize("width", [63, 64])  # int64 and object batches
 def test_wide_batch_matches_single(width):
     top = width - 1
-    c = _circ(width, [Gate("X", (top,)), Gate("CCX", (top, 3, top - 3)),
-                      Gate("SWAP", (top - 3, 1)), Gate("CCX", (0, top, 5))])
+    c = _circ(width, [("X", (top,), None), ("CCX", (top, 3, top - 3), None),
+                      ("SWAP", (top - 3, 1), None), ("CCX", (0, top, 5), None)])
     states = [0, 1 << 3, (1 << width) - 1, 0b1011]
     batch = simulate_permutation_batch(c, states)
     assert [int(o) for o in batch] == [_reference_permutation(c.gates, s)
@@ -96,7 +95,7 @@ def test_batch_matches_single():
 
 
 def test_hadamard_amplitudes():
-    c = _circ(1, [Gate("H", (0,))])
+    c = _circ(1, [("H", (0,), None)])
     v = simulate_statevector(c, [0])
     assert np.allclose(v, [[1 / math.sqrt(2)], [1 / math.sqrt(2)]])
 
@@ -151,9 +150,8 @@ def test_norm_preserved_long_sequence():
 
 def _reference_permutation(gates, s: int) -> int:
     """One basis state through permutation gates, one bit operation at a time."""
-    for g in gates:
-        q = g.qubits
-        if g.kind == SWAP:
+    for kind, q, _ in gates:
+        if kind == SWAP:
             a, b = q
             if (s >> a) & 1 != (s >> b) & 1:
                 s ^= (1 << a) | (1 << b)
@@ -170,20 +168,20 @@ def _reference_statevector(c, basis: int) -> np.ndarray:
     state[basis] = 1.0
     phase = {T: math.pi / 4, TDG: -math.pi / 4}
     for g in c.gates:
-        q = g.qubits
+        kind, q, angle = g
         on = (idx >> q[0]) & 1 == 1
-        if g.kind == H:
+        if kind == H:
             view = state.reshape(-1, 2, 1 << q[0])
             lo, hi = view[:, 0, :].copy(), view[:, 1, :].copy()
             view[:, 0, :] = (lo + hi) / math.sqrt(2)
             view[:, 1, :] = (lo - hi) / math.sqrt(2)
-        elif g.kind in phase:
-            state[on] *= cmath.exp(1j * phase[g.kind])
-        elif g.kind == RZ:
-            state[~on] *= cmath.exp(-0.5j * g.angle)
-            state[on] *= cmath.exp(0.5j * g.angle)
-        elif g.kind == CPHASE:
-            state[on & ((idx >> q[1]) & 1 == 1)] *= cmath.exp(1j * g.angle)
+        elif kind in phase:
+            state[on] *= cmath.exp(1j * phase[kind])
+        elif kind == RZ:
+            state[~on] *= cmath.exp(-0.5j * angle)
+            state[on] *= cmath.exp(0.5j * angle)
+        elif kind == CPHASE:
+            state[on & ((idx >> q[1]) & 1 == 1)] *= cmath.exp(1j * angle)
         else:
             state = state[[_reference_permutation([g], int(i)) for i in idx]]
     return state
@@ -194,7 +192,7 @@ def _random_gate(rng, kind, n):
     operands = {X: 1, H: 1, T: 1, TDG: 1, RZ: 1,
                 CNOT: 2, SWAP: 2, CPHASE: 2, CCX: 3}[kind]
     angle = float(rng.uniform(-3, 3)) if kind in (RZ, CPHASE) else None
-    return Gate(kind, tuple(picks[:operands]), angle)
+    return (kind, tuple(picks[:operands]), angle)
 
 
 PERM = (X, CNOT, CCX, SWAP)
