@@ -49,13 +49,12 @@ def emit_copy(bld: Builder, src, dst, *ctrls: int) -> None:
         # are regenerated; a strict xfail in tests/test_muldiv.py tracks it.
         bld.bulk(CNOT, len(src))
         return
-    for s, d in zip(src, dst):
-        bld.mcx(ctrls + (s,), d)
+    bld.repeat(range(min(len(src), len(dst))),
+               lambda i: bld.mcx(ctrls + (src[i],), dst[i]))
 
 
 def emit_complement(bld: Builder, reg) -> None:
-    for q in reg:
-        bld.x(q)
+    bld.repeat(reg, bld.x)
 
 
 # -- Gidney-style ripple accumulate ------------------------------------------
@@ -68,41 +67,44 @@ def emit_accumulate_add(bld: Builder, x, y, carries) -> None:
     clean.  Only the Gidney `inplace_adder` handle calls it, so multipliers
     and modular arithmetic reach it through that handle.  The gates depend
     on the two widths alone, so a counting build tallies each width pair
-    once through the block cache.
+    once through the block cache, and each of its loops from two iterations.
     """
     k, m = len(x), len(y)
     if not 1 <= k <= m:
         raise CircuitError("need 1 <= len(x) <= len(y)")
+    c = carries
+    j = min(k, m - 1)  # positions 1..j-1 carry an x bit, j..m-2 do not
+
+    def carry_in(i):
+        bld.cnot(c[i - 1], x[i])
+        bld.cnot(c[i - 1], y[i])
+        bld.ccx(x[i], y[i], c[i])
+        bld.cnot(c[i - 1], c[i])
+
+    def carry_out(i):
+        bld.cnot(c[i - 1], c[i])
+        bld.ccx(x[i], y[i], c[i])
+        bld.cnot(c[i - 1], x[i])
+        bld.cnot(x[i], y[i])
+
+    def tail_out(i):
+        bld.ccx(c[i - 1], y[i], c[i])
+        bld.cnot(c[i - 1], y[i])
 
     def ripple() -> None:
         if m == 1:
             bld.cnot(x[0], y[0])
             return
-        c = carries
-        for i in range(m - 1):
-            if i < k:
-                if i > 0:
-                    bld.cnot(c[i - 1], x[i])
-                    bld.cnot(c[i - 1], y[i])
-                bld.ccx(x[i], y[i], c[i])
-                if i > 0:
-                    bld.cnot(c[i - 1], c[i])
-            else:
-                bld.ccx(c[i - 1], y[i], c[i])
+        bld.ccx(x[0], y[0], c[0])
+        bld.repeat(range(1, j), carry_in)
+        bld.repeat(range(j, m - 1), lambda i: bld.ccx(c[i - 1], y[i], c[i]))
         bld.cnot(c[m - 2], y[m - 1])
         if k == m:
             bld.cnot(x[m - 1], y[m - 1])
-        for i in reversed(range(m - 1)):
-            if i < k:
-                if i > 0:
-                    bld.cnot(c[i - 1], c[i])
-                bld.ccx(x[i], y[i], c[i])
-                if i > 0:
-                    bld.cnot(c[i - 1], x[i])
-                bld.cnot(x[i], y[i])
-            else:
-                bld.ccx(c[i - 1], y[i], c[i])
-                bld.cnot(c[i - 1], y[i])
+        bld.repeat(range(m - 2, j - 1, -1), tail_out)
+        bld.repeat(range(j - 1, 0, -1), carry_out)
+        bld.ccx(x[0], y[0], c[0])
+        bld.cnot(x[0], y[0])
 
     bld.cached(("accadd", k, m), ripple)
 
@@ -114,19 +116,20 @@ def emit_ttk(bld: Builder, a, b) -> None:
     if n == 1:
         bld.cnot(a[0], b[0])
         return
-    for i in range(1, n):
+
+    def xor(i):
         bld.cnot(a[i], b[i])
-    for i in range(n - 1, 1, -1):
-        bld.cnot(a[i - 1], a[i])
-    for i in range(n - 1):
-        bld.ccx(a[i], b[i], a[i + 1])
-    for i in range(n - 1, 0, -1):
+
+    def unmaj(i):
         bld.cnot(a[i], b[i])
         bld.ccx(a[i - 1], b[i - 1], a[i])
-    for i in range(1, n - 1):
-        bld.cnot(a[i], a[i + 1])
-    for i in range(n):
-        bld.cnot(a[i], b[i])
+
+    bld.repeat(range(1, n), xor)
+    bld.repeat(range(n - 1, 1, -1), lambda i: bld.cnot(a[i - 1], a[i]))
+    bld.repeat(range(n - 1), lambda i: bld.ccx(a[i], b[i], a[i + 1]))
+    bld.repeat(range(n - 1, 0, -1), unmaj)
+    bld.repeat(range(1, n - 1), lambda i: bld.cnot(a[i], a[i + 1]))
+    bld.repeat(range(n), xor)
 
 
 # -- CDKM ripple adder (one ancilla) -------------------------------------------
@@ -134,16 +137,21 @@ def emit_ttk(bld: Builder, a, b) -> None:
 def emit_cdkm(bld: Builder, a, b, z: int) -> None:
     n = len(a)
     carries = [z] + list(a[: n - 1])
-    for i in range(n):
+
+    def maj(i):
         c, bb, aa = carries[i], b[i], a[i]
         bld.cnot(aa, bb)
         bld.cnot(aa, c)
         bld.ccx(c, bb, aa)
-    for i in reversed(range(n)):
+
+    def uma(i):
         c, bb, aa = carries[i], b[i], a[i]
         bld.ccx(c, bb, aa)
         bld.cnot(aa, c)
         bld.cnot(c, bb)
+
+    bld.repeat(range(n), maj)
+    bld.repeat(range(n - 1, -1, -1), uma)
 
 
 # -- DKRS carry-lookahead --------------------------------------------------------
@@ -203,14 +211,17 @@ def _emit_cla_tree(bld: Builder, prop, carry, bp) -> None:
         def bpq(lvl, j):
             return prop[j - 1] if lvl == 0 else index[(lvl, j)]
 
-        for lvl, j in p_nodes:
+        def propagate(node):
+            lvl, j = node
             bld.ccx(bpq(lvl - 1, j - (1 << (lvl - 1))), bpq(lvl - 1, j), bpq(lvl, j))
-        for t, j in g_rounds:
+
+        def generate(node):
+            t, j = node
             bld.ccx(carry[j - (1 << (t - 1)) - 1], bpq(t - 1, j), carry[j - 1])
-        for t, j in c_rounds:
-            bld.ccx(carry[j - (1 << (t - 1)) - 1], bpq(t - 1, j), carry[j - 1])
-        for lvl, j in reversed(p_nodes):
-            bld.ccx(bpq(lvl - 1, j - (1 << (lvl - 1))), bpq(lvl - 1, j), bpq(lvl, j))
+
+        bld.repeat(p_nodes, propagate)
+        bld.repeat(g_rounds + c_rounds, generate)
+        bld.repeat(p_nodes[::-1], propagate)
 
     bld.cached(("cla", M), tree)
 
@@ -226,24 +237,18 @@ def emit_dkrs_inplace(bld: Builder, a, b, carry, bp) -> None:
     if n == 1:
         bld.cnot(a[0], b[0])
         return
-    for i in range(n - 1):
-        bld.ccx(a[i], b[i], carry[i])
-    for i in range(n):
-        bld.cnot(a[i], b[i])
+    generates = lambda: bld.repeat(range(n - 1), lambda i: bld.ccx(a[i], b[i], carry[i]))
+    xor = lambda i: bld.cnot(a[i], b[i])
+    generates()
+    bld.repeat(range(n), xor)
     _emit_cla_tree(bld, b[: n - 1], carry, bp)
-    for i in range(1, n):
-        bld.cnot(carry[i - 1], b[i])
-    for i in range(n - 1):
-        bld.x(b[i])
-    for i in range(1, n - 1):
-        bld.cnot(a[i], b[i])
+    bld.repeat(range(1, n), lambda i: bld.cnot(carry[i - 1], b[i]))
+    emit_complement(bld, b[: n - 1])
+    bld.repeat(range(1, n - 1), xor)
     bld.adjoint(lambda: _emit_cla_tree(bld, b[: n - 1], carry, bp))
-    for i in range(1, n - 1):
-        bld.cnot(a[i], b[i])
-    for i in range(n - 1):
-        bld.ccx(a[i], b[i], carry[i])
-    for i in range(n - 1):
-        bld.x(b[i])
+    bld.repeat(range(1, n - 1), xor)
+    generates()
+    emit_complement(bld, b[: n - 1])
 
 
 def emit_dkrs_outofplace(bld: Builder, a, b, s, carry, bp) -> None:
@@ -253,21 +258,22 @@ def emit_dkrs_outofplace(bld: Builder, a, b, s, carry, bp) -> None:
         bld.cnot(a[0], s[0])
         bld.cnot(b[0], s[0])
         return
-    for i in range(n - 1):
-        bld.ccx(a[i], b[i], carry[i])
-    for i in range(1, n):
-        bld.cnot(a[i], b[i])
+    generates = lambda: bld.repeat(range(n - 1), lambda i: bld.ccx(a[i], b[i], carry[i]))
+    propagates = lambda: bld.repeat(range(1, n), lambda i: bld.cnot(a[i], b[i]))
+
+    def sum_bit(i):
+        bld.cnot(b[i], s[i])
+        bld.cnot(carry[i - 1], s[i])
+
+    generates()
+    propagates()
     _emit_cla_tree(bld, b[: n - 1], carry, bp)
     bld.cnot(a[0], s[0])
     bld.cnot(b[0], s[0])
-    for i in range(1, n):
-        bld.cnot(b[i], s[i])
-        bld.cnot(carry[i - 1], s[i])
+    bld.repeat(range(1, n), sum_bit)
     bld.adjoint(lambda: _emit_cla_tree(bld, b[: n - 1], carry, bp))
-    for i in range(1, n):
-        bld.cnot(a[i], b[i])
-    for i in range(n - 1):
-        bld.ccx(a[i], b[i], carry[i])
+    propagates()
+    generates()
 
 
 # -- QFT adder -------------------------------------------------------------------

@@ -136,7 +136,7 @@ def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
     shaped = isinstance(g, tuple) and len(g) == 3
     if shaped:
         kind, qs, angle = g
-        n = len(qs)
+        n = len(qs) if type(qs) is tuple else -1
         # A well-formed gate passes this one test, which builds no set for
         # one- and two-qubit gates (min() and max() cost more than the loop
         # on three operands or fewer); a malformed one falls through to the
@@ -146,13 +146,17 @@ def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
                 and (angle is None) != (kind in ANGLE_KINDS)
                 and (angle is None or math.isfinite(angle))):
             for q in qs:
-                if not 0 <= q < num_qubits:
+                if type(q) is not int or not 0 <= q < num_qubits:
                     break
             else:
                 return
     where = "" if index is None else f" at gate {index}"
     if not shaped:
         raise CircuitError(f"gate {g!r}{where} is not a (kind, qubits, angle) triple")
+    # A bool or a float would pass the range check, and a list would make the
+    # Circuit unhashable.
+    if type(qs) is not tuple or any(type(q) is not int for q in qs):
+        raise CircuitError(f"gate {g!r}{where} needs a tuple of int qubits")
     if kind not in ALL_KINDS:
         raise CircuitError(f"unknown gate kind {kind!r}{where}")
     if len(set(qs)) != n:
@@ -223,10 +227,15 @@ class Builder:
     and modular-arithmetic steps; a windowed modexp caches each window's
     multiply-accumulate (keyed by n and N) and each table lookup (keyed by
     the base, N and the two widths that define its table, so a hit builds
-    no table).  Two helpers tally in closed form through ``bulk`` instead of
-    emitting gate by gate: the unary-iteration lookup
-    (``modexp.emit_lookup``) and the uncontrolled CNOT fan of
-    ``adders.emit_copy``.
+    no table).  ``repeat(indices, body)`` is the second counting memo: a
+    loop whose body emits the same kinds on every iteration and allocates
+    nothing (the adders' ripple, MAJ/UMA and carry-tree loops) is tallied
+    from its first and last iterations and scaled by its length, and a
+    first or last iteration that differs, or a body that allocates, is
+    refused; a recording builder runs every iteration.  Two helpers tally
+    in closed form through ``bulk`` instead of emitting gate by gate: the
+    unary-iteration lookup (``modexp.emit_lookup``) and the uncontrolled
+    CNOT fan of ``adders.emit_copy``.
 
     Uncomputation has two primitives, named after Q#'s ``Adjoint`` and
     ``within ... apply``: ``adjoint(emit)`` emits the adjoint of a block, and
@@ -394,10 +403,35 @@ class Builder:
                  in zip(_KINDS, self._counts, counts) if now != was}
         return CountSummary(kinds=kinds), self.num_qubits - qubits, result
 
-    def _add(self, delta: CountSummary) -> None:
+    def _add(self, delta: CountSummary, times: int = 1) -> None:
         counts = self._counts
         for kind, count in delta.kinds.items():
-            counts[_SLOT[kind]] += count
+            counts[_SLOT[kind]] += count * times
+
+    def repeat(self, indices, body) -> None:
+        """Emit body(i) for each i of the sequence `indices`, in order.
+
+        `body` must emit the same gate kinds on every iteration and allocate
+        nothing.  A recording builder runs every iteration.  A counting
+        builder runs only the first and the last, refuses the loop if their
+        tallies differ or if the body allocates, and adds the first's tally
+        once for each iteration it skips, so a uniform loop costs O(1).
+        """
+        if self._finalized:
+            raise CircuitError("builder already finalized")
+        if not self.counting:
+            for i in indices:
+                body(i)
+            return
+        if not indices:
+            return
+        once = self._tally(lambda: body(indices[0]))[:2]
+        if once[1]:
+            raise CircuitError("a repeat body must not allocate qubits")
+        if len(indices) > 1:
+            if self._tally(lambda: body(indices[-1]))[:2] != once:
+                raise CircuitError("a repeat body's first and last iterations differ")
+            self._add(once[0], len(indices) - 2)
 
     def cached(self, key: tuple, emit) -> None:
         """Emit a block, memoising its tallies by `key` in counting mode.

@@ -224,8 +224,7 @@ class _ModN:
 
         def emit():
             y = list(reg) + [self.hi]
-            for j in reversed(range(len(reg))):
-                bld.swap(y[j + 1], y[j])
+            bld.repeat(range(len(reg) - 1, -1, -1), lambda j: bld.swap(y[j + 1], y[j]))
             self._reduce(reg, ())
             bld.cnot(reg[0], self.hi)
             bld.x(self.hi)
@@ -291,8 +290,7 @@ class _ModN:
             bld.cached(key, lookup)
 
         acc(c)
-        for i in range(n):
-            bld.swap(out[i], self.acc[i])
+        bld.repeat(range(n), lambda i: bld.swap(out[i], self.acc[i]))
         bld.adjoint(lambda: acc(pow(c, -1, N)))
 
 

@@ -226,7 +226,6 @@ def build_divider(algo: str, n: int, counting: bool = False):
         add_b_if(seq[n], seq[:n])
         bld.cnot(seq[n + 1], seq[n])
         bld.x(seq[n])
-        for j in range(n, 2 * n):
-            bld.swap(seq[j], seq[j + 1])
+        bld.repeat(range(n, 2 * n), lambda j: bld.swap(seq[j], seq[j + 1]))
     return bld.finalize()
 

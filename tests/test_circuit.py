@@ -163,6 +163,17 @@ def test_a_gate_that_is_not_a_triple_is_refused():
             cir.Circuit(num_qubits=2, gates=(("X", (1,), None), bad))
 
 
+@pytest.mark.parametrize("qubits", [
+    [0], 0, (0.5,), (True,), (np.int64(0),), (0, 1.0), "01", None,
+], ids=repr)
+def test_operands_must_be_a_tuple_of_ints(qubits):
+    # A list would make the Circuit unhashable, and a float or a bool would
+    # pass the range check; both are refused before any other check.
+    kind = "CNOT" if qubits in ((0, 1.0), "01") else "X"
+    with pytest.raises(CircuitError, match="at gate 1 needs a tuple of int qubits"):
+        cir.Circuit(num_qubits=2, gates=(("X", (1,), None), (kind, qubits, None)))
+
+
 def test_gate_is_a_plain_triple():
     bld = Builder()
     bld.alloc_register(3)
@@ -455,3 +466,66 @@ def test_a_raising_block_keeps_the_tallies_emitted_before_it(counting):
         out = bld.finalize()
         kinds = out.kinds if counting else collections.Counter(k for k, _, _ in out.gates)
         assert kinds == {"CNOT": 1, "CCX": 1, "X": 1}
+
+
+@pytest.mark.parametrize("indices", [range(5), range(4, -1, -1), range(1, 6, 2), (3, 0, 2)],
+                         ids=repr)
+def test_repeat_records_every_iteration_in_index_order(indices):
+    bld = Builder()
+    bld.alloc_register(7)
+    bld.repeat(indices, lambda i: bld.cnot(i, i + 1))
+    assert bld.finalize().gates == tuple(("CNOT", (i, i + 1), None) for i in indices)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 5])
+def test_repeat_counts_what_it_records(length):
+    # The body mixes kinds and reads its index, as the adders' loops do.
+    def emit(bld):
+        bld.alloc_register(7)
+        bld.x(6)
+
+        def body(i):
+            bld.ccx(i, i + 1, 6)
+            bld.swap(i, i + 1)
+            bld.rz(i, 0.5 * i)
+
+        bld.repeat(range(length - 1, -1, -1), body)
+        bld.h(0)
+        return bld.finalize()
+
+    rec, cnt = emit(Builder()), emit(Builder(counting=True))
+    assert cnt.kinds == collections.Counter(kind for kind, _, _ in rec.gates)
+    assert cnt.num_qubits == rec.num_qubits == 7
+    assert len(rec.gates) == 2 + 3 * length
+
+
+def test_counting_repeat_refuses_a_nonuniform_or_allocating_body():
+    def boundary(i):  # an iteration split out of the loop belongs outside it
+        bld.cnot(i, i + 1)
+        if i > 0:
+            bld.x(i)
+
+    def allocates(i):
+        bld.ccx(i, i + 1, bld.alloc_ancilla(1)[0])
+
+    for body, refusal in ((boundary, "first and last iterations differ"),
+                          (allocates, "must not allocate")):
+        for length in (1, 2, 4) if body is allocates else (2, 4):
+            bld = Builder(counting=True)
+            bld.alloc_register(5)
+            with pytest.raises(CircuitError, match=refusal):
+                bld.repeat(range(length), body)
+
+
+@pytest.mark.parametrize("counting", [False, True])
+def test_repeat_after_finalize_is_refused(counting):
+    calls = []
+    bld = Builder(counting)
+    bld.alloc_register(2)
+    bld.repeat(range(2), calls.append)
+    first = bld.finalize()
+    for indices in (range(2), range(0)):
+        with pytest.raises(CircuitError, match="builder already finalized"):
+            bld.repeat(indices, calls.append)
+    assert calls == [0, 1]
+    assert bld.finalize() == first
