@@ -218,24 +218,23 @@ class Builder:
     to its kind's slot in ``_counts``, ``bulk`` adds a count for a kind in
     the alphabet, and ``finalize`` returns a CountSummary of the nonzero
     slots.  A finalized builder refuses every gate and every ``cached``
-    block.  A counting builder memoises its ``cached`` blocks by key, so
-    repeated structures cost O(1) after the first emission, which keeps
-    sweep-scale builds (n ~ 2^13) tractable.  The cached blocks range from
-    the Gidney-style ripple accumulator (``adders.emit_accumulate_add``,
-    behind every Gidney adder handle, keyed by its two widths) and the DKRS
-    carry-lookahead tree (keyed by its size) up to whole multiplier, divider
-    and modular-arithmetic steps; a windowed modexp caches each window's
-    multiply-accumulate (keyed by n and N) and each table lookup (keyed by
-    the base, N and the two widths that define its table, so a hit builds
-    no table).  ``repeat(indices, body)`` is the second counting memo: a
-    loop whose body emits the same kinds on every iteration and allocates
-    nothing (the adders' ripple, MAJ/UMA and carry-tree loops) is tallied
-    from its first and last iterations and scaled by its length, and a
-    first or last iteration that differs, or a body that allocates, is
-    refused; a recording builder runs every iteration.  Two helpers tally
-    in closed form through ``bulk`` instead of emitting gate by gate: the
-    unary-iteration lookup (``modexp.emit_lookup``) and the uncontrolled
-    CNOT fan of ``adders.emit_copy``.
+    block.  A counting builder memoises its ``cached`` blocks by key, so a
+    block that recurs at separate call sites costs O(1) after its first
+    emission.  Six blocks are cached: the Gidney ripple accumulator
+    (``adders.emit_accumulate_add``, keyed by its two widths), the DKRS
+    carry-lookahead tree (by its size), a Karatsuba tree node, a modular
+    constant add, and a windowed modexp's multiply-accumulate (by n and N)
+    and table lookups (by the base, N and the two widths that define the
+    table, so a hit builds no table).  ``repeat(indices, body)`` is the
+    second counting memo: a loop whose body emits the same kinds on every
+    iteration and allocates nothing is tallied from its first and last
+    iterations and scaled by its length, and a first or last iteration
+    that differs, or a body that allocates, is refused; a recording
+    builder runs every iteration.  Together they keep sweep-scale builds
+    (n ~ 2^13) tractable.  Two helpers tally in closed form through
+    ``bulk`` instead of emitting gate by gate: the unary-iteration lookup
+    (``modexp.emit_lookup``) and the uncontrolled CNOT fan of
+    ``adders.emit_copy``.
 
     Uncomputation has two primitives, named after Q#'s ``Adjoint`` and
     ``within ... apply``: ``adjoint(emit)`` emits the adjoint of a block, and
@@ -297,7 +296,7 @@ class Builder:
             if self.counting:
                 self._counts[0] += 1
                 return
-            if 0 <= t < self.num_qubits:
+            if type(t) is int and 0 <= t < self.num_qubits:
                 self.gates.append((X, (t,), None))
                 return
         self._emit(X, (t,))  # refuses it
@@ -308,7 +307,8 @@ class Builder:
                 self._counts[1] += 1
                 return
             n = self.num_qubits
-            if c != t and 0 <= c < n and 0 <= t < n:
+            if (type(c) is int and type(t) is int
+                    and c != t and 0 <= c < n and 0 <= t < n):
                 self.gates.append((CNOT, (c, t), None))
                 return
         self._emit(CNOT, (c, t))  # refuses it
@@ -319,7 +319,8 @@ class Builder:
                 self._counts[2] += 1
                 return
             n = self.num_qubits
-            if (c1 != c2 and c1 != t and c2 != t
+            if (type(c1) is int and type(c2) is int and type(t) is int
+                    and c1 != c2 and c1 != t and c2 != t
                     and 0 <= c1 < n and 0 <= c2 < n and 0 <= t < n):
                 self.gates.append((CCX, (c1, c2, t), None))
                 return

@@ -167,17 +167,14 @@ class _ModN:
         bld.within(chain, not_into)
         emit_complement(bld, t)
 
-    def _add(self, key, load, chain, ctrls) -> None:
+    def _add(self, load, chain, ctrls) -> None:
         """acc += the operand `load` stages in kload, mod N, under `ctrls`;
         `chain` computes the carry of ~acc + operand for `_ge`."""
-        def emit():
-            load()
-            self._accumulate(self.kload, list(self.acc) + [self.hi])
-            load()
-            self._reduce(self.acc, ctrls)
-            self._ge(chain, ctrls)
-
-        self.bld.cached(key, emit)
+        load()
+        self._accumulate(self.kload, list(self.acc) + [self.hi])
+        load()
+        self._reduce(self.acc, ctrls)
+        self._ge(chain, ctrls)
 
     def add_const(self, k: int, ctrls=()) -> None:
         """acc += k mod N under `ctrls`."""
@@ -200,36 +197,33 @@ class _ModN:
                 else:
                     bld.ccx(t[j], chain[j - 1], chain[j])
 
-        self._add(("modadd", len(t), self.N, k & 1, k.bit_count(), len(ctrls)),
-                  lambda: emit_const_load(bld, self.kload, k, *ctrls), ge_k, ctrls)
+        bld.cached(("modadd", len(t), self.N, k & 1, k.bit_count(), len(ctrls)),
+                   lambda: self._add(lambda: emit_const_load(bld, self.kload, k, *ctrls),
+                                     ge_k, ctrls))
 
     def add(self, u, ctrls=()) -> None:
         """acc += u mod N for a quantum u < N under `ctrls`."""
         bld, t, chain = self.bld, self.acc, self.cmp
 
+        def carry(j):
+            bld.ccx(t[j], u[j], chain[j])
+            bld.cnot(u[j], t[j])
+            bld.ccx(t[j], chain[j - 1], chain[j])
+            bld.cnot(u[j], t[j])
+
         def ge_u():  # the carry of ~acc + u
             bld.ccx(t[0], u[0], chain[0])
-            for j in range(1, len(t)):
-                bld.ccx(t[j], u[j], chain[j])
-                bld.cnot(u[j], t[j])
-                bld.ccx(t[j], chain[j - 1], chain[j])
-                bld.cnot(u[j], t[j])
+            bld.repeat(range(1, len(t)), carry)
 
-        self._add(("qqmodadd", len(t), self.N, len(ctrls)),
-                  lambda: emit_copy(bld, u, self.kload[:len(t)], *ctrls), ge_u, ctrls)
+        self._add(lambda: emit_copy(bld, u, self.kload[:len(t)], *ctrls), ge_u, ctrls)
 
     def double(self, reg) -> None:
         """reg -> 2 reg mod N in place (N odd; the parity of the result clears hi)."""
-        bld = self.bld
-
-        def emit():
-            y = list(reg) + [self.hi]
-            bld.repeat(range(len(reg) - 1, -1, -1), lambda j: bld.swap(y[j + 1], y[j]))
-            self._reduce(reg, ())
-            bld.cnot(reg[0], self.hi)
-            bld.x(self.hi)
-
-        bld.cached(("moddouble", len(reg), self.N), emit)
+        bld, y = self.bld, list(reg) + [self.hi]
+        bld.repeat(range(len(reg) - 1, -1, -1), lambda j: bld.swap(y[j + 1], y[j]))
+        self._reduce(reg, ())
+        bld.cnot(reg[0], self.hi)
+        bld.x(self.hi)
 
     def mul_const(self, x, c: int, ctrl=None, qa=None) -> None:
         """x -> c*x mod N in place for x < N (deterministic permutation above
@@ -246,14 +240,16 @@ class _ModN:
                     self.add_const(k, (qa,))
                     bld.ccx(ctrl, x[i], qa)
 
-        acc(c)
-        for i in range(len(x)):
+        def swap(i):
             if ctrl is None:
                 bld.swap(x[i], t[i])
             else:
                 bld.cnot(t[i], x[i])
                 bld.ccx(ctrl, x[i], t[i])
                 bld.cnot(t[i], x[i])
+
+        acc(c)
+        bld.repeat(range(len(x)), swap)
         bld.adjoint(lambda: acc(pow(c, -1, N)))
 
     def mul_table(self, out, addr, c: int, a_reg, lk) -> None:
@@ -268,16 +264,13 @@ class _ModN:
         """
         bld, n, N = self.bld, len(out), self.N
 
+        def add_double(i):
+            self.add(a_reg, (out[i],))
+            self.double(a_reg)
+
         def mulacc():
-            for i in range(n):
-                self.add(a_reg, (out[i],))
-                self.double(a_reg)
-
-            def doublings():
-                for _ in range(n):
-                    self.double(a_reg)
-
-            bld.adjoint(doublings)
+            bld.repeat(range(n), add_double)
+            bld.adjoint(lambda: bld.repeat(range(n), lambda _: self.double(a_reg)))
 
         def acc(base):
             key = ("lookup", base, N, len(addr), len(a_reg))

@@ -34,22 +34,21 @@ def emit_schoolbook_acc(bld: Builder, a, b, acc, temp, add) -> None:
     `temp`, added into acc[i : i+len(b)+1] by the Gidney handle `add` (the
     running prefix sum keeps the carry inside that slice), and uncomputed.
     Slices are capped at the top of acc, which is exact whenever the true
-    product fits in acc.
+    product fits in acc.  The iterations with a full slice are uniform, so
+    they run through `repeat`; the capped ones that follow run one by one.
     """
     nb = len(b)
 
-    def iteration(i, width):
+    def iteration(i):
+        width = min(nb + 1, len(acc) - i)
         emit_copy(bld, b, temp, a[i])
         add(temp[:min(nb, width)], acc[i:i + width])
         emit_copy(bld, b, temp, a[i])
 
-    for i in range(len(a)):
-        width = min(nb + 1, len(acc) - i)
-        if width < 1:
-            break
-        # Every caller's temp is at least len(b) wide, so an iteration's
-        # tallies depend only on len(b) and its slice width.
-        bld.cached(("school_iter", nb, width), lambda i=i, w=width: iteration(i, w))
+    full = min(len(a), max(0, len(acc) - nb))
+    bld.repeat(range(full), iteration)
+    for i in range(full, min(len(a), len(acc))):
+        iteration(i)
 
 
 # -- Karatsuba -------------------------------------------------------------------
@@ -199,28 +198,25 @@ def build_divider(algo: str, n: int, counting: bool = False):
             add_b_if(sign, window[:n])
             bld.x(sign)
 
-        for i in reversed(range(n)):
-            bld.cached(("div_step_r", adder, n), lambda i=i: step(i))
+        bld.repeat(range(n - 1, -1, -1), step)
     else:
         def step(i):
             window = seq[i:i + n + 2]
             u = seq[i + n + 2]
 
-            def flip():  # complement the window when u = 0
-                for w in window:
-                    bld.x(w)
-                    bld.cnot(u, w)
+            def flip(w):  # complement w when u = 0
+                bld.x(w)
+                bld.cnot(u, w)
 
-            flip()
+            bld.repeat(window, flip)
             _emit_window_sub(bld, window, kload.qubits, adders, b.qubits)
-            flip()
+            bld.repeat(window, flip)
             bld.x(seq[i + n + 1])
 
         # The first step has no previous quotient bit to steer it: subtract.
         _emit_window_sub(bld, seq[n - 1:2 * n + 1], kload.qubits, adders, b.qubits)
         bld.x(seq[2 * n])
-        for i in reversed(range(n - 1)):
-            bld.cached(("div_step_nr", adder, n), lambda i=i: step(i))
+        bld.repeat(range(n - 2, -1, -1), step)
         # Final fix: add b back to a negative remainder, then rotate the
         # quotient bits into place.
         add_b_if(seq[n], seq[:n])

@@ -22,7 +22,7 @@ from qarith.adders import (
 )
 from qarith.catalog import check_oracle
 from qarith.circuit import Builder, CircuitError, clear_block_cache
-from qarith.muldiv import build_multiplier
+from qarith.muldiv import build_divider, build_multiplier
 from qarith.resources import lower_to_clifford_t
 
 from conftest import assert_tallies_equal
@@ -333,13 +333,13 @@ def test_accumulate_refuses_bad_widths_before_the_block_cache():
 
 
 def test_counting_builds_emit_each_cached_block_once(monkeypatch):
-    # Exact work, not seconds: the number of gates a cold counting build
-    # emits one by one, against the gates it tallies.  The ripple
-    # accumulator and the DKRS tree are emitted once per distinct shape, and
-    # each uniform loop runs only its first and last iterations.  Every gate
-    # is one call of a typed gate method; mcx calls x, cnot or ccx, so it is
-    # not counted again.
-    emitted = 0
+    # Exact work, not seconds: the gates a cold counting build emits one by
+    # one and the cached blocks it asks for, against the gates it tallies.
+    # The ripple accumulator and the DKRS tree are emitted once per distinct
+    # shape, and each uniform loop runs only its first and last iterations.
+    # Every gate is one call of a typed gate method; mcx calls x, cnot or
+    # ccx, so it is not counted again.
+    emitted = cached = 0
 
     def counted(method):
         def call(self, *operands):
@@ -348,15 +348,44 @@ def test_counting_builds_emit_each_cached_block_once(monkeypatch):
             method(self, *operands)
         return call
 
+    def counted_cached(self, key, emit):
+        nonlocal cached
+        cached += 1
+        block(self, key, emit)
+
     for name in ("x", "cnot", "ccx", "swap", "h", "rz", "cphase"):
         monkeypatch.setattr(Builder, name, counted(getattr(Builder, name)))
+    block = Builder.cached
+    monkeypatch.setattr(Builder, "cached", counted_cached)
     work = {}
     for what, build in (
         ("Karatsuba-8", lambda: build_multiplier("Karatsuba-8", 1024, counting=True)),
         ("DKRS", lambda: build_inplace_adder("DKRS", 4096, counting=True)),
+        ("Schoolbook", lambda: build_multiplier("Schoolbook", 8192, counting=True)),
+        ("NonRestoring+Gidney",
+         lambda: build_divider("NonRestoring+Gidney", 1024, counting=True)),
     ):
         clear_block_cache()
-        emitted = 0
+        emitted = cached = 0
         summary = build()
-        work[what] = (emitted, sum(summary.kinds.values()))
-    assert work == {"Karatsuba-8": (2_776, 6_583_323), "DKRS": (22, 65_379)}
+        work[what] = (emitted, cached, sum(summary.kinds.values()))
+    # A ripple miss of k = len(x) into m = len(y) >= 3 bits makes 20 calls
+    # when k = m - 1 and 21 when k = m: one CCX, two runs of two 4-gate
+    # iterations, a CNOT into y's top (plus one from x's top when k = m) and
+    # the closing CCX and CNOT.  A controlled copy is a run of two CCXs.
+    # - Schoolbook, n = 8,192: every slice is n + 1 bits wide, so the n
+    #   iterations are one run of two.  Each makes two copies (2 x 2
+    #   calls), and the first adds through the accumulator's one miss
+    #   (k = n, m = n + 1): 8 + 20 = 28 calls, 2 cached calls.
+    # - NonRestoring+Gidney, n = 1,024: the first step (complement 2,
+    #   ripple miss at m = n + 2, k = m: 21, complement 2, X 1) makes 26;
+    #   the other n - 1 steps are one run of two 13-call steps (flip 4,
+    #   complement 2, ripple hit, complement 2, flip 4, X 1); the final
+    #   fix-up adds b back (copies 2 x 2, ripple miss at k = m = n: 21) and
+    #   makes 4 more (CNOT, X and a run of two SWAPs): 26 + 26 + 25 + 4 =
+    #   81 calls, and 1 + 2 + 1 = 4 cached calls.
+    # - Karatsuba-8: each leaf runs its full-slice iterations as one run of
+    #   two and its slices capped at the top of its register one by one.
+    assert work == {"Karatsuba-8": (3_052, 927, 6_583_323), "DKRS": (22, 2, 65_379),
+                    "Schoolbook": (28, 2, 671_055_872),
+                    "NonRestoring+Gidney": (81, 4, 16_802_799)}

@@ -195,6 +195,11 @@ def test_equal_block_cache_keys_tally_equally(monkeypatch):
     clashes = [key for key, deltas in audit.items()
                if any(d != deltas[0] for d in deltas)]
     assert clashes == []
+    # Uniform loops go through Builder.repeat, so a key is kept only for a
+    # block that recurs at separate call sites; a new key is a new claim
+    # that this test must be edited to name.
+    assert {key[0] for key in audit} == {"accadd", "cla", "ktree", "modadd", "mulacc",
+                                         "lookup"}
     assert len(audit[("mulacc", 8, N)]) > 2 * len(audit[("lookup", b, N, 3, 8)])
     assert ("lookup", pow(b, 1 << 6, N), N, 2, 8) in audit  # w = 3, last window
 

@@ -311,12 +311,14 @@ def _call_gate(bld, method, qubits, angle):
 
 def test_gate_methods_refuse_exactly_as_validate_gate():
     # x, cnot and ccx check their operands inline: every call on a
-    # three-qubit recording builder, with each operand tuple over -1..3,
+    # three-qubit recording builder, with each operand over -1..3 or a
+    # non-int that passes the range check (a float, a bool, a numpy int),
     # either keeps exactly its gate or raises exactly _validate_gate's
     # message for it.
+    operands = (*range(-1, 4), 1.5, True, np.int64(1))
     for method, kind, arity in _GATE_METHODS:
         angles = (0.5, math.nan, math.inf) if kind in cir.ANGLE_KINDS else (None,)
-        for qubits in itertools.product(range(-1, 4), repeat=arity):
+        for qubits in itertools.product(operands, repeat=arity):
             for angle in angles:
                 g = (kind, qubits, angle)
                 bld = Builder()

@@ -200,9 +200,12 @@ def test_counting_windowed_modexp_walks_each_table_once(monkeypatch):
     a, N = modexp_constants(64)
     build_modexp("LYYWindowedOpt", a, N, 64, counting=True)
     # 6 windows (w = 12, the last of 4 bits).  Hits: 12 uncompute lookups,
-    # 11 repeats of the multiply-accumulate, and inside its one emission 63
-    # repeated controlled adds, 127 repeated doublings and 3 ripple adders.
-    assert (walks, cache.hits) == (12, 12 + 11 + 63 + 127 + 3)
+    # 11 repeats of the multiply-accumulate, and 12 ripple adders inside its
+    # one emission.  There `repeat` runs two of the n add-and-double
+    # iterations and two of the n adjoint doublings; an add makes 3 ripple
+    # calls and a doubling 2, so 2 x (3 + 2) + 2 x 2 = 14 calls on two widths
+    # (n + 1 and n) miss twice and hit 12 times.
+    assert (walks, cache.hits) == (12, 12 + 11 + 12)
 
 
 def test_counting_matches_recording_modmul():
