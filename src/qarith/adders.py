@@ -156,40 +156,11 @@ def emit_cdkm(bld: Builder, a, b, z: int) -> None:
 
 # -- DKRS carry-lookahead --------------------------------------------------------
 
-def _cla_plan(m_carries: int):
-    """Brent-Kung schedule over scan elements 1..M.
-
-    Returns (p_nodes, g_rounds, c_rounds): p_nodes are (level, pos) block
-    propagates that need ancillas, in emission order.
-    """
-    M = m_carries
-    if M < 2:
-        return (), (), ()
-    L = M.bit_length() - 1
-    g_rounds = []
-    for t in range(1, L + 1):
-        step = 1 << t
-        g_rounds.extend((t, j) for j in range(step, M + 1, step))
-    c_rounds = []
-    for t in range(L, 0, -1):
-        half = 1 << (t - 1)
-        c_rounds.extend((t, j) for j in range(3 * half, M + 1, 1 << t))
-    needed = {(t - 1, j) for t, j in g_rounds + c_rounds if t - 1 >= 1}
-    stack = list(needed)
-    while stack:
-        lvl, j = stack.pop()
-        for parent in ((lvl - 1, j - (1 << (lvl - 1))), (lvl - 1, j)):
-            if parent[0] >= 1 and parent not in needed:
-                needed.add(parent)
-                stack.append(parent)
-    return tuple(sorted(needed)), tuple(g_rounds), tuple(c_rounds)
-
-
 def cla_bp_count(n: int) -> int:
     """Block-propagate ancillas the DKRS tree needs for n-bit operands:
     M - w(M) - floor(log2 M) for its M = n - 1 carries, w(M) the Hamming
-    weight.  That is the length of `_cla_plan(M)`'s p_nodes, so a build
-    allocates them without making the plan its tree makes again."""
+    weight.  That is the sum over the tree's levels l = 1..L-1 of their
+    (M >> l) - 1 nodes (see `_emit_cla_tree`)."""
     m = n - 1
     return m - m.bit_count() - (m.bit_length() - 1) if m > 0 else 0
 
@@ -197,37 +168,45 @@ def cla_bp_count(n: int) -> int:
 def _emit_cla_tree(bld: Builder, prop, carry, bp) -> None:
     """Transform carry[e-1] from generate bits into carries c_e (e=1..M).
 
-    prop[e-1] must hold the propagate bit feeding scan element e; bp is the
-    block-propagate ancilla pool (clean in, clean out).  The gates depend on
-    M alone, so a counting build tallies each tree size once through the
-    block cache.
+    A Brent-Kung prefix tree (Brent & Kung 1982) over scan elements 1..M,
+    M = len(carry), L = floor(log2 M); prop[e-1] must hold element e's
+    propagate bit.  The block-propagate pool bp (clean in, clean out) holds
+    level l = 1..L-1 at positions k*2^l, k = 2..M>>l, level by level.  Each
+    level and round is one `repeat` over a range: the propagate levels, the
+    generate rounds t = 1..L at multiples of 2^t, the carry rounds t = L..1
+    at 3*2^(t-1) + multiples of 2^t, then the propagate levels in reverse.
     """
     M = len(carry)
+    L = M.bit_length() - 1
+    levels = [range(2 << l, M + 1, 1 << l) for l in range(L)]
+    start = [0, 0]  # where level l begins in bp; level 0 is prop
+    for l in range(1, L - 1):
+        start.append(start[l] + len(levels[l]))
 
-    def tree() -> None:
-        p_nodes, g_rounds, c_rounds = _cla_plan(M)
-        index = {node: bp[i] for i, node in enumerate(p_nodes)}
+    def node(l, j):
+        return prop[j - 1] if l == 0 else bp[start[l] + (j >> l) - 2]
 
-        def bpq(lvl, j):
-            return prop[j - 1] if lvl == 0 else index[(lvl, j)]
+    def propagate(l):
+        h = 1 << (l - 1)
+        return lambda j: bld.ccx(node(l - 1, j - h), node(l - 1, j), node(l, j))
 
-        def propagate(node):
-            lvl, j = node
-            bld.ccx(bpq(lvl - 1, j - (1 << (lvl - 1))), bpq(lvl - 1, j), bpq(lvl, j))
+    def generate(t):
+        h = 1 << (t - 1)
+        return lambda j: bld.ccx(carry[j - h - 1], node(t - 1, j), carry[j - 1])
 
-        def generate(node):
-            t, j = node
-            bld.ccx(carry[j - (1 << (t - 1)) - 1], bpq(t - 1, j), carry[j - 1])
-
-        bld.repeat(p_nodes, propagate)
-        bld.repeat(g_rounds + c_rounds, generate)
-        bld.repeat(p_nodes[::-1], propagate)
-
-    bld.cached(("cla", M), tree)
+    for l in range(1, L):
+        bld.repeat(levels[l], propagate(l))
+    for t in range(1, L + 1):
+        bld.repeat(range(1 << t, M + 1, 1 << t), generate(t))
+    for t in range(L, 0, -1):
+        bld.repeat(range(3 << (t - 1), M + 1, 1 << t), generate(t))
+    for l in range(L - 1, 0, -1):
+        bld.repeat(levels[l][::-1], propagate(l))
 
 
 def emit_dkrs_inplace(bld: Builder, a, b, carry, bp) -> None:
-    """DKRS carry-lookahead in-place addition b += a.
+    """DKRS carry-lookahead in-place addition b += a (Draper, Kutin, Rains &
+    Svore 2004, arXiv:quant-ph/0406142), over a Brent-Kung carry tree.
 
     carry: n-1 clean ancillas, bp: cla_bp_count(n) clean ancillas.  The
     carry network is uncomputed through the borrow relation of (a, sum), so
@@ -252,7 +231,10 @@ def emit_dkrs_inplace(bld: Builder, a, b, carry, bp) -> None:
 
 
 def emit_dkrs_outofplace(bld: Builder, a, b, s, carry, bp) -> None:
-    """DKRS carry-lookahead out-of-place addition s ^= (a+b) mod 2^n."""
+    """DKRS carry-lookahead out-of-place addition s ^= (a+b) mod 2^n (Draper
+    et al. 2004, arXiv:quant-ph/0406142).  It computes the carries into
+    `carry` and runs the tree again to clean them, so it spends the in-place
+    adder's Toffolis; the source writes them into s with one tree."""
     n = len(a)
     if n == 1:
         bld.cnot(a[0], s[0])

@@ -220,21 +220,21 @@ class Builder:
     slots.  A finalized builder refuses every gate and every ``cached``
     block.  A counting builder memoises its ``cached`` blocks by key, so a
     block that recurs at separate call sites costs O(1) after its first
-    emission.  Six blocks are cached: the Gidney ripple accumulator
-    (``adders.emit_accumulate_add``, keyed by its two widths), the DKRS
-    carry-lookahead tree (by its size), a Karatsuba tree node, a modular
-    constant add, and a windowed modexp's multiply-accumulate (by n and N)
-    and table lookups (by the base, N and the two widths that define the
-    table, so a hit builds no table).  ``repeat(indices, body)`` is the
-    second counting memo: a loop whose body emits the same kinds on every
-    iteration and allocates nothing is tallied from its first and last
-    iterations and scaled by its length, and a first or last iteration
-    that differs, or a body that allocates, is refused; a recording
-    builder runs every iteration.  Together they keep sweep-scale builds
-    (n ~ 2^13) tractable.  Two helpers tally in closed form through
-    ``bulk`` instead of emitting gate by gate: the unary-iteration lookup
-    (``modexp.emit_lookup``) and the uncontrolled CNOT fan of
-    ``adders.emit_copy``.
+    emission.  Five blocks are cached: the Gidney ripple accumulator
+    (``adders.emit_accumulate_add``, keyed by its two widths), a Karatsuba
+    tree node, a modular constant add, and a windowed modexp's
+    multiply-accumulate (by n and N) and table lookups (by the base, N and
+    the two widths that define the table, so a hit builds no table).
+    ``repeat(indices, body)`` is the second counting memo: a loop whose
+    body emits the same kinds on every iteration and allocates nothing is
+    tallied from its first and last iterations and scaled by its length,
+    and a first or last iteration that differs, or a body that allocates,
+    is refused; a recording builder runs every iteration.  The DKRS
+    carry-lookahead tree is one such loop per tree level.  Together they
+    keep sweep-scale builds (n ~ 2^13) tractable.  Two helpers tally in
+    closed form through ``bulk`` instead of emitting gate by gate: the
+    unary-iteration lookup (``modexp.emit_lookup``) and the uncontrolled
+    CNOT fan of ``adders.emit_copy``.
 
     Uncomputation has two primitives, named after Q#'s ``Adjoint`` and
     ``within ... apply``: ``adjoint(emit)`` emits the adjoint of a block, and

@@ -10,7 +10,6 @@ from qarith.adders import (
     IN_PLACE_ADDERS,
     OUT_OF_PLACE_ADDERS,
     RIPPLE_CARRY_ADDERS,
-    _cla_plan,
     build_const_adder,
     build_inplace_adder,
     build_outofplace_adder,
@@ -191,11 +190,17 @@ def test_widths_match_golden():
     assert widths == golden
 
 
-def test_cla_bp_count_is_the_plans_block_propagate_count():
-    # The closed form allocates what the Brent-Kung plan uses, which a
-    # build makes only in the tree.
-    for n in [*range(1, 600), 1023, 1024, 1025, 4096, 8191, 8192, 8193]:
-        assert cla_bp_count(n) == len(_cla_plan(n - 1)[0]), n
+def test_dkrs_builds_touch_every_block_propagate_ancilla():
+    # cla_bp_count sizes the tree's pool in closed form: a pool too short
+    # would make the tree index past it, and one too long would leave a
+    # qubit the tree never touches.
+    for n in range(1, 131):
+        for build in (build_inplace_adder, build_outofplace_adder):
+            c = build("DKRS", n)
+            bp = [q for r in c.ancilla_registers if r.name == "cla_bp" for q in r]
+            assert len(bp) == cla_bp_count(n), (build.__name__, n)
+            touched = {q for _, qubits, _ in c.gates for q in qubits}
+            assert set(bp) <= touched, (build.__name__, n)
 
 
 def test_inplace_width_accounting():
@@ -290,9 +295,10 @@ def _accumulate_build(emit, k, m, offset, counting):
 
 
 def test_cached_adder_blocks_tally_as_recorded():
-    # The ripple accumulator is cached by (len(x), len(y)) and the DKRS tree
-    # by its size; a key that left out a width would let one shape's
-    # tallies stand in for another's, first on the cold pass and again warm.
+    # The ripple accumulator is cached by (len(x), len(y)); a key that left
+    # out a width would let one shape's tallies stand in for another's,
+    # first on the cold pass and again warm.  The DKRS tree tallies each of
+    # its levels from that level's first and last nodes.
     clear_block_cache()
     for warm in (False, True):
         for m in range(1, 13):
@@ -335,8 +341,8 @@ def test_accumulate_refuses_bad_widths_before_the_block_cache():
 def test_counting_builds_emit_each_cached_block_once(monkeypatch):
     # Exact work, not seconds: the gates a cold counting build emits one by
     # one and the cached blocks it asks for, against the gates it tallies.
-    # The ripple accumulator and the DKRS tree are emitted once per distinct
-    # shape, and each uniform loop runs only its first and last iterations.
+    # The ripple accumulator is emitted once per distinct shape, and each
+    # uniform loop runs only its first and last iterations.
     # Every gate is one call of a typed gate method; mcx calls x, cnot or
     # ccx, so it is not counted again.
     emitted = cached = 0
@@ -361,6 +367,7 @@ def test_counting_builds_emit_each_cached_block_once(monkeypatch):
     for what, build in (
         ("Karatsuba-8", lambda: build_multiplier("Karatsuba-8", 1024, counting=True)),
         ("DKRS", lambda: build_inplace_adder("DKRS", 4096, counting=True)),
+        ("DKRS n=2^20", lambda: build_inplace_adder("DKRS", 1 << 20, counting=True)),
         ("Schoolbook", lambda: build_multiplier("Schoolbook", 8192, counting=True)),
         ("NonRestoring+Gidney",
          lambda: build_divider("NonRestoring+Gidney", 1024, counting=True)),
@@ -384,8 +391,17 @@ def test_counting_builds_emit_each_cached_block_once(monkeypatch):
     #   fix-up adds b back (copies 2 x 2, ripple miss at k = m = n: 21) and
     #   makes 4 more (CNOT, X and a run of two SWAPs): 26 + 26 + 25 + 4 =
     #   81 calls, and 1 + 2 + 1 = 4 cached calls.
+    # - DKRS, M = n - 1 carries, L = floor(log2 M): eight runs of two
+    #   outside the trees (two generate runs, three XOR runs, the carry
+    #   CNOTs, two complements) make 16 calls.  Each of the two trees is
+    #   4L - 2 runs (L - 1 propagate levels, L generate and L carry rounds,
+    #   the L - 1 levels again), all of two except the top generate and
+    #   carry rounds, one node each at M = 2^k - 1: 2(4L - 2) - 2 calls.
+    #   n = 4,096 (L = 11) makes 16 + 2 x 82 = 180 calls and n = 2^20
+    #   (L = 19) 16 + 2 x 146 = 308: O(log n), and no cached block.
     # - Karatsuba-8: each leaf runs its full-slice iterations as one run of
     #   two and its slices capped at the top of its register one by one.
-    assert work == {"Karatsuba-8": (3_052, 927, 6_583_323), "DKRS": (22, 2, 65_379),
+    assert work == {"Karatsuba-8": (3_052, 927, 6_583_323), "DKRS": (180, 0, 65_379),
+                    "DKRS n=2^20": (308, 0, 16_776_963),
                     "Schoolbook": (28, 2, 671_055_872),
                     "NonRestoring+Gidney": (81, 4, 16_802_799)}
