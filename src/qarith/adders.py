@@ -136,16 +136,16 @@ def emit_ttk(bld: Builder, a, b) -> None:
 
 def emit_cdkm(bld: Builder, a, b, z: int) -> None:
     n = len(a)
-    carries = [z] + list(a[: n - 1])
+    carry = lambda i: a[i - 1] if i else z  # the carry into position i
 
     def maj(i):
-        c, bb, aa = carries[i], b[i], a[i]
+        c, bb, aa = carry(i), b[i], a[i]
         bld.cnot(aa, bb)
         bld.cnot(aa, c)
         bld.ccx(c, bb, aa)
 
     def uma(i):
-        c, bb, aa = carries[i], b[i], a[i]
+        c, bb, aa = carry(i), b[i], a[i]
         bld.ccx(c, bb, aa)
         bld.cnot(aa, c)
         bld.cnot(c, bb)
@@ -267,19 +267,18 @@ def emit_qft(bld: Builder, reg) -> None:
     from k = 1077 they underflow to 0.0, and those rotations are still
     emitted and counted.
     """
-    n = len(reg)
-    for j in reversed(range(n)):
+    for j in reversed(range(len(reg))):
         bld.h(reg[j])
-        for k in reversed(range(j)):
-            bld.cphase(reg[k], reg[j], math.ldexp(math.pi, k - j))
+        bld.repeat(range(j - 1, -1, -1),
+                   lambda k: bld.cphase(reg[k], reg[j], math.ldexp(math.pi, k - j)))
 
 
 def emit_qft_inplace_add(bld: Builder, a, b) -> None:
     """|a>|b> -> |a>|a+b> via phase accumulation in the Fourier basis."""
     def phases(_):
         for j in range(len(a)):
-            for k in range(len(b) - j):
-                bld.cphase(a[j], b[j + k], math.ldexp(math.pi, -k))
+            bld.repeat(range(len(b) - j),
+                       lambda k: bld.cphase(a[j], b[j + k], math.ldexp(math.pi, -k)))
 
     bld.within(lambda: emit_qft(bld, b), phases)
 
@@ -365,20 +364,28 @@ def build_outofplace_adder(algo: str, n: int, counting: bool = False):
 
 def _emit_gidney_outofplace(bld: Builder, a, b, s) -> None:
     # Carries ripple through the sum register itself, so no ancillas and a
-    # single Toffoli per position.
+    # single Toffoli per position.  Position i sums into s[i] after its
+    # carry goes to s[i+1]; positions 1..n-2 take their carry from s[i].
     n = len(a)
-    for i in range(n):
-        if i < n - 1:
-            if i > 0:
-                bld.cnot(s[i], a[i])
-                bld.cnot(s[i], b[i])
-            bld.ccx(a[i], b[i], s[i + 1])
-            if i > 0:
-                bld.cnot(s[i], s[i + 1])
-                bld.cnot(s[i], a[i])
-                bld.cnot(s[i], b[i])
+
+    def sum_bit(i):
         bld.cnot(a[i], s[i])
         bld.cnot(b[i], s[i])
+
+    def position(i):
+        bld.cnot(s[i], a[i])
+        bld.cnot(s[i], b[i])
+        bld.ccx(a[i], b[i], s[i + 1])
+        bld.cnot(s[i], s[i + 1])
+        bld.cnot(s[i], a[i])
+        bld.cnot(s[i], b[i])
+        sum_bit(i)
+
+    if n > 1:
+        bld.ccx(a[0], b[0], s[1])
+        sum_bit(0)
+        bld.repeat(range(1, n - 1), position)
+    sum_bit(n - 1)
 
 
 def build_const_adder(algo: str, n: int, constant: int, counting: bool = False):

@@ -79,9 +79,10 @@ def _reversed_adjoint(gates) -> list[Gate]:
 
 @dataclass(frozen=True)
 class Register:
-    """Ordered, little-endian run of qubit ids."""
+    """Ordered, little-endian run of qubit ids: a tuple in a recording
+    build, a range in a counting build, which keeps no qubit id."""
 
-    qubits: tuple[int, ...]
+    qubits: tuple[int, ...] | range
     name: str = "r"
 
     def __len__(self) -> int:
@@ -217,10 +218,12 @@ class Builder:
     validates every gate.  A counting builder keeps no gate: a gate adds 1
     to its kind's slot in ``_counts``, ``bulk`` adds a count for a kind in
     the alphabet, and ``finalize`` returns a CountSummary of the nonzero
-    slots.  A finalized builder refuses every gate and every ``cached``
-    block.  A counting builder memoises its ``cached`` blocks by key, so a
-    block that recurs at separate call sites costs O(1) after its first
-    emission.  Five blocks are cached: the Gidney ripple accumulator
+    slots.  Nor does it keep qubit ids: its registers hold ranges where a
+    recording builder's hold tuples, so its memory does not grow with
+    register width.  A finalized builder refuses every gate and every
+    ``cached`` block.  A counting builder memoises its ``cached`` blocks by
+    key, so a block that recurs at separate call sites costs O(1) after its
+    first emission.  Five blocks are cached: the Gidney ripple accumulator
     (``adders.emit_accumulate_add``, keyed by its two widths), a Karatsuba
     tree node, a modular constant add, and a windowed modexp's
     multiply-accumulate (by n and N) and table lookups (by the base, N and
@@ -262,7 +265,10 @@ class Builder:
             raise CircuitError("builder already finalized")
         if size < 1:
             raise CircuitError("register size must be >= 1")
-        reg = Register(tuple(range(self.num_qubits, self.num_qubits + size)), name)
+        # A recording build indexes its registers once per gate, and indexing
+        # a range makes a fresh int for each id above 256, so it keeps tuples.
+        qubits = range(self.num_qubits, self.num_qubits + size)
+        reg = Register(qubits if self.counting else tuple(qubits), name)
         self.num_qubits += size
         return reg
 

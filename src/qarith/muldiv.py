@@ -54,7 +54,7 @@ def emit_schoolbook_acc(bld: Builder, a, b, acc, temp, add) -> None:
 # -- Karatsuba -------------------------------------------------------------------
 
 def _trunc(qubits, maxv: int):
-    return list(qubits[: max(1, maxv.bit_length())])
+    return qubits[: max(1, maxv.bit_length())]
 
 
 def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, add):
@@ -85,7 +85,7 @@ def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, add):
         if leaf:
             w = bld.alloc_ancilla(width, "kw")
             emit_schoolbook_acc(bld, a, b, w.qubits, temp, add)
-            out.append(list(w.qubits))
+            out.append(w.qubits)
             return
         a_lo, a_hi = a[:h], a[h:]
         b_lo, b_hi = b[:h], b[h:]
@@ -103,7 +103,7 @@ def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, add):
             add(_trunc(b_hi, bhi_max), sb.qubits)
         w_mid = _tree_product(bld, sa.qubits, sa_max, sb.qubits, sb_max, piece, temp, add)
         w = bld.alloc_ancilla(width, "kw")
-        wq = list(w.qubits)
+        wq = w.qubits
         emit_copy(bld, w_lo, wq[: len(w_lo)])
         emit_copy(bld, w_hi, wq[2 * h: 2 * h + len(w_hi)])
         # w_mid can be wider than wq[h:]; its top qubits stay |0> because
@@ -116,7 +116,7 @@ def _tree_product(bld: Builder, a, amax, b, bmax, piece, temp, add):
     bld.cached(("ktree", len(a), len(b), amax, bmax, piece), emit)
     # A counting-mode cache hit emits nothing: qubit identities are
     # irrelevant there, only the register width matters to the caller.
-    return out[0] if out else [0] * width
+    return out[0] if out else range(width)
 
 
 def emit_karatsuba_multiply(bld: Builder, a, b, prod, piece, temp, add) -> None:
@@ -145,7 +145,7 @@ def build_multiplier(algo: str, n: int, counting: bool = False):
     else:
         temp = bld.alloc_ancilla(max(piece, 3), "pp")
         add = inplace_adder(bld, "Gidney", 2 * n + 3)
-        emit_karatsuba_multiply(bld, a.qubits, b.qubits, list(prod.qubits), piece,
+        emit_karatsuba_multiply(bld, a.qubits, b.qubits, prod.qubits, piece,
                                 temp.qubits, add)
     return bld.finalize()
 

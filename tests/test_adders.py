@@ -1,5 +1,6 @@
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -368,6 +369,8 @@ def test_counting_builds_emit_each_cached_block_once(monkeypatch):
         ("Karatsuba-8", lambda: build_multiplier("Karatsuba-8", 1024, counting=True)),
         ("DKRS", lambda: build_inplace_adder("DKRS", 4096, counting=True)),
         ("DKRS n=2^20", lambda: build_inplace_adder("DKRS", 1 << 20, counting=True)),
+        ("Gidney out-of-place n=2^20",
+         lambda: build_outofplace_adder("Gidney", 1 << 20, counting=True)),
         ("Schoolbook", lambda: build_multiplier("Schoolbook", 8192, counting=True)),
         ("NonRestoring+Gidney",
          lambda: build_divider("NonRestoring+Gidney", 1024, counting=True)),
@@ -399,9 +402,33 @@ def test_counting_builds_emit_each_cached_block_once(monkeypatch):
     #   carry rounds, one node each at M = 2^k - 1: 2(4L - 2) - 2 calls.
     #   n = 4,096 (L = 11) makes 16 + 2 x 82 = 180 calls and n = 2^20
     #   (L = 19) 16 + 2 x 146 = 308: O(log n), and no cached block.
+    # - Gidney out-of-place: position 0 (a CCX and two sum CNOTs), one run
+    #   of two 8-gate positions and the top sum bit's two CNOTs make
+    #   3 + 16 + 2 = 21 calls at any n >= 4, for 8n - 11 gates.
     # - Karatsuba-8: each leaf runs its full-slice iterations as one run of
     #   two and its slices capped at the top of its register one by one.
     assert work == {"Karatsuba-8": (3_052, 927, 6_583_323), "DKRS": (180, 0, 65_379),
                     "DKRS n=2^20": (308, 0, 16_776_963),
+                    "Gidney out-of-place n=2^20": (21, 0, 8 * (1 << 20) - 11),
                     "Schoolbook": (28, 2, 671_055_872),
                     "NonRestoring+Gidney": (81, 4, 16_802_799)}
+
+
+@pytest.mark.parametrize("build, algo, n", [
+    *[(build_inplace_adder, algo, 1 << 20) for algo in NON_QFT_INPLACE],
+    *[(build_outofplace_adder, algo, 1 << 20) for algo in OUT_OF_PLACE_ADDERS],
+    (build_multiplier, "Karatsuba-8", 8192),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_counting_build_memory_does_not_grow_with_width(build, algo, n):
+    # A counting build's registers are ranges, nothing copies them into
+    # lists, and its O(n) loops run through repeat, so it keeps no qubit
+    # id: tuples of the adders' ids at n = 2^20 would take 84-218 MB, and
+    # the Karatsuba-8 tree's lists at n = 8,192 about 10 MB.
+    clear_block_cache()
+    tracemalloc.start()
+    try:
+        build(algo, n, counting=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

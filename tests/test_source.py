@@ -164,13 +164,15 @@ def _functions_reading(tree: ast.AST, owner: str | None, attr: str) -> list[str]
 
 def test_only_the_builder_and_the_two_closed_forms_branch_on_build_mode():
     # Builder.adjoint and Builder.within take one path for both modes; the
-    # mode decides only how a gate is kept (by x, cnot and ccx, and by _emit
-    # for the other kinds), the tally-only calls, the two counting memos
-    # (cached and repeat) and the two closed forms that tally through bulk.
+    # mode decides only how a register holds its qubit ids (_alloc: a range
+    # when counting, a tuple when recording), how a gate is kept (by x, cnot
+    # and ccx, and by _emit for the other kinds), the tally-only calls, the
+    # two counting memos (cached and repeat) and the two closed forms that
+    # tally through bulk.
     builder = _functions_reading(ast.parse((PACKAGE / "circuit.py").read_text()),
                                  "self", "counting")
-    assert sorted(builder) == ["_emit", "bulk", "cached", "ccx", "cnot", "finalize",
-                               "repeat", "x"]
+    assert sorted(builder) == ["_alloc", "_emit", "bulk", "cached", "ccx", "cnot",
+                               "finalize", "repeat", "x"]
     constructions = [name for module in ("adders.py", "muldiv.py", "modexp.py")
                      for name in _functions_reading(
                          ast.parse((PACKAGE / module).read_text()), "bld", "counting")]
