@@ -53,14 +53,14 @@ from .physical import (
     required_code_distance,
 )
 from .resources import LogicalCounts, lower_to_clifford_t
-from .sim import simulate_permutation_batch, simulate_statevector
+from .sim import simulate_permutation_batch, simulate_product, simulate_statevector
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Builder", "Circuit", "CircuitError", "Gate", "Register",
     "adjoint", "circuit_to_text", "encode_register", "register_value",
-    "simulate_permutation_batch", "simulate_statevector",
+    "simulate_permutation_batch", "simulate_product", "simulate_statevector",
     "IN_PLACE_ADDERS", "OUT_OF_PLACE_ADDERS", "CONST_ADDERS",
     "build_inplace_adder", "build_outofplace_adder", "build_const_adder",
     "build_subtractor",

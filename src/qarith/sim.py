@@ -1,32 +1,29 @@
 """Verification simulators.
 
-Both simulators run a whole batch of basis states per pass, with one Python
+Each simulator runs a whole batch of basis states per pass, with one Python
 step per gate rather than one per gate and state.
 
 Permutation gates (X, CNOT, CCX, SWAP) run bit-sliced.  The batch is
 transposed into one bit plane per qubit: a Python int whose bit b is that
 qubit's value in state b.  X is then ``p[q] ^= ones``, CNOT/CCX are
 ``p[t] ^= p[c1] & ...`` and SWAP swaps two planes, each one big-int operation
-for the whole batch at any width.  `_apply_perm` is the only statement of
-these rules; `simulate_permutation_batch` and the statevector's permutation
+for the whole batch at any width.  `_apply_perm` states these rules on bit
+planes; `simulate_permutation_batch` and the statevector's permutation
 steps both go through it.
 
-`simulate_statevector` evolves a 2^n x B block of basis columns through the
-full alphabet (the QFT adders emit H, CPHASE and RZ, and the QFT subtractor
-X as well).  The gate list is first fused into steps: a run of consecutive
-permutation gates becomes one row-index array (the kernel applied to every
-basis index), a run of consecutive diagonal gates one phase vector, and each
-H a step of its own.
-Callers that check many cases pass about BLOCK_AMPLITUDES amplitudes' worth
-of columns per call, which bounds the memory a check needs.
+`simulate_product` runs the full alphabet (the QFT adders emit H, CPHASE and
+RZ, and the QFT subtractor X as well) with two amplitudes per qubit per
+case.  On a basis input the QFT adders pass only through product states,
+because each CPHASE has an operand in a basis state; a case that a gate
+would entangle is reported, not followed.  `simulate_statevector`, dense
+and one step per gate, is the reference the tests hold it to.
 
-Global phase is ignored everywhere; arithmetic semantics live in the
-computational basis.
+Arithmetic semantics live in the computational basis: checks compare output
+phases across cases and ignore the global one.
 """
 from __future__ import annotations
 
-import functools
-import itertools
+import cmath
 import math
 
 import numpy as np
@@ -45,11 +42,14 @@ from .circuit import (
 )
 
 STATEVECTOR_LIMIT = 22
-BLOCK_AMPLITUDES = 1 << 12  # statevector block size a batched check aims for
+_SUPERPOSED = 2  # simulate_product's value of a qubit in no basis state
+_FLIP = np.array([1, 0, _SUPERPOSED], dtype=np.int8)  # X on a qubit's value
 _BASIS_TOL = 1e-9
+# Superposed, so controlling no gate, once a qubit's smaller probability
+# passes this; float error in the QFT adders stays under 2e-30 at n = 1,024.
+_SUPERPOSED_TOL = 1e-20
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _PHASES = {T: math.pi / 4, TDG: -math.pi / 4}
-_DIAGONAL_KINDS = frozenset(_PHASES) | {RZ, CPHASE}
 
 
 class SimulationError(ValueError):
@@ -78,10 +78,10 @@ def _apply_perm(g: Gate, planes: list[int], ones: int) -> None:
         planes[q[-1]] ^= hit
 
 
-def _transpose(rows, width: int) -> np.ndarray:
-    """Bit-matrix transpose: len(rows) ints of `width` bits become `width`
-    ints of len(rows) bits, bit b of result q being bit q of rows[b].  Ints
-    of up to 64 bits travel as uint64 words, longer ones as Python ints."""
+def _unpack(rows, width: int) -> np.ndarray:
+    """len(rows) ints of `width` bits as a len(rows) x width uint8 bit
+    matrix, bit q of rows[b] at [b, q].  Ints of up to 64 bits travel as
+    uint64 words, longer ones as Python ints."""
     count, nbytes = len(rows), (width + 7) // 8
     if width <= 64:
         raw = np.array(rows, dtype="<u8").view(np.uint8).reshape(count, 8)
@@ -89,17 +89,29 @@ def _transpose(rows, width: int) -> np.ndarray:
         raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
                             dtype=np.uint8).reshape(count, nbytes)
     bits = np.unpackbits(raw[:, :nbytes], bitorder="little").reshape(count, 8 * nbytes)
-    # Whole-buffer unpacking and packing: numpy's per-row loops are slow on
-    # short rows.
-    padded = np.zeros((width, -(-count // 8) * 8), dtype=np.uint8)
-    padded[:, :count] = bits[:, :width].T
-    cols = np.packbits(padded, bitorder="little").reshape(width, padded.shape[1] // 8)
-    if count <= 64:
-        words = np.zeros((width, 8), dtype=np.uint8)
-        words[:, :cols.shape[1]] = cols
+    return bits[:, :width]
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """The inverse of _unpack: one int per row of a bit matrix, as uint64
+    words up to 64 columns and Python ints past that."""
+    count, width = bits.shape
+    # Whole-buffer packing: numpy's per-row loops are slow on short rows.
+    padded = np.zeros((count, -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, :width] = bits
+    rows = np.packbits(padded, bitorder="little").reshape(count, padded.shape[1] // 8)
+    if width <= 64:
+        words = np.zeros((count, 8), dtype=np.uint8)
+        words[:, :rows.shape[1]] = rows
         return words.view("<u8")[:, 0]
-    return np.array([int.from_bytes(col.tobytes(), "little") for col in cols],
+    return np.array([int.from_bytes(row.tobytes(), "little") for row in rows],
                     dtype=object)
+
+
+def _transpose(rows, width: int) -> np.ndarray:
+    """Bit-matrix transpose: len(rows) ints of `width` bits become `width`
+    ints of len(rows) bits, bit b of result q being bit q of rows[b]."""
+    return _pack(_unpack(rows, width).T)
 
 
 def _basis_states(states, n: int) -> list[int]:
@@ -132,65 +144,18 @@ def simulate_permutation_batch(c: Circuit, states) -> np.ndarray:
     return out.astype(basis_dtype(n))
 
 
-def _step_kind(g: Gate) -> str:
-    kind = g[0]
-    if kind in PERMUTATION_KINDS:
-        return "perm"
-    if kind in _DIAGONAL_KINDS:
-        return "phase"
-    if kind == H:
-        return H
-    raise SimulationError(f"unsupported gate kind {kind}")  # pragma: no cover
-
-
-@functools.lru_cache(maxsize=1)
-def _statevector_steps(c: Circuit) -> tuple[tuple[str, object], ...]:
-    """The circuit as fused statevector steps (kind, operand).  Cached, so a
-    check that evolves its cases block by block fuses the gates once."""
-    n = c.num_qubits
-    idx = np.arange(1 << n)
-    idx_planes = _transpose(idx, n).tolist()
-    steps = []
-    for kind, run in itertools.groupby(c.gates, _step_kind):
-        run = list(run)
-        if kind == H:
-            steps += [(H, qs[0]) for _, qs, _ in run]
-        elif kind == "perm":
-            # new[i] = old[P^-1(i)]; every permutation gate is an involution,
-            # so P^-1 is the run applied in reverse.
-            steps.append((kind, _run_perm(run[::-1], idx_planes.copy(), len(idx))))
-        else:
-            theta = np.zeros(1 << n)
-            for g_kind, qs, angle in run:
-                bit = (idx >> qs[0]) & (idx >> qs[-1]) & 1
-                if g_kind == RZ:
-                    theta += angle * (bit - 0.5)
-                else:
-                    theta += _PHASES.get(g_kind, angle) * bit
-            steps.append((kind, np.exp(1j * theta)[:, None]))
-    return tuple(steps)
-
-
-def _apply_step(block: np.ndarray, step) -> np.ndarray:
-    """One fused step on a 2^n x B block of statevector columns."""
-    kind, operand = step
-    if kind == "perm":
-        return block[operand]
-    if kind == "phase":
-        block *= operand
-        return block
-    view = block.reshape(block.shape[0] >> (operand + 1), 2,
-                         block.shape[1] << operand)
-    lo = view[:, 0, :] * _INV_SQRT2
-    hi = view[:, 1, :] * _INV_SQRT2
-    view[:, 0, :] = lo + hi
-    view[:, 1, :] = lo - hi
-    return block
+def _diagonal(kind: str, angle) -> tuple[complex, complex]:
+    """(factor on |0>, factor on |1>) of a diagonal gate; CPHASE's pair acts
+    on either operand where the other is |1>."""
+    if kind == RZ:
+        return cmath.exp(-0.5j * angle), cmath.exp(0.5j * angle)
+    return 1.0, cmath.exp(1j * _PHASES.get(kind, angle))
 
 
 def simulate_statevector(c: Circuit, states) -> np.ndarray:
-    """Exact dense evolution of B basis states through the full alphabet:
-    a 2^n x B array with one column per input."""
+    """Dense evolution of B basis states through the full alphabet, one gate
+    at a time: a 2^n x B array with one column per input.  The reference the
+    tests hold simulate_product to."""
     n = c.num_qubits
     if n > STATEVECTOR_LIMIT:
         raise SimulationError(
@@ -199,8 +164,20 @@ def simulate_statevector(c: Circuit, states) -> np.ndarray:
     states = _basis_states(states, n)
     block = np.zeros((1 << n, len(states)), dtype=np.complex128)
     block[states, np.arange(len(states))] = 1.0
-    for step in _statevector_steps(c):
-        block = _apply_step(block, step)
+    idx = np.arange(1 << n)
+    idx_planes = _transpose(idx, n).tolist()
+    for g in c.gates:
+        kind, q, angle = g
+        if kind in PERMUTATION_KINDS:
+            # new[i] = old[g(i)]: every permutation gate is an involution.
+            block = block[_run_perm([g], idx_planes.copy(), len(idx))]
+        elif kind == H:
+            view = block.reshape(-1, 2, block.shape[1] << q[0])
+            lo, hi = view[:, 0, :] * _INV_SQRT2, view[:, 1, :] * _INV_SQRT2
+            view[:, 0, :], view[:, 1, :] = lo + hi, lo - hi
+        else:
+            on = (idx >> q[0]) & (idx >> q[-1]) & 1
+            block *= np.where(on, *_diagonal(kind, angle)[::-1])[:, None]
     norms = np.linalg.norm(block, axis=0)
     drift = np.abs(norms - 1.0) > 1e-9
     if drift.any():
@@ -208,10 +185,65 @@ def simulate_statevector(c: Circuit, states) -> np.ndarray:
     return block
 
 
-def basis_columns(states: np.ndarray):
-    """(index, is_basis) of each column's largest amplitude: is_basis holds
-    where that amplitude carries probability >= 1 - _BASIS_TOL."""
-    probs = np.abs(states) ** 2
-    idx = np.argmax(probs, axis=0)
-    best = np.take_along_axis(probs, np.expand_dims(idx, 0), axis=0)[0]
-    return idx, best >= 1.0 - _BASIS_TOL
+def _apply_product(g: Gate, amp: np.ndarray, val: np.ndarray,
+                   entangled: np.ndarray) -> None:
+    """Gate g applied in place to the product states of a batch.  amp[q]
+    holds qubit q's two amplitudes per case and val[q] its basis value, or
+    _SUPERPOSED; entangled marks the cases that a gate took out of the
+    product states, where amp no longer follows them."""
+    kind, q, angle = g
+    if kind == H:
+        lo, hi = amp[q[0]] * _INV_SQRT2
+        amp[q[0]] = lo + hi, lo - hi
+        probs = np.abs(amp[q[0]]) ** 2
+        val[q[0]] = np.where(probs.min(axis=0) > _SUPERPOSED_TOL, _SUPERPOSED,
+                             probs[1] > probs[0])
+    elif kind == SWAP:
+        a, b = q
+        amp[[a, b]], val[[a, b]] = amp[[b, a]], val[[b, a]]
+    elif kind in PERMUTATION_KINDS:  # X, CNOT, CCX: flip where controls are 1
+        *ctrls, t = q
+        ctrl = val[ctrls]  # a control at 0 leaves the gate the identity
+        entangled |= (ctrl == _SUPERPOSED).any(axis=0) & (ctrl != 0).all(axis=0)
+        on = (ctrl == 1).all(axis=0)
+        amp[t] = np.where(on, amp[t, ::-1], amp[t])
+        val[t] = np.where(on, _FLIP[val[t]], val[t])
+    elif kind == CPHASE:  # a phase on whichever operand the other controls
+        a, b = val[q[0]], val[q[1]]
+        phase = _diagonal(kind, angle)[1]
+        amp[q[1], 1] *= np.where(a == 1, phase, 1.0)
+        a_superposed = a == _SUPERPOSED
+        if a_superposed.any():  # never in the QFT adders, whose first operand is basis
+            entangled |= a_superposed & (b == _SUPERPOSED)
+            amp[q[0], 1] *= np.where(a_superposed & (b == 1), phase, 1.0)
+    else:  # T, TDG, RZ
+        zero, one = _diagonal(kind, angle)
+        amp[q[0], 0] *= zero
+        amp[q[0], 1] *= one
+
+
+def simulate_product(c: Circuit, states):
+    """(outputs, which are basis states, their phases) of circuit c on the
+    basis inputs `states`, with two amplitudes per qubit per case.
+
+    Exact while every gate keeps the state a product of one-qubit states:
+    H, X, T, TDG and RZ always do, CPHASE when either operand is a basis
+    state, and X, CNOT and CCX when every control is.  A case where a gate
+    meets superposed operands it would entangle is marked by a NaN phase
+    and is not a basis state; it never raises.  A phase is the output
+    amplitude divided by its modulus, global phase included.
+    """
+    n = c.num_qubits
+    states = _basis_states(states, n)
+    val = _unpack(states, n).T.astype(np.int8, order="C")  # a row per qubit
+    amp = np.stack([1 - val, val], axis=1).astype(np.complex128)
+    entangled = np.zeros(len(states), dtype=bool)
+    for g in c.gates:
+        _apply_product(g, amp, val, entangled)
+    out = np.abs(amp[:, 1]) > np.abs(amp[:, 0])
+    picked = np.where(out, amp[:, 1], amp[:, 0])
+    size = np.abs(picked)  # each at least 1/sqrt(2)
+    basis = ~entangled & (np.prod(size, axis=0) ** 2 >= 1.0 - _BASIS_TOL)
+    phases = np.prod(picked / size, axis=0)
+    phases[entangled] = np.nan
+    return _pack(out.T).astype(basis_dtype(n)), basis, phases

@@ -203,15 +203,6 @@ def test_equal_block_cache_keys_tally_equally(monkeypatch):
     assert ("lookup", pow(b, 1 << 6, N), N, 2, 8) in audit  # w = 3, last window
 
 
-def test_statevector_cap_names_exactly_the_non_permutation_builds():
-    # verify_n_max caps statevector sizes by name; the name must say what
-    # the build emits.
-    for op, algo, _ in catalog.catalog():
-        gates = catalog.build(op, algo, 3).gates
-        assert catalog._uses_statevector(op, algo) == any(
-            kind not in PERMUTATION_KINDS for kind, _, _ in gates), (op, algo)
-
-
 def test_modexp_constants_coprime():
     for n in range(2, 12):
         a, N = catalog.modexp_constants(n)
@@ -239,6 +230,8 @@ SWEEP_SCALE = [
     ("multiplier", "Karatsuba-8", 64), ("multiplier", "Karatsuba-8", 76),
     ("divider", "NonRestoring+Gidney", 64),
     ("modexp", "LYYWindowedOpt", 24), ("table_lookup", "UnaryIteration", 12),
+    ("inplace_adder", "QFT", 64), ("subtractor", "QFT", 64),
+    ("const_adder", "QFT", 64),
 ]
 
 
@@ -270,7 +263,12 @@ def _mutant(op, algo, n, gates_for):
      lambda r: ((X, (r["b"][0],), None),), "register b"),
     ("inplace_adder", "QFT", 2,
      lambda r: ((H, (r["b"][0],), None),), "not a basis state"),
-], ids=["phase", "dirty-ancilla", "wrong-output", "superposition"])
+    # Two Fourier-basis qubits under one CPHASE: no product state follows.
+    ("inplace_adder", "QFT", 3,
+     lambda r: ((H, (r["b"][0],), None), (H, (r["b"][1],), None),
+                (CPHASE, (r["b"][0], r["b"][1]), math.pi / 2)),
+     "entangled: a gate met superposed operands"),
+], ids=["phase", "dirty-ancilla", "wrong-output", "superposition", "entangled"])
 def test_verify_rejects_mutants(monkeypatch, op, algo, n, gates_for, failure):
     mutant = _mutant(op, algo, n, gates_for)
     assert catalog.verify(op, algo, n).ok
@@ -278,6 +276,27 @@ def test_verify_rejects_mutants(monkeypatch, op, algo, n, gates_for, failure):
     report = catalog.verify(op, algo, n)
     assert not report.ok
     assert report.failure.startswith(failure), report.failure
+
+
+@pytest.mark.parametrize("op", ["inplace_adder", "subtractor"])
+@pytest.mark.parametrize("mutate", [
+    lambda g: (g[0], g[1], g[2] * 1.001),  # one angle off by 0.1%
+    lambda g: None,                         # one rotation dropped
+], ids=["scaled", "dropped"])
+def test_sweep_scale_qft_mutants_fail(op, mutate):
+    # The phase layer's first CPHASE, a[0] on b[0] at angle pi, mutated at a
+    # size only the product-state simulator reaches.  Where a[0] = 1, a qubit
+    # of b leaves its inverse-QFT H off a basis state and then controls a
+    # CPHASE on a superposed one.
+    builder, args, inputs, oracle = catalog._instance(op, "QFT", 64,
+                                                      catalog.DEFAULT_SEED)
+    c = builder(*args)
+    i = next(i for i, (kind, _, angle) in enumerate(c.gates)
+             if kind == CPHASE and angle == math.pi)
+    gates = c.gates[:i] + tuple(filter(None, [mutate(c.gates[i])])) + c.gates[i + 1:]
+    check = catalog.check_oracle(dataclasses.replace(c, gates=gates), inputs, oracle)
+    assert (check.cases, check.exhaustive) == (catalog.RANDOM_SAMPLES, False)
+    assert check.failure.startswith("entangled: a gate met superposed operands")
 
 
 def _reference_failure(circuit, inputs, oracle):
@@ -415,7 +434,7 @@ def test_sampled_failure_past_63_qubits_names_plain_ints():
 
 
 def test_verification_takes_one_step_per_gate_per_batch(monkeypatch):
-    calls = {"perm": 0, "step": 0}
+    calls = {"perm": 0, "product": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -424,14 +443,11 @@ def test_verification_takes_one_step_per_gate_per_batch(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(sim, "_apply_perm", counted("perm", sim._apply_perm))
-    monkeypatch.setattr(sim, "_apply_step", counted("step", sim._apply_step))
+    monkeypatch.setattr(sim, "_apply_product", counted("product", sim._apply_product))
     report = catalog.verify("multiplier", "Karatsuba-8", 6)
     assert report.ok and report.cases == 4096
     assert calls["perm"] == len(catalog.build("multiplier", "Karatsuba-8", 6).gates)
 
-    qft = catalog.build("inplace_adder", "QFT", 5)
     report = catalog.verify("inplace_adder", "QFT", 5)
     assert report.ok and report.cases == 1024
-    blocks = -(-report.cases // (sim.BLOCK_AMPLITUDES >> qft.num_qubits))
-    assert blocks < report.cases
-    assert 0 < calls["step"] <= len(qft.gates) * blocks
+    assert calls["product"] == len(catalog.build("inplace_adder", "QFT", 5).gates)

@@ -33,15 +33,15 @@ def test_structure_claim_passes():
 
 def test_structure_claim_simulates_through_the_catalog(monkeypatch):
     # AC5 picks its simulator through catalog.simulate_basis, the dispatch
-    # every oracle check uses; its QFT sample runs on the statevector.
+    # every oracle check uses; its QFT sample runs on product states.
     calls = []
-    simulate = catalog.simulate_statevector
+    simulate = catalog.simulate_product
 
     def counted(*args):
         calls.append(args)
         return simulate(*args)
 
-    monkeypatch.setattr(catalog, "simulate_statevector", counted)
+    monkeypatch.setattr(catalog, "simulate_product", counted)
     assert _check_structure(12345).status == "pass"
     assert calls
 
@@ -65,7 +65,7 @@ def test_structure_claim_samples_wide_circuits(monkeypatch):
 
 
 @pytest.mark.parametrize("check, cases", [
-    (_check_adders, 57884),
+    (_check_adders, 66150),
     (_check_multipliers, 2008),
     (_check_dividers, 1848),
     (_check_modexp, 624),

@@ -90,17 +90,15 @@ def test_verify_divider_and_modexp(capsys):
     assert code == 0
 
 
-def test_verify_reports_skipped_statevector_sizes(capsys):
+def test_verify_checks_every_qft_size(capsys):
     code, out, err = run_cli(
         ["verify", "--op-class", "inplace_adder", "--algo", "QFT", "--n-max", "7"],
         capsys,
     )
     assert code == 0
-    assert out.count("PASS") == 5
-    assert err.splitlines() == [
-        "note: skipped inplace_adder/QFT n=6..7: statevector verification "
-        "is limited to n <= 5"
-    ]
+    assert [line.split(" (")[0] for line in out.splitlines()] == [
+        f"PASS inplace_adder/QFT n={n}" for n in range(1, 8)]
+    assert err == ""
 
 
 def test_verify_unknown_algorithm_exits_2(capsys):
@@ -113,7 +111,7 @@ def test_verify_unknown_algorithm_exits_2(capsys):
 
 
 def test_verify_unlisted_const_adder_exits_2(capsys):
-    # Refused by name before a build, so it cannot run past the statevector cap.
+    # Refused by name before a build.
     code, out, err = run_cli(
         ["verify", "--op-class", "const_adder", "--algo", "ViaInPlace(QFT)",
          "--n-max", "10"], capsys,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qarith import catalog, sim
 from qarith.adders import emit_qft
 from qarith.circuit import (
     CCX,
@@ -19,10 +20,9 @@ from qarith.circuit import (
     X,
 )
 from qarith.sim import (
-    BLOCK_AMPLITUDES,
     SimulationError,
-    basis_columns,
     simulate_permutation_batch,
+    simulate_product,
     simulate_statevector,
 )
 
@@ -66,6 +66,8 @@ def test_out_of_range_states_rejected(bad):
             simulate_permutation_batch(c, states)
         with pytest.raises(SimulationError, match="out of range"):
             simulate_statevector(c, states)
+        with pytest.raises(SimulationError, match="out of range"):
+            simulate_product(c, states)
 
 
 @pytest.mark.parametrize("width", [63, 64])  # int64 and object batches
@@ -128,7 +130,7 @@ def test_statevector_agrees_with_permutation_sim():
         bld.swap(b, c3)
     c = bld.finalize()
     states = [0, 7, 19, 31]
-    outs, is_basis = basis_columns(simulate_statevector(c, states))
+    outs, is_basis, _ = _dense_basis(c, states)
     assert is_basis.all()
     assert list(outs) == list(simulate_permutation_batch(c, states))
 
@@ -218,8 +220,7 @@ def test_batched_statevector_matches_single_columns(seed):
     c = _random_full_circuit(rng, n, reverse=seed % 2)
     want = np.column_stack([_reference_statevector(c, s) for s in range(1 << n)])
     assert np.allclose(simulate_statevector(c, range(1 << n)), want, rtol=0, atol=1e-12)
-    block = BLOCK_AMPLITUDES >> n  # columns a batched check puts in one call
-    for count in (1, 3, block, block + 1):
+    for count in (1, 3, 100):
         states = [int(s) for s in rng.integers(0, 1 << n, size=count)]
         batch = simulate_statevector(c, states)
         assert batch.shape == (1 << n, count)
@@ -243,3 +244,106 @@ def test_bitsliced_batch_matches_single_states(width):
         assert batch.dtype == (np.int64 if width <= 63 else object)
         assert [int(o) for o in batch] == [_reference_permutation(c.gates, s)
                                            for s in states]
+
+
+# -- product states against the dense reference ----------------------------------
+
+def _dense_basis(c, states):
+    """simulate_product's (outputs, basis flags, phases) read off the dense
+    statevector: each column's largest amplitude."""
+    v = simulate_statevector(c, states)
+    out = np.argmax(np.abs(v), axis=0)
+    amp = v[out, np.arange(v.shape[1])]
+    return out, np.abs(amp) ** 2 >= 1 - 1e-9, amp / np.abs(amp)
+
+
+def _product_columns(c, states):
+    """The per-qubit amplitudes of simulate_product's gate rule, multiplied
+    out into dense columns, and its entangled flags."""
+    n, count = c.num_qubits, len(states)
+    bits = (np.asarray(states)[None, :] >> np.arange(n)[:, None]) & 1
+    amp = np.zeros((n, 2, count), dtype=complex)
+    for q in range(n):
+        amp[q, bits[q], np.arange(count)] = 1.0
+    val = bits.astype(np.int8)
+    entangled = np.zeros(count, dtype=bool)
+    for g in c.gates:
+        sim._apply_product(g, amp, val, entangled)
+    cols = np.ones((1, count), dtype=complex)
+    for q in range(n):  # qubit q is bit q of the dense index
+        cols = (amp[q][:, None, :] * cols[None, :, :]).reshape(-1, count)
+    return cols, entangled
+
+
+def _random_product_circuit(rng, n, length=80):
+    """Random gates over the whole alphabet that keep every basis input a
+    product state.  The low half of the qubits never meets an H, so it may
+    control anything; the high half takes H, T, TDG and RZ, and is flipped
+    and phased under those controls.  Operand order is random."""
+    low, high = list(range(n // 2)), list(range(n // 2, n))
+
+    def pick(pool, k):
+        return [int(q) for q in rng.choice(pool, size=k, replace=False)]
+
+    gates = []
+    for _ in range(length):
+        kind = (X, CNOT, CCX, SWAP, H, T, TDG, RZ, CPHASE)[int(rng.integers(9))]
+        angle = float(rng.uniform(-3, 3)) if kind in (RZ, CPHASE) else None
+        if kind in (H, T, TDG, RZ):
+            q = pick(high, 1)
+        elif kind == SWAP:
+            q = pick(low if rng.integers(2) else high, 2)
+        elif kind == CPHASE:
+            q = pick(low, 1) + pick(high, 1)
+            q = q[::-1] if rng.integers(2) else q
+        else:
+            ctrls = pick(low, {X: 0, CNOT: 1, CCX: 2}[kind])
+            q = ctrls + pick([p for p in range(n) if p not in ctrls], 1)
+        gates.append((kind, tuple(q), angle))
+    return _circ(n, gates)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_product_rule_matches_statevector_gate_by_gate(seed):
+    rng = np.random.default_rng(seed)
+    n = 4 + seed % 3
+    c = _random_product_circuit(rng, n)
+    states = range(1 << n)
+    cols, entangled = _product_columns(c, states)
+    assert not entangled.any()
+    assert np.allclose(cols, simulate_statevector(c, states), rtol=0, atol=1e-12)
+    outs, basis, phases = simulate_product(c, states)
+    want_outs, want_basis, want_phases = _dense_basis(c, states)
+    assert np.array_equal(basis, want_basis)
+    assert np.array_equal(outs[basis], want_outs[basis])
+    assert np.allclose(phases[basis], want_phases[basis], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("op", ["inplace_adder", "subtractor", "const_adder"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_matches_statevector_on_the_qft_adders(op, n):
+    # Every basis state of the circuit, ancillas included; global phase too.
+    c = catalog.build(op, "QFT", n)
+    states = range(1 << c.num_qubits)
+    outs, basis, phases = simulate_product(c, states)
+    want_outs, want_basis, want_phases = _dense_basis(c, states)
+    assert basis.all() and want_basis.all()
+    assert np.array_equal(outs, want_outs)
+    assert np.allclose(phases, want_phases, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gates, entangled", [
+    # Both CPHASE operands superposed.
+    ([(H, (0,), None), (H, (1,), None), (CPHASE, (0, 1), 0.5)], [1, 1, 1, 1]),
+    # A superposed control; another control at 0 makes CCX the identity.
+    ([(H, (0,), None), (CNOT, (0, 1), None)], [1, 1, 1, 1]),
+    ([(H, (0,), None), (CCX, (0, 1, 2), None)], [0, 0, 1, 1, 0, 0, 1, 1]),
+    # H H returns a qubit to a basis state, which may then control.
+    ([(H, (0,), None), (H, (0,), None), (H, (1,), None), (CPHASE, (0, 1), 0.5)],
+     [0, 0, 0, 0]),
+], ids=["cphase", "cnot", "ccx", "hh"])
+def test_product_flags_exactly_the_entangled_cases(gates, entangled):
+    c = _circ(len(entangled).bit_length() - 1, gates)
+    _, basis, phases = simulate_product(c, range(len(entangled)))
+    assert np.isnan(phases).tolist() == [bool(e) for e in entangled]
+    assert not basis[np.isnan(phases)].any()
