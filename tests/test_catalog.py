@@ -164,6 +164,24 @@ def test_recorded_gates_leave_the_cycle_collector(op, algo, n):
     assert not tracked, tracked[:3]
 
 
+@pytest.mark.parametrize("n", [8, 13])
+def test_recorded_builds_keep_one_tuple_per_distinct_gate(n):
+    # A recording builder appends the tuple it already keeps for an equal
+    # permutation or H gate; RZ and CPHASE gates are kept as made.
+    for op, algo, _ in catalog.catalog():
+        gates = [g for g in catalog.build(op, algo, n).gates
+                 if g[0] not in cir.ANGLE_KINDS]
+        assert len({id(g) for g in gates}) == len(set(gates)), (op, algo)
+
+
+@pytest.mark.parametrize("op, algo, n, gates, tuples", [
+    ("modexp", "LYYWindowedOpt", 16, 94_961, 871),
+    ("divider", "NonRestoring+TTK", 64, 63_026, 12_928)])
+def test_recorded_gate_sharing_counts(op, algo, n, gates, tuples):
+    c = catalog.build(op, algo, n)
+    assert (len(c.gates), len({id(g) for g in c.gates})) == (gates, tuples)
+
+
 class _MissingBlockCache(dict):
     """A block cache that misses every lookup and keeps, per key, each
     (kinds, allocation) that a miss stored under it."""

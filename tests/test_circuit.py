@@ -314,18 +314,30 @@ def test_gate_methods_refuse_exactly_as_validate_gate():
     # three-qubit recording builder, with each operand over -1..3 or a
     # non-int that passes the range check (a float, a bool, a numpy int),
     # either keeps exactly its gate or raises exactly _validate_gate's
-    # message for it.
-    operands = (*range(-1, 4), 1.5, True, np.int64(1))
+    # message for it.  It does so on an empty builder and on one that
+    # already keeps the all-int gate equal to it: True == 1, 1.0 == 1 and
+    # np.int64(1) == 1 hash alike, so a shared gate looked up before the
+    # checks would be kept in place of the refusal.
+    operands = (*range(-1, 4), 1.0, 1.5, True, np.int64(1))
     for method, kind, arity in _GATE_METHODS:
         angles = (0.5, math.nan, math.inf) if kind in cir.ANGLE_KINDS else (None,)
         for qubits in itertools.product(operands, repeat=arity):
+            ints = tuple(map(int, qubits))
             for angle in angles:
                 g = (kind, qubits, angle)
-                bld = Builder()
-                bld.alloc_register(3)
+                held = (kind, ints, angle)
                 want = _error(cir._validate_gate, g, 3)
-                assert _error(_call_gate, bld, method, qubits, angle) == want, (method, g)
-                assert bld.gates == ([] if want else [g]), (method, g)
+                priors = [[]]
+                if ints == qubits and _error(cir._validate_gate, held, 3) is None:
+                    priors.append([held])
+                for prior in priors:
+                    bld = Builder()
+                    bld.alloc_register(3)
+                    if prior:
+                        _call_gate(bld, method, ints, angle)
+                    assert _error(_call_gate, bld, method, qubits, angle) == want, (
+                        method, g, prior)
+                    assert bld.gates == prior + ([] if want else [g]), (method, g, prior)
     # A finalized builder refuses every gate, every bulk tally and every
     # cached block, a cache hit included, so finalizing again changes nothing.
     cir.clear_block_cache()
@@ -346,6 +358,22 @@ def test_gate_methods_refuse_exactly_as_validate_gate():
         assert _error(bld.cached, ("after finalize",), block) == (
             "builder already finalized"), counting
         assert bld.finalize() == first, counting
+
+
+def test_recorded_angles_keep_their_sign():
+    # 0.0 == -0.0 and both hash alike, so a shared RZ or CPHASE would print
+    # a negated zero angle (a deep QFT rotation's adjoint) as angle=0.0.
+    bld = Builder()
+    bld.alloc_register(2)
+    bld.rz(0, 0.0)
+    bld.rz(0, -0.0)
+    bld.cphase(0, 1, 0.0)
+    bld.cphase(0, 1, -0.0)
+    c = bld.finalize()
+    assert len(c.gates) == 4
+    assert circuit_to_text(c) == (
+        "qubits=2\nRZ 0;angle=0.0\nRZ 0;angle=-0.0\n"
+        "CPHASE 0,1;angle=0.0\nCPHASE 0,1;angle=-0.0\n")
 
 
 def test_counting_builder_matches_recording():
