@@ -118,9 +118,13 @@ def _instance(op_class: str, algorithm: str, n: int, seed: int):
     if n > TABLE_LOOKUP_N_MAX:
         raise CircuitError(f"table_lookup draws a 2^n-entry table; "
                            f"n must be <= {TABLE_LOOKUP_N_MAX}")
-    rng = np.random.default_rng(seed)
-    table = modexp.LookupTable(
-        n, tuple(int(v) for v in rng.integers(0, size, size=size)))
+    # The table has its own stream, so check_oracle's random.Random(seed)
+    # case sampler shares none of it.  One randbytes call gives 2^n
+    # little-endian 32-bit words, each masked to n bits: exactly uniform, as
+    # 2^n divides 2^32 for n <= TABLE_LOOKUP_N_MAX.
+    words = random.Random(f"table_lookup:{seed}").randbytes(4 * size)
+    table = modexp.LookupTable(n, tuple(
+        (np.frombuffer(words, dtype="<u4") & (size - 1)).tolist()))
     return (modexp.build_table_lookup, (table, n),
             {"addr": range(size), "y": range(size)},
             lambda addr, y: {

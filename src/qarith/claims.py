@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import time
 from dataclasses import dataclass, asdict
 
@@ -23,6 +24,7 @@ from .modexp import build_modexp, optimal_window
 from .muldiv import DIVIDER_ADDERS, DIVIDERS
 from .physical import PhysicalParams, pareto_frontier
 from .resources import lower
+from .sim import basis_dtype
 
 EXPECTED_CLAIM_IDS = tuple(f"AC{i}" for i in range(1, 12))
 ADJOINT_SAMPLES = 4096  # seeded states per wide circuit in the adjoint check
@@ -133,7 +135,7 @@ def _check_structure(seed) -> ClaimCheck:
         ("table_lookup", "UnaryIteration", 3),
         ("inplace_adder", "QFT", 3),
     )]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     problems = []
     for c in sample:
         # The alphabet is measurement- and reset-free by construction; the
@@ -144,8 +146,10 @@ def _check_structure(seed) -> ClaimCheck:
         # Every basis state up to 16 qubits; past that the 0, 1 and all-ones
         # corners plus a seeded sample.
         n = c.num_qubits
-        states = np.arange(1 << n) if n <= 16 else np.concatenate((
-            [0, 1, (1 << n) - 1], rng.integers(0, 1 << n, ADJOINT_SAMPLES)))
+        states = np.arange(1 << n) if n <= 16 else np.array(
+            [0, 1, (1 << n) - 1,
+             *(rng.getrandbits(n) for _ in range(ADJOINT_SAMPLES))],
+            dtype=basis_dtype(n))
         combined = Circuit(num_qubits=n, gates=c.gates + adjoint(c).gates)
         outs, is_basis, _ = catalog.simulate_basis(combined, states)
         if not np.all(is_basis) or not np.array_equal(outs, states):

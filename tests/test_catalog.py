@@ -3,7 +3,10 @@ import dataclasses
 import gc
 import itertools
 import math
+import random
 import re
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -56,10 +59,51 @@ def test_unknown_op_class_rejected():
 
 
 def test_table_lookup_refuses_sizes_past_the_cap():
-    # Refused before the 2^n-entry table is drawn: at n = 33 numpy would try
-    # to allocate 64 GiB.
+    # Refused before the 2^n-entry table is drawn: at n = 33 the draw would
+    # take 32 GiB of random bytes.
     with pytest.raises(CircuitError, match=r"n must be <= 20"):
         catalog.build("table_lookup", "UnaryIteration", 21, counting=True)
+
+
+def _lookup_table(n, seed):
+    _, (table, _), _, _ = catalog._instance("table_lookup", "UnaryIteration", n, seed)
+    return table.entries
+
+
+def test_table_lookup_draw_is_seeded_and_fits_n_bits():
+    assert _lookup_table(8, 12345) == _lookup_table(8, 12345)
+    assert _lookup_table(8, 12345) != _lookup_table(8, 7)
+    for n in (1, 8, 20):
+        entries = _lookup_table(n, catalog.DEFAULT_SEED)
+        assert len(entries) == 1 << n
+        assert all(type(v) is int and 0 <= v < 1 << n for v in entries)
+    # The table has a stream of its own: it is not what check_oracle's
+    # random.Random(seed) case sampler would draw.
+    rng = random.Random(catalog.DEFAULT_SEED)
+    assert _lookup_table(8, catalog.DEFAULT_SEED) != tuple(
+        rng.randrange(256) for _ in range(256))
+
+
+NUMPY_RANDOM_PROBE = """
+import sys
+from qarith import catalog, claims
+catalog.verify_range("table_lookup", "UnaryIteration", 8)
+catalog.build("table_lookup", "UnaryIteration", 12, counting=True)
+assert claims._check_structure(catalog.DEFAULT_SEED).status == "pass"
+catalog.verify_range("modexp", "LYY", 3)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_verification_never_imports_numpy_random():
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    if bare.stdout.strip() == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    probe = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE],
+                           capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "False"
 
 
 @given(entry=st.sampled_from([row[:2] for row in catalog.catalog()]),

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qarith import circuit, modexp
@@ -240,3 +240,18 @@ def test_lookup_tally_matches_recording(data):
     cnt, rec = kinds
     for kind in ("X", "CCX", "CNOT"):
         assert cnt.get(kind, 0) == rec[kind], kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, (1 << 69) - 1).map(lambda h: 2 * h + 1),
+       c=st.integers(1, (1 << 70) - 1), k=st.integers(0, 12))
+@example(N=15, c=1, k=12)
+@example(N=(1 << 70) - 1, c=1, k=0)
+def test_powers_by_doubling_equal_repeated_multiplication(N, c, k):
+    c %= N
+    while math.gcd(c, N) != 1:  # c = 0 goes to 1
+        c += 1
+    want = [1]
+    for _ in range((1 << k) - 1):
+        want.append(want[-1] * c % N)
+    assert modexp._powers(c, N, 1 << k) == tuple(want)

@@ -38,6 +38,38 @@ def test_unused_import_detector_flags_dead_names():
     assert _unused_imports(tree) == ["line 1: json", "line 2: pi"]
 
 
+def _numpy_random_uses(tree: ast.Module) -> list[str]:
+    """Lines that read `np.random` / `numpy.random` or import numpy.random."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random" \
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                a.name.startswith("numpy.random") for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("numpy.random")
+                or node.module == "numpy" and any(a.name == "random" for a in node.names)):
+            lines.append(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_library_module_uses_numpy_random(path):
+    # Seeded draws come from Python's random; numpy.random costs about 6 MB
+    # of resident memory to import.
+    assert _numpy_random_uses(ast.parse(path.read_text())) == []
+
+
+def test_numpy_random_detector_flags_each_form():
+    tree = ast.parse("import numpy as np\nimport numpy.random\n"
+                     "from numpy import random\nfrom numpy.random import default_rng\n"
+                     "from numpy import pi\nrng = np.random.default_rng(1)\n"
+                     "x = numpy.random\ny = np.linalg\n")
+    assert _numpy_random_uses(tree) == ["line 2", "line 3", "line 4", "line 6", "line 7"]
+
+
 PACKAGE = Path(qarith.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
