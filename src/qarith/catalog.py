@@ -10,6 +10,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -170,7 +171,7 @@ def simulate_basis(circuit: Circuit, states):
     the basis inputs `states`: bit-sliced for a permutation circuit, else on
     product states (sim.simulate_product), where a NaN phase marks a case
     that a gate entangled."""
-    if all(kind in PERMUTATION_KINDS for kind, _, _ in circuit.gates):
+    if PERMUTATION_KINDS.issuperset(map(itemgetter(0), circuit.gates)):
         return (simulate_permutation_batch(circuit, states),
                 np.ones(len(states), dtype=bool), None)
     return simulate_product(circuit, states)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -69,8 +70,10 @@ def parse_name(algo: str, what: str, names: dict, family: str = "", minimum: int
 Gate = tuple[str, tuple[int, ...], float | None]
 
 
-def _reversed_adjoint(gates) -> list[Gate]:
-    """The adjoint of a gate sequence: reversed, each gate daggered."""
+def _reversed_adjoint(gates) -> list[Gate] | tuple[Gate, ...]:
+    """The adjoint of a gate list or tuple: reversed, each gate daggered."""
+    if _SELF_ADJOINT.issuperset(map(itemgetter(0), gates)):
+        return gates[::-1]  # no gate changes: reversed at C speed
     out = []
     for g in reversed(gates):
         kind, qubits, angle = g

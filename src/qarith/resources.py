@@ -4,8 +4,9 @@ One table, `_expansion`, states what each gate kind lowers to: the CCX and
 SWAP templates, a rotation's T ladder, or the gate itself.  The T, CNOT and
 Clifford tallies and both depths derive from it.  `lower_to_clifford_t` lays
 a recorded circuit out with greedy as-soon-as-possible layering through one
-`LayeringProfile` per kind, compiled on first use into a straight-line
-applier (one call per gate in `_greedy_depth`).  For counting-mode builds
+`LayeringProfile` per kind, compiled on first use into one loop over the
+whole gate list with each kind's straight-line code inline, so
+`_greedy_depth` makes no Python call per gate.  For counting-mode builds
 (no gate list) `lower_summary` composes the profiles' depths serially,
 mirroring the conservative scheduling stance of the estimation methodology
 this model follows.
@@ -22,7 +23,9 @@ from .circuit import (
     ANGLE_KINDS,
     CCX,
     CNOT,
+    CPHASE,
     H,
+    RZ,
     SWAP,
     T,
     TDG,
@@ -95,8 +98,8 @@ class LayeringProfile:
     Expressions equal up to a constant share one ``shape`` (the offsets per
     role); ``outs`` gives each role's exit frontier and ``t_layers`` each
     distinct layer holding a T or T-dagger as (shape index, shift).
-    `_applier` compiles a profile into code; `_row` reads its ``depth`` and
-    ``t_depth``.
+    `_straight_line` compiles a profile into code; `_row` reads its
+    ``depth`` and ``t_depth``.
     """
 
     shapes: tuple[tuple[int, ...], ...]
@@ -172,34 +175,47 @@ def _row(kind: str) -> tuple[int, int, int, int, int]:
             prof.depth, prof.t_depth)
 
 
-@functools.cache
-def _applier(kind: str):
-    """`apply(front, qs, t_marks)`: lay one gate out on the frontiers
-    `front` of its qubits `qs` and set its T layers to 1 in `t_marks`, as
-    straight-line code compiled from the gate's `_profile`."""
-    prof = _profile(kind)
+def _straight_line(prof: LayeringProfile) -> list[str]:
+    """One gate laid out on the frontiers `front` of its qubits `qs`, its T
+    layers set to 1 in `t_marks`: a profile as straight-line code."""
     roles = range(len(prof.outs))
-    lines = ["def apply(front, qs, t_marks):",
-             "    " + "".join(f"q{r}, " for r in roles) + "= qs",
-             *(f"    f{r} = front[q{r}]" for r in roles)]
+    lines = ["".join(f"q{r}, " for r in roles) + "= qs",
+             *(f"f{r} = front[q{r}]" for r in roles)]
     for i, shape in enumerate(prof.shapes):
         # v_i = max over reachable roles r of f_r + shape[r], without a call.
-        terms = [f"f{r} + {o}" for r, o in enumerate(shape) if o != _UNREACHED]
-        lines += [f"    v{i} = {terms[0]}",
-                  *(f"    if (m := {t}) > v{i}: v{i} = m" for t in terms[1:])]
+        terms = [f"f{r} + {o}" if o else f"f{r}"
+                 for r, o in enumerate(shape) if o != _UNREACHED]
+        lines += [f"v{i} = {terms[0]}",
+                  *(f"if (m := {t}) > v{i}: v{i} = m" for t in terms[1:])]
     targets: dict[tuple[int, int], str] = {}
     for r, out in zip(roles, prof.outs):
         targets[out] = targets.get(out, "") + f"front[q{r}] = "
-    lines += [f"    {lhs}v{i} + {d}" for (i, d), lhs in targets.items()]
-    lines += [f"    t_marks[v{i} + {d}] = 1" for i, d in prof.t_layers]
+    lines += [f"{lhs}v{i} + {d}" for (i, d), lhs in targets.items()]
+    return lines + [f"t_marks[v{i} + {d}] = 1" for i, d in prof.t_layers]
+
+
+# Every kind, the most frequent in the library's circuits first.
+_BY_FREQUENCY = (CNOT, CCX, X, CPHASE, SWAP, H, RZ, T, TDG)
+
+
+@functools.cache
+def _layering_kernel():
+    """`run(gates, front, t_marks)`: lay out a whole gate list, compiled from
+    every kind's `_profile` as one loop with each kind's straight-line code
+    inline, the most frequent kinds tested first."""
+    lines = ["def run(gates, front, t_marks):", "    for kind, qs, _ in gates:"]
+    for i, kind in enumerate(_BY_FREQUENCY):
+        lines.append(f"        {'elif' if i else 'if'} kind == {kind!r}:")
+        lines += [f"            {line}" for line in _straight_line(_profile(kind))]
+    lines += ["        else:", "            raise KeyError(kind)"]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
-    return namespace["apply"]
+    return namespace["run"]
 
 
 def _greedy_depth(c: Circuit, max_depth: int) -> tuple[int, int]:
-    """Greedy ASAP layering of `c`'s Clifford+T expansion, one compiled
-    applier call per gate.
+    """Greedy ASAP layering of `c`'s Clifford+T expansion, one call of the
+    compiled `_layering_kernel` for the whole gate list.
 
     Returns (depth, t_depth) where t_depth counts layers containing at least
     one T or T-dagger.  Each gate is laid out through its kind's `_profile`,
@@ -210,9 +226,7 @@ def _greedy_depth(c: Circuit, max_depth: int) -> tuple[int, int]:
     # track; a set of them would be rescanned by each collection in the loop.
     front = [0] * c.num_qubits
     t_marks = bytearray(max_depth + 1)
-    apply = {kind: _applier(kind) for kind in _ARITY}
-    for kind, qs, _ in c.gates:
-        apply[kind](front, qs, t_marks)
+    _layering_kernel()(c.gates, front, t_marks)
     return max(front, default=0), t_marks.count(1)
 
 

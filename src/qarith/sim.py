@@ -1,15 +1,16 @@
 """Verification simulators.
 
-Each simulator runs a whole batch of basis states per pass, with one Python
-step per gate rather than one per gate and state.
+Each simulator runs a whole batch of basis states per pass, with one step
+per gate rather than one per gate and state.
 
 Permutation gates (X, CNOT, CCX, SWAP) run bit-sliced.  The batch is
 transposed into one bit plane per qubit: a Python int whose bit b is that
 qubit's value in state b.  X is then ``p[q] ^= ones``, CNOT/CCX are
 ``p[t] ^= p[c1] & ...`` and SWAP swaps two planes, each one big-int operation
 for the whole batch at any width.  `_apply_perm` states these rules on bit
-planes; `simulate_permutation_batch` and the statevector's permutation
-steps both go through it.
+planes as one loop over a whole gate list, so a batch costs one Python call;
+`simulate_permutation_batch` runs a circuit's gates through it in one call,
+and the statevector's permutation steps one gate at a time.
 
 `simulate_product` runs the full alphabet (the QFT adders emit H, CPHASE and
 RZ, and the QFT subtractor X as well) with two amplitudes per qubit per
@@ -29,6 +30,8 @@ import math
 import numpy as np
 
 from .circuit import (
+    CCX,
+    CNOT,
     CPHASE,
     H,
     PERMUTATION_KINDS,
@@ -62,20 +65,26 @@ def basis_dtype(num_qubits: int):
     return np.int64 if num_qubits <= 63 else object
 
 
-def _apply_perm(g: Gate, planes: list[int], ones: int) -> None:
-    """Permutation gate g applied in place to the bit planes of a batch;
-    ones has a bit set for every state in the batch."""
-    kind, q, _ = g
-    if kind == X:
-        planes[q[0]] ^= ones
-    elif kind == SWAP:
-        a, b = q
-        planes[a], planes[b] = planes[b], planes[a]
-    else:  # CNOT, CCX: flip the last qubit where all the others are set
-        hit = planes[q[0]]
-        for c in q[1:-1]:
-            hit &= planes[c]
-        planes[q[-1]] ^= hit
+def _apply_perm(gates, planes: list[int], ones: int) -> None:
+    """Permutation gates applied in place, in order, to the bit planes of a
+    batch; ones has a bit set for every state in the batch.  The one
+    statement of the permutation rules, with no Python call per gate."""
+    for g in gates:
+        kind, q, _ = g
+        if kind == CNOT:
+            c, t = q
+            planes[t] ^= planes[c]
+        elif kind == CCX:  # flip the target where both controls are set
+            c1, c2, t = q
+            planes[t] ^= planes[c1] & planes[c2]
+        elif kind == X:
+            planes[q[0]] ^= ones
+        elif kind == SWAP:
+            a, b = q
+            planes[a], planes[b] = planes[b], planes[a]
+        else:  # the first gate equal to g: every earlier one is a permutation
+            raise SimulationError(
+                f"non-permutation gate {kind} at gate {gates.index(g)}")
 
 
 def _unpack(rows, width: int) -> np.ndarray:
@@ -114,7 +123,13 @@ def _transpose(rows, width: int) -> np.ndarray:
     return _pack(_unpack(rows, width).T)
 
 
-def _basis_states(states, n: int) -> list[int]:
+def _basis_states(states, n: int):
+    """The basis states of a batch on n qubits, range-checked: an int64 array
+    on at most 63 qubits as it is, any other batch as a list of Python ints."""
+    if isinstance(states, np.ndarray) and states.dtype == np.int64 and n <= 63:
+        if states.size and (states.min() < 0 or states.max() >> n):
+            raise SimulationError("input state out of range")
+        return states
     ints = [int(s) for s in states]
     if ints and (min(ints) < 0 or max(ints) >> n):
         raise SimulationError("input state out of range")
@@ -124,11 +139,7 @@ def _basis_states(states, n: int) -> list[int]:
 def _run_perm(gates, planes: list[int], count: int) -> np.ndarray:
     """Run permutation gates over the bit planes of `count` basis states and
     return the states."""
-    ones = (1 << count) - 1
-    for i, g in enumerate(gates):
-        if g[0] not in PERMUTATION_KINDS:
-            raise SimulationError(f"non-permutation gate {g[0]} at gate {i}")
-        _apply_perm(g, planes, ones)
+    _apply_perm(gates, planes, (1 << count) - 1)
     return _transpose(planes, count)
 
 

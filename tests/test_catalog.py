@@ -496,7 +496,12 @@ def test_sampled_failure_past_63_qubits_names_plain_ints():
 
 
 def test_verification_takes_one_step_per_gate_per_batch(monkeypatch):
-    calls = {"perm": 0, "product": 0}
+    calls = {"perm": [], "product": 0}
+    apply_perm = sim._apply_perm
+
+    def kernel(gates, planes, ones):
+        calls["perm"].append(gates)
+        return apply_perm(gates, planes, ones)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -504,11 +509,12 @@ def test_verification_takes_one_step_per_gate_per_batch(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(sim, "_apply_perm", counted("perm", sim._apply_perm))
+    monkeypatch.setattr(sim, "_apply_perm", kernel)
     monkeypatch.setattr(sim, "_apply_product", counted("product", sim._apply_product))
     report = catalog.verify("multiplier", "Karatsuba-8", 6)
     assert report.ok and report.cases == 4096
-    assert calls["perm"] == len(catalog.build("multiplier", "Karatsuba-8", 6).gates)
+    # One kernel call for the whole batch, over the circuit's whole gate list.
+    assert calls["perm"] == [catalog.build("multiplier", "Karatsuba-8", 6).gates]
 
     report = catalog.verify("inplace_adder", "QFT", 5)
     assert report.ok and report.cases == 1024

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qarith import catalog, sim
 from qarith.adders import emit_qft
@@ -21,6 +23,7 @@ from qarith.circuit import (
 )
 from qarith.sim import (
     SimulationError,
+    basis_dtype,
     simulate_permutation_batch,
     simulate_product,
     simulate_statevector,
@@ -61,13 +64,22 @@ def test_non_permutation_gate_names_index():
 @pytest.mark.parametrize("bad", [-1, 8, 1 << 70])
 def test_out_of_range_states_rejected(bad):
     c = _circ(3, [("X", (0,), None)])
-    for states in ([bad], [0, bad]):
+    arrays = [np.array(s, dtype=np.int64) for s in ([bad], [0, bad]) if bad < 1 << 63]
+    for states in ([bad], [0, bad], *arrays):
         with pytest.raises(SimulationError, match="out of range"):
             simulate_permutation_batch(c, states)
         with pytest.raises(SimulationError, match="out of range"):
             simulate_statevector(c, states)
         with pytest.raises(SimulationError, match="out of range"):
             simulate_product(c, states)
+
+
+def test_top_int64_state_accepted():
+    top = (1 << 63) - 1
+    c = _circ(63, [("X", (0,), None)])
+    out = simulate_permutation_batch(c, np.array([top, 0], dtype=np.int64))
+    assert out.dtype == np.int64 and out.tolist() == [top - 1, 1]
+    assert simulate_product(c, np.array([top], dtype=np.int64))[0].tolist() == [top - 1]
 
 
 @pytest.mark.parametrize("width", [63, 64])  # int64 and object batches
@@ -244,6 +256,31 @@ def test_bitsliced_batch_matches_single_states(width):
         assert batch.dtype == (np.int64 if width <= 63 else object)
         assert [int(o) for o in batch] == [_reference_permutation(c.gates, s)
                                            for s in states]
+
+
+@st.composite
+def _permutation_batches(draw):
+    """(circuit, states) on 1-70 qubits: int64 batches up to 63, object past."""
+    n = draw(st.integers(1, 70))
+    arity = {X: 1, CNOT: 2, SWAP: 2, CCX: 3}
+    gates = []
+    for kind in draw(st.lists(st.sampled_from([k for k in arity if arity[k] <= n]),
+                              max_size=30)):
+        qubits = st.lists(st.integers(0, n - 1), min_size=arity[kind],
+                          max_size=arity[kind], unique=True)
+        gates.append((kind, tuple(draw(qubits)), None))
+    states = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    return _circ(n, gates), np.array(states, dtype=basis_dtype(n))
+
+
+@given(_permutation_batches())
+@settings(max_examples=150, deadline=None)
+def test_permutation_batch_matches_per_state_reference(batch):
+    c, states = batch
+    out = simulate_permutation_batch(c, states)
+    assert out.dtype == basis_dtype(c.num_qubits)
+    assert [int(o) for o in out] == [_reference_permutation(c.gates, int(s))
+                                     for s in states]
 
 
 # -- product states against the dense reference ----------------------------------
