@@ -32,12 +32,9 @@ from .circuit import (
     Register,
     adjoint,
     circuit_to_text,
-    encode_register,
-    register_value,
 )
 from .claims import ClaimCheck, run_claims
 from .modexp import (
-    LookupTable,
     build_modexp,
     build_modmul_const,
     build_table_lookup,
@@ -59,13 +56,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Builder", "Circuit", "CircuitError", "Gate", "Register",
-    "adjoint", "circuit_to_text", "encode_register", "register_value",
+    "adjoint", "circuit_to_text",
     "simulate_permutation_batch", "simulate_product", "simulate_statevector",
     "IN_PLACE_ADDERS", "OUT_OF_PLACE_ADDERS", "CONST_ADDERS",
     "build_inplace_adder", "build_outofplace_adder", "build_const_adder",
     "build_subtractor",
     "build_multiplier", "build_divider",
-    "build_modexp", "build_modmul_const", "build_table_lookup", "LookupTable",
+    "build_modexp", "build_modmul_const", "build_table_lookup",
     "optimal_window",
     "LogicalCounts", "lower_to_clifford_t",
     "PhysicalParams", "PhysicalEstimate", "FactorySpec",

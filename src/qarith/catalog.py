@@ -15,16 +15,15 @@ from operator import itemgetter
 import numpy as np
 
 from . import adders, modexp, muldiv, sim
-from .circuit import (
-    PERMUTATION_KINDS,
-    Circuit,
-    CircuitError,
-    encode_register,
-    parse_name,
-    register_value,
-)
+from .circuit import PERMUTATION_KINDS, Circuit, CircuitError, parse_name
 from .resources import LogicalCounts, lower
-from .sim import basis_dtype, simulate_permutation_batch, simulate_product
+from .sim import (
+    basis_dtype,
+    pack_bits,
+    simulate_permutation_batch,
+    simulate_product,
+    unpack_bits,
+)
 
 DEFAULT_SEED = 12345
 RANDOM_CASE_LIMIT = 4096  # above this many exhaustive cases, sample 1000
@@ -124,12 +123,11 @@ def _instance(op_class: str, algorithm: str, n: int, seed: int):
     # little-endian 32-bit words, each masked to n bits: exactly uniform, as
     # 2^n divides 2^32 for n <= TABLE_LOOKUP_N_MAX.
     words = random.Random(f"table_lookup:{seed}").randbytes(4 * size)
-    table = modexp.LookupTable(n, tuple(
-        (np.frombuffer(words, dtype="<u4") & (size - 1)).tolist()))
+    table = tuple((np.frombuffer(words, dtype="<u4") & (size - 1)).tolist())
     return (modexp.build_table_lookup, (table, n),
             {"addr": range(size), "y": range(size)},
             lambda addr, y: {
-                "y": y ^ np.array(table.entries, dtype=object)[addr.astype(int)]})
+                "y": y ^ np.array(table, dtype=object)[addr.astype(int)]})
 
 
 def build(op_class: str, algorithm: str, n: int, counting: bool = False,
@@ -202,6 +200,9 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
     a case that a gate entangles fails, so does a non-basis output, and
     every case's output amplitude must carry the first case's phase (a
     global phase is ignored, a relative one is a failure).
+    Registers are written and read as columns of one cases x qubits bit
+    matrix (sim.unpack_bits / sim.pack_bits), packed into basis states once
+    for the simulator and unpacked once after it.
     numpy finds the first failing case, and only that case is explained.
     """
     names = list(inputs)
@@ -220,19 +221,24 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
         picks = np.tile(np.arange(RANDOM_SAMPLES), (len(names), 1))
     spaces = [np.array([int(v) for v in space], dtype=object) for space in spaces]
     count = picks.shape[1]
-    regs = {r.name: r for r in circuit.data_registers}
-    anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
-    dtype = basis_dtype(circuit.num_qubits)
+    regs = {r.name: list(r) for r in circuit.data_registers}
     columns = {name: space[pick] for name, space, pick in zip(names, spaces, picks)}
-    states = np.zeros(count, dtype=dtype)
+    bits = np.zeros((count, circuit.num_qubits), dtype=np.uint8)  # a row per case
     for name, space, pick in zip(names, spaces, picks):
-        states |= np.array(encode_register(space, regs[name]), dtype=dtype)[pick]
+        width = len(regs[name])
+        bad = space[(space >> width) != 0]  # below 0 or past the top
+        if len(bad):
+            raise CircuitError(f"value {bad[0]} does not fit register of {width}")
+        bits[:, regs[name]] = unpack_bits(space, width)[pick]
 
+    states = pack_bits(bits).astype(basis_dtype(circuit.num_qubits))
+    del bits  # freed before the simulator makes bit matrices of its own
     outs, basis, phases = simulate_basis(circuit, states)
+    out_bits = unpack_bits(outs, circuit.num_qubits)
     expected = oracle(**columns)
 
     def register_rule(rname, reg):
-        got = register_value(outs, reg)
+        got = pack_bits(out_bits[:, reg])
         want = np.empty(count, dtype=object)  # an unnamed register held 0
         want[:] = expected.get(rname, columns.get(rname, 0))
         return got != want, lambda i: f"register {rname} = {got[i]}, want {want[i]}"
@@ -240,7 +246,8 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
     # Failure rules in the order a case is explained: the first rule whose
     # mask holds at the first flagged case names it.
     rules = [(~basis, lambda i: "not a basis state"),
-             ((outs & anc_mask) != 0, lambda i: "dirty ancillas"),
+             (out_bits[:, list(circuit.ancilla_qubits)].any(axis=1),
+              lambda i: "dirty ancillas"),
              *(register_rule(rname, reg) for rname, reg in regs.items())]
     if phases is not None:  # an entangled case has a NaN phase and no basis output
         rules.insert(0, (np.isnan(phases),

@@ -1,18 +1,17 @@
 """Gate alphabet, registers, and the circuit builder.
 
 All registers are little-endian: the least significant bit of an encoded
-integer lives in the first qubit of the register.  Circuits are purely
-unitary -- there is no measurement and no reset in the gate alphabet, and
-ancilla registers allocated through the builder are expected to return to
-|0> on every basis input (checked by `catalog.check_oracle`).
+integer lives in the first qubit of the register (`catalog.check_oracle`
+writes and reads register values through `sim`'s bit matrices).  Circuits
+are purely unitary -- there is no measurement and no reset in the gate
+alphabet, and ancilla registers allocated through the builder are expected
+to return to |0> on every basis input (checked by `catalog.check_oracle`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
-
-import numpy as np
 
 # Gate kinds.  Permutation gates first, then Clifford/T single-qubit gates,
 # then parameterised phase gates.  The constructions emit every kind but T
@@ -142,33 +141,17 @@ class Circuit:
 
 
 def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
-    shaped = isinstance(g, tuple) and len(g) == 3
-    if shaped:
-        kind, qs, angle = g
-        n = len(qs) if type(qs) is tuple else -1
-        # A well-formed gate passes this one test, which builds no set for
-        # one- and two-qubit gates (min() and max() cost more than the loop
-        # on three operands or fewer); a malformed one falls through to the
-        # checks that name its first fault.
-        if (n == _ARITY.get(kind)
-                and (n == 1 or (qs[0] != qs[1] if n == 2 else len(set(qs)) == n))
-                and (angle is None) != (kind in ANGLE_KINDS)
-                and (angle is None or math.isfinite(angle))):
-            for q in qs:
-                if type(q) is not int or not 0 <= q < num_qubits:
-                    break
-            else:
-                return
     where = "" if index is None else f" at gate {index}"
-    if not shaped:
+    if not (isinstance(g, tuple) and len(g) == 3):
         raise CircuitError(f"gate {g!r}{where} is not a (kind, qubits, angle) triple")
+    kind, qs, angle = g
     # A bool or a float would pass the range check, and a list would make the
     # Circuit unhashable.
     if type(qs) is not tuple or any(type(q) is not int for q in qs):
         raise CircuitError(f"gate {g!r}{where} needs a tuple of int qubits")
     if kind not in ALL_KINDS:
         raise CircuitError(f"unknown gate kind {kind!r}{where}")
-    if len(set(qs)) != n:
+    if len(set(qs)) != len(qs):
         raise CircuitError(f"duplicate operand in {kind}{qs}{where}")
     for q in qs:
         if not 0 <= q < num_qubits:
@@ -182,7 +165,7 @@ def _validate_gate(g: Gate, num_qubits: int, index: int | None = None) -> None:
         # circuit_to_text prints no angle for these kinds, so two circuits
         # that print alike would compare unequal.
         raise CircuitError(f"{kind} takes no angle{where}")
-    if n != _ARITY[kind]:
+    if len(qs) != _ARITY[kind]:
         raise CircuitError(f"{kind} takes {_ARITY[kind]} operands{where}")
 
 
@@ -519,25 +502,3 @@ def circuit_to_text(c: Circuit) -> str:
             body += f";angle={angle!r}"
         lines.append(body)
     return "\n".join(lines) + "\n"
-
-
-def register_value(state, reg: Register):
-    """Little-endian read of a register's bits out of a basis-state index,
-    or out of every entry of an int array of them."""
-    v = 0
-    for j, q in enumerate(reg):
-        v |= ((state >> q) & 1) << j
-    return v
-
-
-def encode_register(value, reg: Register):
-    """Basis-state bits for `value` placed on `reg` (other bits zero); value
-    is an int or an int array, encoded entry by entry."""
-    over = np.asarray(value) >> len(reg)  # nonzero below 0 and past the top
-    if np.any(over):
-        bad = np.ravel(value)[np.flatnonzero(over)[0]]
-        raise CircuitError(f"value {bad} does not fit register of {len(reg)}")
-    s = value & 0  # 0, or zeros shaped like value
-    for j, q in enumerate(reg):
-        s |= ((value >> j) & 1) << q
-    return s

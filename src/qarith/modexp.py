@@ -13,27 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .adders import emit_complement, emit_const_load, emit_copy, inplace_adder
 from .circuit import CCX, CNOT, X, Builder, CircuitError, parse_name
 
 # listed names without a window; also `LYYWindowed(w)`, w >= 1
 MODEXP_ALGOS = {"LYY": None, "LYYWindowedOpt": None}
-
-
-@dataclass(frozen=True)
-class LookupTable:
-    address_bits: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.address_bits < 1:
-            raise CircuitError("address_bits must be >= 1")
-        if len(self.entries) != (1 << self.address_bits):
-            raise CircuitError(
-                f"table needs exactly {1 << self.address_bits} entries"
-            )
 
 
 def optimal_window(n: int) -> int:
@@ -103,22 +88,22 @@ def _unary_iterate(bld: Builder, target, ancs, ctrls, bits, tab, depth) -> None:
         bld.ccx(*ctrls, a, u)
 
 
-def build_table_lookup(table: LookupTable, m: int, counting: bool = False):
-    """|addr>|y> -> |addr>|y XOR table[addr]> with m-bit data qubits."""
+def build_table_lookup(entries: tuple[int, ...], m: int, counting: bool = False):
+    """|addr>|y> -> |addr>|y XOR entries[addr]> with m-bit data qubits; the
+    address has a bits for a table of 2^a entries, a >= 1."""
+    a = len(entries).bit_length() - 1
+    if a < 1 or len(entries) != 1 << a:
+        raise CircuitError(f"table needs 2^a entries, a >= 1, not {len(entries)}")
     if m < 1:
         raise CircuitError("data width m must be >= 1")
-    for e in table.entries:
+    for e in entries:
         if not 0 <= e < (1 << m):
             raise CircuitError(f"table entry {e} does not fit {m} bits")
-    bld = Builder(counting, f"table_lookup[{table.address_bits},{m}]")
-    addr = bld.alloc_register(table.address_bits, "addr")
+    bld = Builder(counting, f"table_lookup[{a},{m}]")
+    addr = bld.alloc_register(a, "addr")
     y = bld.alloc_register(m, "y")
-    ancs = (
-        bld.alloc_ancilla(table.address_bits - 1, "lk").qubits
-        if table.address_bits > 1
-        else ()
-    )
-    emit_lookup(bld, addr.qubits, y.qubits, table.entries, ancs)
+    ancs = bld.alloc_ancilla(a - 1, "lk").qubits if a > 1 else ()
+    emit_lookup(bld, addr.qubits, y.qubits, entries, ancs)
     return bld.finalize()
 
 

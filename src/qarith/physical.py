@@ -95,21 +95,27 @@ def _logical_error_rate(p: PhysicalParams, d: int) -> float:
     return p.prefactor_a * (p.p_phys / p.p_threshold) ** ((d + 1) / 2)
 
 
+def _code_distance(p: PhysicalParams, volume: int, budget: float) -> int | None:
+    """Smallest odd d >= 3, up to p.max_code_distance, whose logical error
+    over `volume` patch-timesteps fits `budget`; None if there is none."""
+    return next((d for d in range(3, p.max_code_distance + 1, 2)
+                 if _logical_error_rate(p, d) * volume <= budget), None)
+
+
 def required_code_distance(
     p: PhysicalParams, logical_qubits: int, logical_depth: int
 ) -> int:
     """Smallest odd d whose total logical error fits the logical budget share."""
     if logical_qubits < 1 or logical_depth < 1:
         raise EstimationError("logical qubits and depth must be positive")
-    budget = p.error_budget / 3.0
     volume = logical_qubits * logical_depth
-    for d in range(3, p.max_code_distance + 1, 2):
-        if _logical_error_rate(p, d) * volume <= budget:
-            return d
-    raise EstimationError(
-        f"no code distance <= {p.max_code_distance} reaches the error budget "
-        f"(volume {volume:g}); workload is unrealistic for this model"
-    )
+    d = _code_distance(p, volume, p.error_budget / 3.0)
+    if d is None:
+        raise EstimationError(
+            f"no code distance <= {p.max_code_distance} reaches the error budget "
+            f"(volume {volume:g}); workload is unrealistic for this model"
+        )
+    return d
 
 
 def design_factory(p: PhysicalParams, t_count: int) -> FactorySpec:
@@ -131,12 +137,8 @@ def design_factory(p: PhysicalParams, t_count: int) -> FactorySpec:
             raise EstimationError(
                 "two distillation levels cannot reach the per-T budget"
             )
-    d_raw = None
-    for d in range(3, p.max_code_distance + 1, 2):
-        # 15 logical patches running for 11 logical timesteps per batch
-        if _logical_error_rate(p, d) * 15 * 11 <= per_t_budget:
-            d_raw = d
-            break
+    # 15 logical patches running for 11 logical timesteps per batch
+    d_raw = _code_distance(p, 15 * 11, per_t_budget)
     if d_raw is None:
         raise EstimationError("factory distance exceeds the supported range")
     distance = (d_raw + 1) // 2

@@ -21,6 +21,11 @@ and one step per gate, is the reference the tests hold it to.
 
 Arithmetic semantics live in the computational basis: checks compare output
 phases across cases and ignore the global one.
+
+`unpack_bits` and `pack_bits` are the one codec between basis-state ints
+and bit matrices (a row per state, a column per qubit): the simulators
+transpose batches through them, and `catalog.check_oracle` writes and reads
+registers as columns of the same matrices.
 """
 from __future__ import annotations
 
@@ -87,7 +92,7 @@ def _apply_perm(gates, planes: list[int], ones: int) -> None:
                 f"non-permutation gate {kind} at gate {gates.index(g)}")
 
 
-def _unpack(rows, width: int) -> np.ndarray:
+def unpack_bits(rows, width: int) -> np.ndarray:
     """len(rows) ints of `width` bits as a len(rows) x width uint8 bit
     matrix, bit q of rows[b] at [b, q].  Ints of up to 64 bits travel as
     uint64 words, longer ones as Python ints."""
@@ -101,8 +106,8 @@ def _unpack(rows, width: int) -> np.ndarray:
     return bits[:, :width]
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """The inverse of _unpack: one int per row of a bit matrix, as uint64
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """The inverse of unpack_bits: one int per row of a bit matrix, as uint64
     words up to 64 columns and Python ints past that."""
     count, width = bits.shape
     # Whole-buffer packing: numpy's per-row loops are slow on short rows.
@@ -120,7 +125,7 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 def _transpose(rows, width: int) -> np.ndarray:
     """Bit-matrix transpose: len(rows) ints of `width` bits become `width`
     ints of len(rows) bits, bit b of result q being bit q of rows[b]."""
-    return _pack(_unpack(rows, width).T)
+    return pack_bits(unpack_bits(rows, width).T)
 
 
 def _basis_states(states, n: int):
@@ -246,7 +251,7 @@ def simulate_product(c: Circuit, states):
     """
     n = c.num_qubits
     states = _basis_states(states, n)
-    val = _unpack(states, n).T.astype(np.int8, order="C")  # a row per qubit
+    val = unpack_bits(states, n).T.astype(np.int8, order="C")  # a row per qubit
     amp = np.stack([1 - val, val], axis=1).astype(np.complex128)
     entangled = np.zeros(len(states), dtype=bool)
     for g in c.gates:
@@ -257,4 +262,4 @@ def simulate_product(c: Circuit, states):
     basis = ~entangled & (np.prod(size, axis=0) ** 2 >= 1.0 - _BASIS_TOL)
     phases = np.prod(picked / size, axis=0)
     phases[entangled] = np.nan
-    return _pack(out.T).astype(basis_dtype(n)), basis, phases
+    return pack_bits(out.T).astype(basis_dtype(n)), basis, phases

@@ -24,8 +24,6 @@ from qarith.circuit import (
     X,
     Circuit,
     CircuitError,
-    encode_register,
-    register_value,
 )
 from qarith.sim import simulate_permutation_batch, simulate_statevector
 from qarith.resources import LogicalCounts, lower, lower_to_clifford_t
@@ -67,7 +65,7 @@ def test_table_lookup_refuses_sizes_past_the_cap():
 
 def _lookup_table(n, seed):
     _, (table, _), _, _ = catalog._instance("table_lookup", "UnaryIteration", n, seed)
-    return table.entries
+    return table
 
 
 def test_table_lookup_draw_is_seeded_and_fits_n_bits():
@@ -139,7 +137,7 @@ def test_counting_build_matches_recorded_build_wide(n):
     # Entries wider than the address: the counting lookup's closed-form load
     # count against the recorded walk.  The catalog's tables are n by n.
     rng = np.random.default_rng(n)
-    table = modexp.LookupTable(5, tuple(int(v) for v in rng.integers(0, 1 << n, 32)))
+    table = tuple(int(v) for v in rng.integers(0, 1 << n, 32))
     assert_tallies_equal(modexp.build_table_lookup(table, n, counting=True),
                          modexp.build_table_lookup(table, n))
 
@@ -361,6 +359,17 @@ def test_sweep_scale_qft_mutants_fail(op, mutate):
     assert check.failure.startswith("entangled: a gate met superposed operands")
 
 
+def _encode(value, reg):
+    """Basis-state bits of `value` on register `reg`, bit by bit: the
+    reference's own codec, independent of check_oracle's bit matrices."""
+    return sum(((value >> j) & 1) << q for j, q in enumerate(reg))
+
+
+def _decode(state, reg):
+    """Little-endian value of register `reg` in basis state `state`."""
+    return sum(((state >> q) & 1) << j for j, q in enumerate(reg))
+
+
 def _reference_failure(circuit, inputs, oracle):
     """First failure of a plain per-case loop over the exhaustive cases, in
     check_oracle's order: basis, ancillas, registers, phase."""
@@ -371,7 +380,7 @@ def _reference_failure(circuit, inputs, oracle):
     first_phase = None
     for combo in itertools.product(*(inputs[name] for name in names)):
         vals = dict(zip(names, combo))
-        state = sum(encode_register(v, regs[name]) for name, v in vals.items())
+        state = sum(_encode(v, regs[name]) for name, v in vals.items())
         if unitary:
             v = simulate_statevector(circuit, [state])[:, 0]
             out = int(np.argmax(np.abs(v)))
@@ -386,7 +395,7 @@ def _reference_failure(circuit, inputs, oracle):
         expected = oracle(**vals)
         for rname, reg in regs.items():
             want = expected.get(rname, vals.get(rname, 0))
-            got = register_value(out, reg)
+            got = _decode(out, reg)
             if got != want:
                 return f"register {rname} = {got}, want {want} for input {vals}"
         if unitary and abs(phase - first_phase) > catalog.PHASE_TOL:
@@ -490,9 +499,22 @@ def test_sampled_failure_past_63_qubits_names_plain_ints():
     assert m, check.failure
     got, want, a, b = map(int, m.groups())
     regs = {r.name: r for r in mutant.data_registers}
-    state = encode_register(a, regs["a"]) | encode_register(b, regs["b"])
+    state = _encode(a, regs["a"]) | _encode(b, regs["b"])
     out = simulate_permutation_batch(mutant, [state])[0]
-    assert want == (a + b) % (1 << n) != got == register_value(out, regs["b"])
+    assert want == (a + b) % (1 << n) != got == _decode(out, regs["b"])
+
+
+def test_failure_on_a_64_qubit_register_names_values_past_2_63():
+    # A register exactly 64 qubits wide is read as one unsigned 64-bit word:
+    # its values past 2^63 must print exactly, with no sign and no rounding.
+    n = 64
+    mutant = _mutant("inplace_adder", "TTK", n, lambda r: ((X, (r["b"][n - 1],), None),))
+    _, _, inputs, oracle = catalog._instance("inplace_adder", "TTK", n,
+                                             catalog.DEFAULT_SEED)
+    check = catalog.check_oracle(mutant, inputs, oracle)
+    assert check.failure == (
+        "register b = 1620059966316167881, want 10843432003170943689 for input "
+        "{'a': 13515657874892102023, 'b': 15774518201988393282}")
 
 
 def test_verification_takes_one_step_per_gate_per_batch(monkeypatch):

@@ -7,14 +7,7 @@ import numpy as np
 import pytest
 
 from qarith import circuit as cir
-from qarith.circuit import (
-    Builder,
-    CircuitError,
-    adjoint,
-    circuit_to_text,
-    encode_register,
-    register_value,
-)
+from qarith.circuit import Builder, CircuitError, adjoint, circuit_to_text
 from qarith.sim import simulate_permutation_batch
 
 
@@ -251,15 +244,6 @@ def test_circuit_dump_format():
     assert text.splitlines()[2] == "CNOT 0,1"
     assert text.splitlines()[3] == "CCX 0,1,2"
     assert text.splitlines()[4] == "RZ 2;angle=0.5"
-
-
-def test_register_encode_decode_roundtrip():
-    bld = Builder()
-    r1 = bld.alloc_register(3)
-    r2 = bld.alloc_register(4)
-    state = encode_register(5, r1) | encode_register(11, r2)
-    assert register_value(state, r1) == 5
-    assert register_value(state, r2) == 11
 
 
 def test_circuit_rejects_overlapping_registers():

@@ -11,7 +11,6 @@ from qarith import circuit, modexp
 from qarith.catalog import modexp_constants, modexp_space
 from qarith.circuit import Builder, CircuitError, clear_block_cache
 from qarith.modexp import (
-    LookupTable,
     build_modexp,
     build_modmul_const,
     build_table_lookup,
@@ -25,19 +24,22 @@ from conftest import assert_tallies_equal
 
 
 def test_lookup_table_validation():
-    with pytest.raises(CircuitError):
-        LookupTable(2, (1, 2, 3))
-    with pytest.raises(CircuitError):
-        build_table_lookup(LookupTable(1, (1, 4)), 2)
+    # The address width is log2 of the table length, and at least 1.
+    for entries in ((1, 2, 3), (1,), ()):
+        with pytest.raises(CircuitError, match=f"a >= 1, not {len(entries)}$"):
+            build_table_lookup(entries, 2)
+    with pytest.raises(CircuitError, match="table entry 4 does not fit 2 bits"):
+        build_table_lookup((1, 4), 2)
+    assert build_table_lookup((1, 2, 3, 0), 2).data_registers[0].qubits == (0, 1)
 
 
 def test_lookup_spec_example(oracle_runner):
-    c = build_table_lookup(LookupTable(2, (0, 1, 2, 3)), 2)
+    c = build_table_lookup((0, 1, 2, 3), 2)
     oracle_runner(c, {"addr": [2], "y": [0]}, lambda addr, y: {"y": 2})
 
 
 def test_lookup_all_zero_is_identity():
-    c = build_table_lookup(LookupTable(2, (0, 0, 0, 0)), 3)
+    c = build_table_lookup((0, 0, 0, 0), 3)
     every = np.arange(1 << c.num_qubits)
     assert np.array_equal(simulate_permutation_batch(c, every), every)
 
@@ -45,7 +47,7 @@ def test_lookup_all_zero_is_identity():
 def test_lookup_random_exhaustive(oracle_runner):
     rng = np.random.default_rng(23)
     entries = tuple(int(v) for v in rng.integers(0, 16, size=8))
-    c = build_table_lookup(LookupTable(3, entries), 4)
+    c = build_table_lookup(entries, 4)
     column = np.array(entries, dtype=object)  # indexed by the addr column
     oracle_runner(
         c,
@@ -57,7 +59,7 @@ def test_lookup_random_exhaustive(oracle_runner):
 def test_lookup_involution(oracle_runner):
     rng = np.random.default_rng(5)
     entries = tuple(int(v) for v in rng.integers(0, 8, size=4))
-    c = build_table_lookup(LookupTable(2, entries), 3)
+    c = build_table_lookup(entries, 3)
     from qarith.circuit import Circuit
 
     doubled = Circuit(
