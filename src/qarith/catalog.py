@@ -17,13 +17,7 @@ import numpy as np
 from . import adders, modexp, muldiv, sim
 from .circuit import PERMUTATION_KINDS, Circuit, CircuitError, parse_name
 from .resources import LogicalCounts, lower
-from .sim import (
-    basis_dtype,
-    pack_bits,
-    simulate_permutation_batch,
-    simulate_product,
-    unpack_bits,
-)
+from .sim import pack_bits, simulate_permutation_batch, simulate_product, unpack_bits
 
 DEFAULT_SEED = 12345
 RANDOM_CASE_LIMIT = 4096  # above this many exhaustive cases, sample 1000
@@ -164,15 +158,23 @@ def _space_size(space) -> int:
     return len(space)
 
 
-def simulate_basis(circuit: Circuit, states):
-    """(outputs, which are basis states, their phases or None) of `circuit` on
-    the basis inputs `states`: bit-sliced for a permutation circuit, else on
-    product states (sim.simulate_product), where a NaN phase marks a case
-    that a gate entangled."""
+def simulate_basis(circuit: Circuit, bits):
+    """(output batch, which outputs are basis states, their phases or None)
+    of `circuit` on a batch of basis inputs, a (cases x qubits) matrix of 0s
+    and 1s: bit-sliced for a permutation circuit, else on product states
+    (sim.simulate_product), where a NaN phase marks a case that a gate
+    entangled."""
     if PERMUTATION_KINDS.issuperset(map(itemgetter(0), circuit.gates)):
-        return (simulate_permutation_batch(circuit, states),
-                np.ones(len(states), dtype=bool), None)
-    return simulate_product(circuit, states)
+        return (simulate_permutation_batch(circuit, bits),
+                np.ones(len(bits), dtype=bool), None)
+    return simulate_product(circuit, bits)
+
+
+def _check_names(names, regs) -> None:
+    """Refuse a register name that is not one of the circuit's data registers."""
+    for name in names:
+        if name not in regs:
+            raise CircuitError(f"unknown register {name!r}")
 
 
 @dataclass(frozen=True)
@@ -200,12 +202,16 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
     a case that a gate entangles fails, so does a non-basis output, and
     every case's output amplitude must carry the first case's phase (a
     global phase is ignored, a relative one is a failure).
-    Registers are written and read as columns of one cases x qubits bit
-    matrix (sim.unpack_bits / sim.pack_bits), packed into basis states once
-    for the simulator and unpacked once after it.
+    The cases are one batch, a (cases x qubits) bit matrix that
+    simulate_basis takes and returns as it is; a register is written and
+    read as its block of columns (sim.unpack_bits / sim.pack_bits).
+    A name in inputs or in the oracle's result that is not a data register
+    is refused.
     numpy finds the first failing case, and only that case is explained.
     """
+    regs = {r.name: list(r) for r in circuit.data_registers}
     names = list(inputs)
+    _check_names(names, regs)
     sizes = [_space_size(inputs[name]) for name in names]
     for name, size in zip(names, sizes):
         if size < 1:
@@ -221,7 +227,6 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
         picks = np.tile(np.arange(RANDOM_SAMPLES), (len(names), 1))
     spaces = [np.array([int(v) for v in space], dtype=object) for space in spaces]
     count = picks.shape[1]
-    regs = {r.name: list(r) for r in circuit.data_registers}
     columns = {name: space[pick] for name, space, pick in zip(names, spaces, picks)}
     bits = np.zeros((count, circuit.num_qubits), dtype=np.uint8)  # a row per case
     for name, space, pick in zip(names, spaces, picks):
@@ -231,11 +236,10 @@ def check_oracle(circuit: Circuit, inputs: dict, oracle,
             raise CircuitError(f"value {bad[0]} does not fit register of {width}")
         bits[:, regs[name]] = unpack_bits(space, width)[pick]
 
-    states = pack_bits(bits).astype(basis_dtype(circuit.num_qubits))
-    del bits  # freed before the simulator makes bit matrices of its own
-    outs, basis, phases = simulate_basis(circuit, states)
-    out_bits = unpack_bits(outs, circuit.num_qubits)
+    out_bits, basis, phases = simulate_basis(circuit, bits)
+    del bits  # freed before the rules copy output columns
     expected = oracle(**columns)
+    _check_names(expected, regs)
 
     def register_rule(rname, reg):
         got = pack_bits(out_bits[:, reg])

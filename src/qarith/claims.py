@@ -24,7 +24,7 @@ from .modexp import build_modexp, optimal_window
 from .muldiv import DIVIDER_ADDERS, DIVIDERS
 from .physical import PhysicalParams, pareto_frontier
 from .resources import lower
-from .sim import basis_dtype
+from .sim import unpack_bits
 
 EXPECTED_CLAIM_IDS = tuple(f"AC{i}" for i in range(1, 12))
 ADJOINT_SAMPLES = 4096  # seeded states per wide circuit in the adjoint check
@@ -146,13 +146,12 @@ def _check_structure(seed) -> ClaimCheck:
         # Every basis state up to 16 qubits; past that the 0, 1 and all-ones
         # corners plus a seeded sample.
         n = c.num_qubits
-        states = np.arange(1 << n) if n <= 16 else np.array(
-            [0, 1, (1 << n) - 1,
-             *(rng.getrandbits(n) for _ in range(ADJOINT_SAMPLES))],
-            dtype=basis_dtype(n))
+        bits = unpack_bits(range(1 << n) if n <= 16 else [
+            0, 1, (1 << n) - 1,
+            *(rng.getrandbits(n) for _ in range(ADJOINT_SAMPLES))], n)
         combined = Circuit(num_qubits=n, gates=c.gates + adjoint(c).gates)
-        outs, is_basis, _ = catalog.simulate_basis(combined, states)
-        if not np.all(is_basis) or not np.array_equal(outs, states):
+        outs, is_basis, _ = catalog.simulate_basis(combined, bits)
+        if not np.all(is_basis) or not np.array_equal(outs, bits):
             problems.append(f"{c.name}: adjoint composition is not identity")
     return _claim(
         "AC5",

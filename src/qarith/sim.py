@@ -1,11 +1,13 @@
 """Verification simulators.
 
-Each simulator runs a whole batch of basis states per pass, with one step
-per gate rather than one per gate and state.
+A batch is a (cases x qubits) matrix of 0s and 1s, a row per case and a
+column per qubit, bit q of a case's basis state at column q.  Each
+simulator takes a batch and returns one, with one step per gate rather
+than one per gate and case.
 
-Permutation gates (X, CNOT, CCX, SWAP) run bit-sliced.  The batch is
-transposed into one bit plane per qubit: a Python int whose bit b is that
-qubit's value in state b.  X is then ``p[q] ^= ones``, CNOT/CCX are
+Permutation gates (X, CNOT, CCX, SWAP) run bit-sliced.  The batch is packed
+into one bit plane per qubit: a Python int whose bit b is that qubit's
+value in case b.  X is then ``p[q] ^= ones``, CNOT/CCX are
 ``p[t] ^= p[c1] & ...`` and SWAP swaps two planes, each one big-int operation
 for the whole batch at any width.  `_apply_perm` states these rules on bit
 planes as one loop over a whole gate list, so a batch costs one Python call;
@@ -22,10 +24,10 @@ and one step per gate, is the reference the tests hold it to.
 Arithmetic semantics live in the computational basis: checks compare output
 phases across cases and ignore the global one.
 
-`unpack_bits` and `pack_bits` are the one codec between basis-state ints
-and bit matrices (a row per state, a column per qubit): the simulators
-transpose batches through them, and `catalog.check_oracle` writes and reads
-registers as columns of the same matrices.
+`unpack_bits` and `pack_bits` are the one codec between ints and bit
+matrices: the simulators pack a batch's columns into bit planes through
+them, and `catalog.check_oracle` writes and reads registers as column
+blocks of a batch.
 """
 from __future__ import annotations
 
@@ -64,15 +66,9 @@ class SimulationError(ValueError):
     pass
 
 
-def basis_dtype(num_qubits: int):
-    """Array dtype that holds basis states of num_qubits qubits exactly:
-    int64 up to 63 qubits, Python ints (object) past that."""
-    return np.int64 if num_qubits <= 63 else object
-
-
 def _apply_perm(gates, planes: list[int], ones: int) -> None:
     """Permutation gates applied in place, in order, to the bit planes of a
-    batch; ones has a bit set for every state in the batch.  The one
+    batch; ones has a bit set for every case in the batch.  The one
     statement of the permutation rules, with no Python call per gate."""
     for g in gates:
         kind, q, _ = g
@@ -122,42 +118,25 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
                     dtype=object)
 
 
-def _transpose(rows, width: int) -> np.ndarray:
-    """Bit-matrix transpose: len(rows) ints of `width` bits become `width`
-    ints of len(rows) bits, bit b of result q being bit q of rows[b]."""
-    return pack_bits(unpack_bits(rows, width).T)
+def _check_batch(bits, n: int) -> np.ndarray:
+    """bits as an array, refused unless it is a batch on n qubits."""
+    bits = np.asarray(bits)
+    if (bits.ndim != 2 or bits.shape[1] != n or bits.dtype.kind not in "biu"
+            or bits.size and (bits.min() < 0 or bits.max() > 1)):
+        raise SimulationError(f"a batch is a cases x {n} matrix of 0s and 1s")
+    return bits
 
 
-def _basis_states(states, n: int):
-    """The basis states of a batch on n qubits, range-checked: an int64 array
-    on at most 63 qubits as it is, any other batch as a list of Python ints."""
-    if isinstance(states, np.ndarray) and states.dtype == np.int64 and n <= 63:
-        if states.size and (states.min() < 0 or states.max() >> n):
-            raise SimulationError("input state out of range")
-        return states
-    ints = [int(s) for s in states]
-    if ints and (min(ints) < 0 or max(ints) >> n):
-        raise SimulationError("input state out of range")
-    return ints
+def _permute(gates, bits: np.ndarray) -> np.ndarray:
+    """Permutation gates run over the bit planes of a batch."""
+    planes = pack_bits(bits.T).tolist()
+    _apply_perm(gates, planes, (1 << len(bits)) - 1)
+    return unpack_bits(planes, len(bits)).T
 
 
-def _run_perm(gates, planes: list[int], count: int) -> np.ndarray:
-    """Run permutation gates over the bit planes of `count` basis states and
-    return the states."""
-    _apply_perm(gates, planes, (1 << count) - 1)
-    return _transpose(planes, count)
-
-
-def simulate_permutation_batch(c: Circuit, states) -> np.ndarray:
-    """Apply a permutation-only circuit to many basis states at once.
-
-    The result holds int64 up to 63 qubits and Python ints in an object
-    array past that.
-    """
-    n = c.num_qubits
-    states = _basis_states(states, n)
-    out = _run_perm(c.gates, _transpose(states, n).tolist(), len(states))
-    return out.astype(basis_dtype(n))
+def simulate_permutation_batch(c: Circuit, bits) -> np.ndarray:
+    """Apply a permutation-only circuit to a batch of basis states at once."""
+    return _permute(c.gates, _check_batch(bits, c.num_qubits))
 
 
 def _diagonal(kind: str, angle) -> tuple[complex, complex]:
@@ -168,31 +147,30 @@ def _diagonal(kind: str, angle) -> tuple[complex, complex]:
     return 1.0, cmath.exp(1j * _PHASES.get(kind, angle))
 
 
-def simulate_statevector(c: Circuit, states) -> np.ndarray:
-    """Dense evolution of B basis states through the full alphabet, one gate
-    at a time: a 2^n x B array with one column per input.  The reference the
-    tests hold simulate_product to."""
+def simulate_statevector(c: Circuit, bits) -> np.ndarray:
+    """Dense evolution of a batch of B basis states through the full
+    alphabet, one gate at a time: a 2^n x B array with one column per case.
+    The reference the tests hold simulate_product to."""
     n = c.num_qubits
     if n > STATEVECTOR_LIMIT:
         raise SimulationError(
             f"{n} qubits exceeds statevector limit {STATEVECTOR_LIMIT}"
         )
-    states = _basis_states(states, n)
+    states = pack_bits(_check_batch(bits, n))
     block = np.zeros((1 << n, len(states)), dtype=np.complex128)
     block[states, np.arange(len(states))] = 1.0
-    idx = np.arange(1 << n)
-    idx_planes = _transpose(idx, n).tolist()
+    idx_bits = unpack_bits(range(1 << n), n)  # row i is basis state i
     for g in c.gates:
         kind, q, angle = g
         if kind in PERMUTATION_KINDS:
             # new[i] = old[g(i)]: every permutation gate is an involution.
-            block = block[_run_perm([g], idx_planes.copy(), len(idx))]
+            block = block[pack_bits(_permute([g], idx_bits))]
         elif kind == H:
             view = block.reshape(-1, 2, block.shape[1] << q[0])
             lo, hi = view[:, 0, :] * _INV_SQRT2, view[:, 1, :] * _INV_SQRT2
             view[:, 0, :], view[:, 1, :] = lo + hi, lo - hi
         else:
-            on = (idx >> q[0]) & (idx >> q[-1]) & 1
+            on = idx_bits[:, q[0]] & idx_bits[:, q[-1]]
             block *= np.where(on, *_diagonal(kind, angle)[::-1])[:, None]
     norms = np.linalg.norm(block, axis=0)
     drift = np.abs(norms - 1.0) > 1e-9
@@ -238,9 +216,10 @@ def _apply_product(g: Gate, amp: np.ndarray, val: np.ndarray,
         amp[q[0], 1] *= one
 
 
-def simulate_product(c: Circuit, states):
-    """(outputs, which are basis states, their phases) of circuit c on the
-    basis inputs `states`, with two amplitudes per qubit per case.
+def simulate_product(c: Circuit, bits):
+    """(output batch, which outputs are basis states, their phases) of
+    circuit c on a batch of basis inputs, with two amplitudes per qubit per
+    case.
 
     Exact while every gate keeps the state a product of one-qubit states:
     H, X, T, TDG and RZ always do, CPHASE when either operand is a basis
@@ -249,11 +228,10 @@ def simulate_product(c: Circuit, states):
     and is not a basis state; it never raises.  A phase is the output
     amplitude divided by its modulus, global phase included.
     """
-    n = c.num_qubits
-    states = _basis_states(states, n)
-    val = unpack_bits(states, n).T.astype(np.int8, order="C")  # a row per qubit
+    bits = _check_batch(bits, c.num_qubits)
+    val = bits.T.astype(np.int8, order="C")  # a row per qubit
     amp = np.stack([1 - val, val], axis=1).astype(np.complex128)
-    entangled = np.zeros(len(states), dtype=bool)
+    entangled = np.zeros(len(bits), dtype=bool)
     for g in c.gates:
         _apply_product(g, amp, val, entangled)
     out = np.abs(amp[:, 1]) > np.abs(amp[:, 0])
@@ -262,4 +240,4 @@ def simulate_product(c: Circuit, states):
     basis = ~entangled & (np.prod(size, axis=0) ** 2 >= 1.0 - _BASIS_TOL)
     phases = np.prod(picked / size, axis=0)
     phases[entangled] = np.nan
-    return pack_bits(out.T).astype(basis_dtype(n)), basis, phases
+    return out.T.view(np.uint8), basis, phases

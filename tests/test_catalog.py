@@ -25,7 +25,12 @@ from qarith.circuit import (
     Circuit,
     CircuitError,
 )
-from qarith.sim import simulate_permutation_batch, simulate_statevector
+from qarith.sim import (
+    pack_bits,
+    simulate_permutation_batch,
+    simulate_statevector,
+    unpack_bits,
+)
 from qarith.resources import LogicalCounts, lower, lower_to_clifford_t
 
 from conftest import assert_tallies_equal
@@ -376,20 +381,22 @@ def _reference_failure(circuit, inputs, oracle):
     names = list(inputs)
     regs = {r.name: r for r in circuit.data_registers}
     anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
+    n = circuit.num_qubits
     unitary = any(kind not in PERMUTATION_KINDS for kind, _, _ in circuit.gates)
     first_phase = None
     for combo in itertools.product(*(inputs[name] for name in names)):
         vals = dict(zip(names, combo))
         state = sum(_encode(v, regs[name]) for name, v in vals.items())
         if unitary:
-            v = simulate_statevector(circuit, [state])[:, 0]
+            v = simulate_statevector(circuit, unpack_bits([state], n))[:, 0]
             out = int(np.argmax(np.abs(v)))
             if abs(v[out]) ** 2 < 1 - 1e-9:
                 return f"not a basis state for input {vals}"
             phase = v[out] / abs(v[out])
             first_phase = phase if first_phase is None else first_phase
         else:
-            out = int(simulate_permutation_batch(circuit, [state])[0])
+            out = int(pack_bits(simulate_permutation_batch(
+                circuit, unpack_bits([state], n)))[0])
         if out & anc_mask:
             return f"dirty ancillas for input {vals}"
         expected = oracle(**vals)
@@ -432,6 +439,25 @@ def test_check_oracle_refuses_values_that_do_not_fit():
     with pytest.raises(CircuitError, match="value 16 does not fit register of 4"):
         catalog.check_oracle(c, {"a": range(17), "b": range(16)},
                              lambda a, b: {"b": (a + b) % 16})
+
+
+def _identity_on(name, size):
+    bld = cir.Builder()
+    bld.alloc_register(size, name)
+    return bld.finalize()
+
+
+def test_check_oracle_refuses_an_input_that_is_not_a_register():
+    with pytest.raises(CircuitError, match=r"^unknown register 'zz'$"):
+        catalog.check_oracle(_identity_on("a", 3), {"a": range(8), "zz": [0]},
+                             lambda a, zz: {})
+
+
+def test_check_oracle_refuses_an_oracle_result_for_a_missing_register():
+    # Read as unchecked, {"zz": a} would let the identity pass any claim.
+    with pytest.raises(CircuitError, match=r"^unknown register 'zz'$"):
+        catalog.check_oracle(_identity_on("a", 3), {"a": range(8)},
+                             lambda a: {"zz": a})
 
 
 @pytest.mark.parametrize("empty", [range(0), range(8, 0), range(0, 8, -1), []])
@@ -500,7 +526,8 @@ def test_sampled_failure_past_63_qubits_names_plain_ints():
     got, want, a, b = map(int, m.groups())
     regs = {r.name: r for r in mutant.data_registers}
     state = _encode(a, regs["a"]) | _encode(b, regs["b"])
-    out = simulate_permutation_batch(mutant, [state])[0]
+    out = pack_bits(simulate_permutation_batch(
+        mutant, unpack_bits([state], mutant.num_qubits)))[0]
     assert want == (a + b) % (1 << n) != got == _decode(out, regs["b"])
 
 

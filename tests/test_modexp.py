@@ -18,7 +18,7 @@ from qarith.modexp import (
     optimal_window,
     parse_modexp,
 )
-from qarith.sim import simulate_permutation_batch
+from qarith.sim import pack_bits, simulate_permutation_batch, unpack_bits
 
 from conftest import assert_tallies_equal
 
@@ -40,7 +40,7 @@ def test_lookup_spec_example(oracle_runner):
 
 def test_lookup_all_zero_is_identity():
     c = build_table_lookup((0, 0, 0, 0), 3)
-    every = np.arange(1 << c.num_qubits)
+    every = unpack_bits(range(1 << c.num_qubits), c.num_qubits)
     assert np.array_equal(simulate_permutation_batch(c, every), every)
 
 
@@ -68,7 +68,7 @@ def test_lookup_involution(oracle_runner):
         data_registers=c.data_registers,
         ancilla_registers=c.ancilla_registers,
     )
-    every = np.arange(1 << 5)
+    every = unpack_bits(range(1 << 5), c.num_qubits)
     assert np.array_equal(simulate_permutation_batch(doubled, every), every)
 
 
@@ -158,7 +158,8 @@ def test_modexp_full_space_bijection():
     # must still map under a deterministic permutation (unitarity).
     c = build_modexp("LYY", 2, 3, 2)
     assert c.num_qubits <= 16
-    table = simulate_permutation_batch(c, range(1 << c.num_qubits))
+    every = unpack_bits(range(1 << c.num_qubits), c.num_qubits)
+    table = pack_bits(simulate_permutation_batch(c, every))
     assert len(np.unique(table)) == len(table)
 
 

@@ -38,3 +38,18 @@ def test_every_traced_layer_counts_work(monkeypatch):
     # The QFT adder runs on product states, which the tracer does not hook:
     # catalog keeps the dense simulator's name bound only for the tracer.
     assert layers["sim.sv.calls"] == 0
+
+
+def test_permutation_counter_is_gates_times_cases(monkeypatch):
+    # Gidney n = 1..3 checks 4, 16 and 64 exhaustive cases on permutation
+    # circuits: the counter must read the batch's case count, not its width.
+    want = sum(len(catalog.build("inplace_adder", "Gidney", n).gates) << 2 * n
+               for n in (1, 2, 3))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("spans").Tracer("hooks")
+    tracer.install()
+    try:
+        catalog.verify_range("inplace_adder", "Gidney", 3)
+    finally:
+        tracer.uninstall()
+    assert tracer.layer_metrics()["sim.perm.gate_states"] == want

@@ -31,7 +31,7 @@ from qarith.resources import (
     lower_summary,
     lower_to_clifford_t,
 )
-from qarith.sim import simulate_statevector
+from qarith.sim import simulate_statevector, unpack_bits
 
 
 def _circ(n, emits):
@@ -61,8 +61,9 @@ def test_ccx_decomposition_is_exact():
     # One-time semantic self-test of the 7-T template on all 8 basis states.
     dec = Circuit(num_qubits=3, gates=tuple((kind, qs, None) for kind, qs in CCX_TEMPLATE))
     ref = _circ(3, lambda b: b.ccx(0, 1, 2))
-    v1 = simulate_statevector(dec, range(8))
-    v2 = simulate_statevector(ref, range(8))
+    every = unpack_bits(range(8), 3)
+    v1 = simulate_statevector(dec, every)
+    v2 = simulate_statevector(ref, every)
     for basis in range(8):
         k = int(np.argmax(np.abs(v2[:, basis])))
         phase = v1[k, basis] / v2[k, basis]

@@ -23,10 +23,11 @@ from qarith.circuit import (
 )
 from qarith.sim import (
     SimulationError,
-    basis_dtype,
+    pack_bits,
     simulate_permutation_batch,
     simulate_product,
     simulate_statevector,
+    unpack_bits,
 )
 
 
@@ -36,61 +37,58 @@ def _circ(n, gates):
 
 def test_x_flips_bit():
     c = _circ(3, [("X", (0,), None)])
-    assert list(simulate_permutation_batch(c, [0b000])) == [0b001]
+    out = simulate_permutation_batch(c, unpack_bits([0b000], 3))
+    assert pack_bits(out).tolist() == [0b001]
 
 
 def test_toffoli_truth_table():
     c = _circ(3, [("CCX", (0, 1, 2), None)])
-    assert list(simulate_permutation_batch(c, [0b011, 0b001, 0b111])) == [
-        0b111, 0b001, 0b011]
+    out = simulate_permutation_batch(c, unpack_bits([0b011, 0b001, 0b111], 3))
+    assert pack_bits(out).tolist() == [0b111, 0b001, 0b011]
 
 
 def test_swap_table():
     c = _circ(2, [("SWAP", (0, 1), None)])
-    assert list(simulate_permutation_batch(c, range(4))) == [0, 2, 1, 3]
+    out = simulate_permutation_batch(c, unpack_bits(range(4), 2))
+    assert pack_bits(out).tolist() == [0, 2, 1, 3]
 
 
 def test_identity_table():
     c = _circ(3, [])
-    assert np.array_equal(simulate_permutation_batch(c, range(8)), np.arange(8))
+    every = unpack_bits(range(8), 3)
+    assert np.array_equal(simulate_permutation_batch(c, every), every)
 
 
 def test_non_permutation_gate_names_index():
     c = _circ(1, [("X", (0,), None), ("H", (0,), None)])
     with pytest.raises(SimulationError, match="gate 1"):
-        simulate_permutation_batch(c, [0])
+        simulate_permutation_batch(c, unpack_bits([0], 1))
 
 
-@pytest.mark.parametrize("bad", [-1, 8, 1 << 70])
-def test_out_of_range_states_rejected(bad):
+# A 2 is simulate_product's value of a superposed qubit, never an input.
+@pytest.mark.parametrize("bad", [
+    np.zeros(3, dtype=np.uint8),
+    np.zeros((2, 4), dtype=np.uint8),
+    np.array([[0, 2, 0]], dtype=np.uint8),
+    np.array([[0, -1, 0]], dtype=np.int8),
+], ids=["1-D", "4-columns", "value-2", "value-minus-1"])
+def test_malformed_batches_rejected_alike(bad):
     c = _circ(3, [("X", (0,), None)])
-    arrays = [np.array(s, dtype=np.int64) for s in ([bad], [0, bad]) if bad < 1 << 63]
-    for states in ([bad], [0, bad], *arrays):
-        with pytest.raises(SimulationError, match="out of range"):
-            simulate_permutation_batch(c, states)
-        with pytest.raises(SimulationError, match="out of range"):
-            simulate_statevector(c, states)
-        with pytest.raises(SimulationError, match="out of range"):
-            simulate_product(c, states)
+    for simulate in (simulate_permutation_batch, simulate_statevector, simulate_product):
+        with pytest.raises(SimulationError) as refused:
+            simulate(c, bad)
+        assert str(refused.value) == "a batch is a cases x 3 matrix of 0s and 1s"
 
 
-def test_top_int64_state_accepted():
-    top = (1 << 63) - 1
-    c = _circ(63, [("X", (0,), None)])
-    out = simulate_permutation_batch(c, np.array([top, 0], dtype=np.int64))
-    assert out.dtype == np.int64 and out.tolist() == [top - 1, 1]
-    assert simulate_product(c, np.array([top], dtype=np.int64))[0].tolist() == [top - 1]
-
-
-@pytest.mark.parametrize("width", [63, 64])  # int64 and object batches
+@pytest.mark.parametrize("width", [63, 64])  # the top qubit at bit 62 and 63
 def test_wide_batch_matches_single(width):
     top = width - 1
     c = _circ(width, [("X", (top,), None), ("CCX", (top, 3, top - 3), None),
                       ("SWAP", (top - 3, 1), None), ("CCX", (0, top, 5), None)])
     states = [0, 1 << 3, (1 << width) - 1, 0b1011]
-    batch = simulate_permutation_batch(c, states)
-    assert [int(o) for o in batch] == [_reference_permutation(c.gates, s)
-                                       for s in states]
+    batch = simulate_permutation_batch(c, unpack_bits(states, width))
+    assert [int(o) for o in pack_bits(batch)] == [
+        _reference_permutation(c.gates, s) for s in states]
 
 
 def test_batch_matches_single():
@@ -103,14 +101,14 @@ def test_batch_matches_single():
         bld.cnot(b, a)
     c = bld.finalize()
     states = rng.integers(0, 64, size=50)
-    batch = simulate_permutation_batch(c, states)
-    for s, o in zip(states, batch):
+    batch = simulate_permutation_batch(c, unpack_bits(states, 6))
+    for s, o in zip(states, pack_bits(batch)):
         assert _reference_permutation(c.gates, int(s)) == int(o)
 
 
 def test_hadamard_amplitudes():
     c = _circ(1, [("H", (0,), None)])
-    v = simulate_statevector(c, [0])
+    v = simulate_statevector(c, unpack_bits([0], 1))
     assert np.allclose(v, [[1 / math.sqrt(2)], [1 / math.sqrt(2)]])
 
 
@@ -120,7 +118,7 @@ def test_qft_inverse_qft_roundtrip():
     emit_qft(bld, r.qubits)
     bld.adjoint(lambda: emit_qft(bld, r.qubits))
     c = bld.finalize()
-    block = simulate_statevector(c, range(16))
+    block = simulate_statevector(c, unpack_bits(range(16), 4))
     assert np.all(np.abs(np.diag(block)) ** 2 >= 1 - 1e-9)
 
 
@@ -128,7 +126,7 @@ def test_statevector_limit():
     bld = Builder()
     bld.alloc_register(23)
     with pytest.raises(SimulationError):
-        simulate_statevector(bld.finalize(), [0])
+        simulate_statevector(bld.finalize(), unpack_bits([0], 23))
 
 
 def test_statevector_agrees_with_permutation_sim():
@@ -144,7 +142,8 @@ def test_statevector_agrees_with_permutation_sim():
     states = [0, 7, 19, 31]
     outs, is_basis, _ = _dense_basis(c, states)
     assert is_basis.all()
-    assert list(outs) == list(simulate_permutation_batch(c, states))
+    batch = simulate_permutation_batch(c, unpack_bits(states, 5))
+    assert list(outs) == pack_bits(batch).tolist()
 
 
 def test_norm_preserved_long_sequence():
@@ -156,7 +155,7 @@ def test_norm_preserved_long_sequence():
         bld.h(q)
         bld.rz(q, float(rng.uniform(-3, 3)))
         bld.cphase(q, (q + 1) % 4, float(rng.uniform(-3, 3)))
-    v = simulate_statevector(bld.finalize(), [3])
+    v = simulate_statevector(bld.finalize(), unpack_bits([3], 4))
     assert abs(np.linalg.norm(v) - 1) < 1e-9
 
 
@@ -231,10 +230,11 @@ def test_batched_statevector_matches_single_columns(seed):
     n = 4 + seed % 3
     c = _random_full_circuit(rng, n, reverse=seed % 2)
     want = np.column_stack([_reference_statevector(c, s) for s in range(1 << n)])
-    assert np.allclose(simulate_statevector(c, range(1 << n)), want, rtol=0, atol=1e-12)
+    every = unpack_bits(range(1 << n), n)
+    assert np.allclose(simulate_statevector(c, every), want, rtol=0, atol=1e-12)
     for count in (1, 3, 100):
         states = [int(s) for s in rng.integers(0, 1 << n, size=count)]
-        batch = simulate_statevector(c, states)
+        batch = simulate_statevector(c, unpack_bits(states, n))
         assert batch.shape == (1 << n, count)
         assert np.allclose(batch, want[:, states], rtol=0, atol=1e-12)
 
@@ -252,15 +252,15 @@ def test_bitsliced_batch_matches_single_states(width):
     for count in (0, 1, 7, 8, 9, 4097):
         states = [int.from_bytes(rng.bytes(17), "little") % (1 << width)
                   for _ in range(count)]
-        batch = simulate_permutation_batch(c, states)
-        assert batch.dtype == (np.int64 if width <= 63 else object)
-        assert [int(o) for o in batch] == [_reference_permutation(c.gates, s)
-                                           for s in states]
+        batch = simulate_permutation_batch(c, unpack_bits(states, width))
+        assert batch.shape == (count, width)
+        assert [int(o) for o in pack_bits(batch)] == [
+            _reference_permutation(c.gates, s) for s in states]
 
 
 @st.composite
 def _permutation_batches(draw):
-    """(circuit, states) on 1-70 qubits: int64 batches up to 63, object past."""
+    """(circuit, basis-state ints) on 1-70 qubits."""
     n = draw(st.integers(1, 70))
     arity = {X: 1, CNOT: 2, SWAP: 2, CCX: 3}
     gates = []
@@ -270,17 +270,16 @@ def _permutation_batches(draw):
                           max_size=arity[kind], unique=True)
         gates.append((kind, tuple(draw(qubits)), None))
     states = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
-    return _circ(n, gates), np.array(states, dtype=basis_dtype(n))
+    return _circ(n, gates), states
 
 
 @given(_permutation_batches())
 @settings(max_examples=150, deadline=None)
 def test_permutation_batch_matches_per_state_reference(batch):
     c, states = batch
-    out = simulate_permutation_batch(c, states)
-    assert out.dtype == basis_dtype(c.num_qubits)
-    assert [int(o) for o in out] == [_reference_permutation(c.gates, int(s))
-                                     for s in states]
+    out = simulate_permutation_batch(c, unpack_bits(states, c.num_qubits))
+    assert [int(o) for o in pack_bits(out)] == [_reference_permutation(c.gates, s)
+                                                for s in states]
 
 
 # -- product states against the dense reference ----------------------------------
@@ -288,7 +287,7 @@ def test_permutation_batch_matches_per_state_reference(batch):
 def _dense_basis(c, states):
     """simulate_product's (outputs, basis flags, phases) read off the dense
     statevector: each column's largest amplitude."""
-    v = simulate_statevector(c, states)
+    v = simulate_statevector(c, unpack_bits(states, c.num_qubits))
     out = np.argmax(np.abs(v), axis=0)
     amp = v[out, np.arange(v.shape[1])]
     return out, np.abs(amp) ** 2 >= 1 - 1e-9, amp / np.abs(amp)
@@ -348,8 +347,10 @@ def test_product_rule_matches_statevector_gate_by_gate(seed):
     states = range(1 << n)
     cols, entangled = _product_columns(c, states)
     assert not entangled.any()
-    assert np.allclose(cols, simulate_statevector(c, states), rtol=0, atol=1e-12)
-    outs, basis, phases = simulate_product(c, states)
+    bits = unpack_bits(states, n)
+    assert np.allclose(cols, simulate_statevector(c, bits), rtol=0, atol=1e-12)
+    outs, basis, phases = simulate_product(c, bits)
+    outs = pack_bits(outs)
     want_outs, want_basis, want_phases = _dense_basis(c, states)
     assert np.array_equal(basis, want_basis)
     assert np.array_equal(outs[basis], want_outs[basis])
@@ -362,7 +363,8 @@ def test_product_matches_statevector_on_the_qft_adders(op, n):
     # Every basis state of the circuit, ancillas included; global phase too.
     c = catalog.build(op, "QFT", n)
     states = range(1 << c.num_qubits)
-    outs, basis, phases = simulate_product(c, states)
+    outs, basis, phases = simulate_product(c, unpack_bits(states, c.num_qubits))
+    outs = pack_bits(outs)
     want_outs, want_basis, want_phases = _dense_basis(c, states)
     assert basis.all() and want_basis.all()
     assert np.array_equal(outs, want_outs)
@@ -380,7 +382,8 @@ def test_product_matches_statevector_on_the_qft_adders(op, n):
      [0, 0, 0, 0]),
 ], ids=["cphase", "cnot", "ccx", "hh"])
 def test_product_flags_exactly_the_entangled_cases(gates, entangled):
-    c = _circ(len(entangled).bit_length() - 1, gates)
-    _, basis, phases = simulate_product(c, range(len(entangled)))
+    n = len(entangled).bit_length() - 1
+    _, basis, phases = simulate_product(_circ(n, gates),
+                                        unpack_bits(range(len(entangled)), n))
     assert np.isnan(phases).tolist() == [bool(e) for e in entangled]
     assert not basis[np.isnan(phases)].any()
